@@ -177,12 +177,20 @@ def load_config(
             raise ConfigError(f"config section {name!r} must be a mapping")
         return value
 
-    explore_cfg = section("explore")
-    filter_cfg = section("filter")
-    topics_cfg = section("topics")
-    cluster_cfg = section("cluster")
-    graph_cfg = section("graph")
-    metrics_cfg = section("metrics")
+    def number(name: str, key: str, default, kind: type = int):
+        """section.key as a kind (int or float); None stays None."""
+        value = section(name).get(key, default)
+        if value is None:
+            return None
+        allowed = (int,) if kind is int else (int, float)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{name}.{key} must be {what}, got {value!r}")
+        return kind(value)
+
+    threads = threads_override if threads_override is not None else raw.get("threads", 1)
+    if isinstance(threads, bool) or not isinstance(threads, int):
+        raise ConfigError(f"threads must be an integer, got {threads!r}")
 
     seed = seed_override if seed_override is not None else raw.get("seed")
     if seed is None:
@@ -194,27 +202,27 @@ def load_config(
         format=raw.get("format", "jsonl"),
         languages=tuple(languages),
         seed=int(seed),
-        threads=int(threads_override or raw.get("threads", 1)),
+        threads=threads,
         strict=bool(raw.get("strict", False)),
         interactive=interactive,
         resources=resources,
-        explore_top_n=int(explore_cfg.get("top_n", 1000)),
-        filter_min_hits=int(filter_cfg.get("min_hits", 3)),
-        merge_mode=str(filter_cfg.get("merge_mode", "union")),
-        lda_k=int(topics_cfg.get("k", 3)),
-        lda_alpha=topics_cfg.get("alpha"),
-        lda_beta=float(topics_cfg.get("beta", 0.01)),
-        lda_iterations=int(topics_cfg.get("iterations", 1000)),
-        lda_max_rounds=int(topics_cfg.get("max_rounds", 3)),
-        lda_top_words=int(topics_cfg.get("top_words", 20)),
-        overlap_threshold=float(topics_cfg.get("overlap_threshold", 0.3)),
-        cluster_k_min=int(cluster_cfg.get("k_min", 2)),
-        cluster_k_max=int(cluster_cfg.get("k_max", 12)),
-        cluster_max_iters=int(cluster_cfg.get("max_iters", 100)),
-        cluster_sample_size=cluster_cfg.get("sample_size"),
-        cluster_lda_refine=bool(cluster_cfg.get("lda_refine", True)),
-        graph_clique_cap=int(graph_cfg.get("clique_cap", 50)),
-        metrics_top_k=int(metrics_cfg.get("top_k", 10)),
+        explore_top_n=number("explore", "top_n", 1000),
+        filter_min_hits=number("filter", "min_hits", 3),
+        merge_mode=str(section("filter").get("merge_mode", "union")),
+        lda_k=number("topics", "k", 3),
+        lda_alpha=number("topics", "alpha", None, float),
+        lda_beta=number("topics", "beta", 0.01, float),
+        lda_iterations=number("topics", "iterations", 1000),
+        lda_max_rounds=number("topics", "max_rounds", 3),
+        lda_top_words=number("topics", "top_words", 20),
+        overlap_threshold=number("topics", "overlap_threshold", 0.3, float),
+        cluster_k_min=number("cluster", "k_min", 2),
+        cluster_k_max=number("cluster", "k_max", 12),
+        cluster_max_iters=number("cluster", "max_iters", 100),
+        cluster_sample_size=number("cluster", "sample_size", None),
+        cluster_lda_refine=bool(section("cluster").get("lda_refine", True)),
+        graph_clique_cap=number("graph", "clique_cap", 50),
+        metrics_top_k=number("metrics", "top_k", 10),
     )
     _validate(config)
     return config
@@ -229,6 +237,10 @@ def _validate(config: PipelineConfig) -> None:
         raise ConfigError("threads must be >= 1")
     if config.lda_k < 2:
         raise ConfigError("topics.k must be >= 2")
+    if config.lda_alpha is not None and config.lda_alpha <= 0:
+        raise ConfigError("topics.alpha must be > 0")
+    if config.lda_beta <= 0:
+        raise ConfigError("topics.beta must be > 0")
     if config.lda_iterations < 1:
         raise ConfigError("topics.iterations must be >= 1")
     if config.lda_max_rounds < 0:
@@ -237,6 +249,10 @@ def _validate(config: PipelineConfig) -> None:
         raise ConfigError("topics.overlap_threshold must be within [0, 1]")
     if config.cluster_k_min < 2 or config.cluster_k_max < config.cluster_k_min:
         raise ConfigError("cluster k range must satisfy 2 <= k_min <= k_max")
+    if config.cluster_max_iters < 1:
+        raise ConfigError("cluster.max_iters must be >= 1")
+    if config.cluster_sample_size is not None and config.cluster_sample_size < 1:
+        raise ConfigError("cluster.sample_size must be >= 1")
     if config.filter_min_hits < 0:
         raise ConfigError("filter.min_hits must be >= 0")
     if config.graph_clique_cap < 2:

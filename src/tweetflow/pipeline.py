@@ -328,23 +328,7 @@ def stage_cluster(config: PipelineConfig) -> tuple[dict, list[Path]]:
         seed = config.stage_seed(f"cluster:{lang}")
 
         report_rows: list[list] = []
-        best_k, best_model, best_score = None, None, float("-inf")
-        for k in range(config.cluster_k_min, k_max + 1):
-            model = clustering.kmeans(matrix, k, seed, config.cluster_max_iters)
-            score = clustering.silhouette(
-                matrix, model.assignments,
-                sample_size=config.cluster_sample_size, seed=seed,
-            )
-            member_words = _cluster_top_words(docs, model.assignments, k)
-            for cid in range(k):
-                size = sum(1 for a in model.assignments if a == cid)
-                report_rows.append(
-                    [k, f"{score:.4f}", cid, size, "|".join(w for w, _ in member_words[cid])]
-                )
-            if score > best_score:
-                best_k, best_model, best_score = k, model, score
-
-        if best_model is None:
+        if k_max < config.cluster_k_min:
             # degenerate corpus: too few rows with any distinguishing terms
             log.warning(
                 "cluster %s: only %d non-empty TF-IDF rows, skipping this route",
@@ -355,10 +339,30 @@ def stage_cluster(config: PipelineConfig) -> tuple[dict, list[Path]]:
             route_b = Corpus((), corpus.lang_filter)
             counts[f"best_k_{lang}"] = 0
         else:
-            top_words = _cluster_top_words(docs, best_model.assignments, best_k)
+            selection = clustering.select_k(
+                matrix, (config.cluster_k_min, k_max), seed,
+                config.cluster_max_iters, config.cluster_sample_size,
+            )
+            fits = []
+            words_by_k = {}
+            for model, score in selection.fits:
+                words_by_k[model.k] = _cluster_top_words(docs, model.assignments, model.k)
+                for cid in range(model.k):
+                    size = sum(1 for a in model.assignments if a == cid)
+                    report_rows.append(
+                        [model.k, f"{score:.4f}", cid, size,
+                         "|".join(w for w, _ in words_by_k[model.k][cid])]
+                    )
+                fits.append({
+                    "k": model.k,
+                    "silhouette": score,
+                    "n_iters": model.n_iters,
+                    "wcss": model.wcss_history[-1],
+                })
+            best = selection.best
             selected = []
-            for cid in range(best_k):
-                words = [w for w, _ in top_words[cid]]
+            for cid in range(best.k):
+                words = [w for w, _ in words_by_k[best.k][cid]]
                 if not words:
                     continue
                 overlap = sum(1 for w in words if w in tourism_terms) / len(words)
@@ -368,12 +372,13 @@ def stage_cluster(config: PipelineConfig) -> tuple[dict, list[Path]]:
             route_b = Corpus(
                 tuple(
                     record
-                    for record, assignment in zip(corpus.records, best_model.assignments)
+                    for record, assignment in zip(corpus.records, best.assignments)
                     if assignment in selected_set
                 ),
                 corpus.lang_filter,
             )
-            counts[f"best_k_{lang}"] = best_k
+            counts[f"best_k_{lang}"] = best.k
+            counts[f"fits_{lang}"] = fits
         counts[f"clustered_{lang}"] = len(corpus)
         counts[f"tourism_clusters_{lang}"] = len(selected)
         counts[f"route_b_{lang}"] = len(route_b)
@@ -606,6 +611,7 @@ def stage_graph(config: PipelineConfig) -> tuple[dict, list[Path]]:
             atomic_write_text(json_path, exports.word_graph_to_json(graph))
             counts[f"nodes_{lang}_{polarity}"] = stats.nodes
             counts[f"edges_{lang}_{polarity}"] = stats.edges
+            counts[f"clique_capped_{lang}_{polarity}"] = graph.capped_tweets
             outputs.extend([gml_path, json_path])
 
         mentions = _load_entities(entities_path)

@@ -33,6 +33,7 @@ class WordGraph:
     nodes: dict[str, int]                  # lemma -> tweet frequency
     edges: dict[tuple[str, str], int]      # sorted lemma pair -> co-occurrence weight
     split: tuple[str, str] | None = None   # (language, polarity)
+    capped_tweets: int = 0                 # tweets truncated to the clique cap while building
 
     def adjacency(self) -> dict[str, list[str]]:
         return adjacency_from_edges(self.nodes, self.edges)
@@ -84,12 +85,6 @@ def _capped_lemmas(doc: TokenizedDoc, cap: int) -> list[str]:
         return distinct
     counts = Counter(doc.lemmas)
     ranked = sorted(distinct, key=lambda lem: (-counts[lem], lem))
-    log.warning(
-        "tweet %s: %d distinct lemmas exceed cap %d, truncating",
-        doc.tweet_id,
-        len(distinct),
-        cap,
-    )
     return sorted(ranked[:cap])
 
 
@@ -101,25 +96,35 @@ def build_word_graph(
     """Aggregate per-tweet cliques into one weighted co-occurrence graph.
 
     Tweets with more than clique_cap distinct lemmas are truncated to the
-    most repeated ones (ties lexicographic) to bound the quadratic blowup.
-    An empty split yields an empty graph with a warning.
+    most repeated ones (ties lexicographic) to bound the quadratic blowup;
+    the graph counts them and one warning reports the count. An empty
+    split yields an empty graph with a warning.
     """
     if not docs:
         log.warning("building word graph over an empty split %s", split)
         return WordGraph({}, {}, split)
     nodes: dict[str, int] = {}
     edges: dict[tuple[str, str], int] = {}
+    capped = 0
     for doc in docs:
         lemmas = _capped_lemmas(doc, clique_cap)
+        capped += len(lemmas) < len(set(doc.lemmas))
         for lem in lemmas:
             nodes[lem] = nodes.get(lem, 0) + 1
         for u, v in combinations(lemmas, 2):
             key = (u, v)  # lemmas already sorted
             edges[key] = edges.get(key, 0) + 1
+    if capped:
+        log.warning(
+            "word graph %s: %d of %d tweets exceed the clique cap %d, "
+            "kept their most repeated lemmas",
+            split, capped, len(docs), clique_cap,
+        )
     return WordGraph(
         dict(sorted(nodes.items())),
         dict(sorted(edges.items())),
         split,
+        capped,
     )
 
 

@@ -3,17 +3,23 @@
 Everything here is deliberately naive and kept free of the package's own
 algorithm implementations: betweenness by enumerating all shortest paths,
 modularity by the pairwise double sum, the dominant eigenvector from a
-dense eigendecomposition, and exhaustive set-partition search.
+dense eigendecomposition, exhaustive set-partition search, and k-means and
+silhouette as plain loops over sparse dict rows.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+
+from tweetflow.clustering import ClusterModel
+from tweetflow.errors import DataError
+from tweetflow.preprocess import TfIdfMatrix
 
 
 def random_graph(n: int, p: float, seed: int) -> dict[str, list[str]]:
@@ -149,3 +155,187 @@ def best_partition_exhaustive(adj: dict[str, list[str]]) -> tuple[float, list[li
             best_q, best_groups = q, [sorted(g) for g in groups]
     assert best_groups is not None
     return best_q, best_groups
+
+
+# ---------------------------------------------------------------------------
+# k-means and silhouette, one row pair at a time
+
+def _normalized_rows(matrix: TfIdfMatrix) -> list[dict[int, float]]:
+    rows = []
+    for row in matrix.rows:
+        norm = math.sqrt(sum(w * w for w in row.values()))
+        if norm > 0:
+            rows.append({i: w / norm for i, w in row.items()})
+        else:
+            rows.append({})
+    return rows
+
+
+def _sq_norm(row: dict[int, float]) -> float:
+    return sum(w * w for w in row.values())
+
+
+def _dist_sq_to_centroid(row: dict[int, float], centroid: np.ndarray, c_sq: float) -> float:
+    dot = 0.0
+    for i, w in row.items():
+        dot += w * centroid[i]
+    return max(0.0, _sq_norm(row) - 2.0 * dot + c_sq)
+
+
+def _row_distance(a: dict[int, float], b: dict[int, float]) -> float:
+    if len(b) < len(a):
+        a, b = b, a
+    dot = 0.0
+    for i, w in a.items():
+        if i in b:
+            dot += w * b[i]
+    return math.sqrt(max(0.0, _sq_norm(a) + _sq_norm(b) - 2.0 * dot))
+
+
+def _kmeanspp_init(
+    rows: list[dict[int, float]], k: int, v_size: int, rng: random.Random
+) -> np.ndarray:
+    n = len(rows)
+    centroids = np.zeros((k, v_size))
+    first = rng.randrange(n)
+    chosen = [first]
+    d_sq = [_row_distance(rows[i], rows[first]) ** 2 for i in range(n)]
+    for c in range(1, k):
+        total = sum(d_sq)
+        if total <= 0.0:
+            candidates = [i for i in range(n) if i not in chosen]
+            if not candidates:
+                raise DataError("fewer distinct rows than clusters")
+            chosen.append(candidates[0])
+        else:
+            r = rng.random() * total
+            acc = 0.0
+            pick = n - 1
+            for i, d in enumerate(d_sq):
+                acc += d
+                if r < acc:
+                    pick = i
+                    break
+            chosen.append(pick)
+        for i in range(n):
+            d = _row_distance(rows[i], rows[chosen[-1]]) ** 2
+            if d < d_sq[i]:
+                d_sq[i] = d
+    for c, idx in enumerate(chosen):
+        for i, w in rows[idx].items():
+            centroids[c, i] = w
+    return centroids
+
+
+def kmeans(matrix: TfIdfMatrix, k: int, seed: int, max_iters: int = 100) -> ClusterModel:
+    """Seeded k-means++ and Lloyd iterations, one row-centroid pair at a time."""
+    n = len(matrix.rows)
+    n_nonempty = sum(1 for row in matrix.rows if row)
+    if n_nonempty == 0:
+        raise DataError("cannot cluster an all-zero matrix")
+    if not 2 <= k <= n_nonempty:
+        raise DataError(f"k={k} out of range 2..{n_nonempty}")
+    v_size = len(matrix.vocabulary.terms)
+    rows = _normalized_rows(matrix)
+    rng = random.Random(seed)
+    centroids = _kmeanspp_init(rows, k, v_size, rng)
+
+    assignments = [-1] * n
+    wcss_history: list[float] = []
+    n_iters = 0
+    for _ in range(max_iters):
+        n_iters += 1
+        c_sq = [float(np.dot(centroids[c], centroids[c])) for c in range(k)]
+        new_assignments = []
+        wcss = 0.0
+        for row in rows:
+            best_c, best_d = 0, _dist_sq_to_centroid(row, centroids[0], c_sq[0])
+            for c in range(1, k):
+                d = _dist_sq_to_centroid(row, centroids[c], c_sq[c])
+                if d < best_d:
+                    best_c, best_d = c, d
+            new_assignments.append(best_c)
+            wcss += best_d
+        wcss_history.append(wcss)
+        if new_assignments == assignments:
+            break
+        assignments = new_assignments
+
+        counts = [0] * k
+        for c in assignments:
+            counts[c] += 1
+        empties = [c for c in range(k) if counts[c] == 0]
+        taken: set[int] = set()
+        for c in empties:
+            far_i, far_d = -1, -1.0
+            for i, row in enumerate(rows):
+                if i in taken or counts[assignments[i]] <= 1:
+                    continue
+                d = _dist_sq_to_centroid(row, centroids[assignments[i]], c_sq[assignments[i]])
+                if d > far_d:
+                    far_i, far_d = i, d
+            if far_i < 0:
+                raise DataError("fewer distinct rows than clusters")
+            taken.add(far_i)
+            counts[assignments[far_i]] -= 1
+            assignments[far_i] = c
+            counts[c] += 1
+
+        centroids = np.zeros((k, v_size))
+        for i, row in enumerate(rows):
+            c = assignments[i]
+            for j, w in row.items():
+                centroids[c, j] += w
+        for c in range(k):
+            if counts[c] > 0:
+                centroids[c] /= counts[c]
+
+    return ClusterModel(k, centroids, assignments, seed, n_iters, wcss_history)
+
+
+def silhouette(
+    matrix: TfIdfMatrix,
+    assignments: list[int],
+    sample_size: int | None = None,
+    seed: int = 0,
+) -> float:
+    """Mean silhouette from every (point, point) distance, one pair at a time."""
+    n = len(matrix.rows)
+    if n != len(assignments):
+        raise DataError("assignments must be parallel to matrix rows")
+    clusters = sorted(set(assignments))
+    if len(clusters) < 2:
+        raise DataError("silhouette requires at least 2 clusters")
+    rows = _normalized_rows(matrix)
+    members: dict[int, list[int]] = {c: [] for c in clusters}
+    for i, c in enumerate(assignments):
+        members[c].append(i)
+
+    indices = list(range(n))
+    if sample_size is not None and sample_size < n:
+        rng = random.Random(seed)
+        indices = sorted(rng.sample(indices, sample_size))
+
+    total = 0.0
+    for i in indices:
+        own = assignments[i]
+        own_members = members[own]
+        if len(own_members) == 1:
+            continue
+        dists = {c: 0.0 for c in clusters}
+        for c, idxs in members.items():
+            acc = 0.0
+            for j in idxs:
+                if j != i:
+                    acc += _row_distance(rows[i], rows[j])
+            dists[c] = acc
+        a = dists[own] / (len(own_members) - 1)
+        b = min(
+            dists[c] / len(members[c])
+            for c in clusters
+            if c != own and members[c]
+        )
+        denom = max(a, b)
+        if denom > 0:
+            total += (b - a) / denom
+    return total / len(indices)

@@ -253,8 +253,8 @@ def test_criterion_4_clustering_recovery():
         recovered = 0
         for seed in range(10):
             matrix = _blob_matrix(3, 15, seed=seed)
-            best_k, model = select_k(matrix, (2, 6), seed=seed)
-            if best_k == 3:
+            model = select_k(matrix, (2, 6), seed=seed).best
+            if model.k == 3:
                 recovered += 1
             history = model.wcss_history
             assert all(a >= b - 1e-12 for a, b in zip(history, history[1:]))

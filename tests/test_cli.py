@@ -83,6 +83,35 @@ class TestConfig:
             load_config(path)
 
 
+class TestConfigValues:
+    """Bad settings stop at config load with exit 1 and a message."""
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"cluster": {"k_min": 2, "k_max": 3, "sample_size": 0}}, "cluster.sample_size"),
+            ({"cluster": {"k_min": 2, "k_max": 3, "sample_size": "all"}}, "cluster.sample_size"),
+            ({"cluster": {"k_min": 2, "k_max": 3, "max_iters": 0}}, "cluster.max_iters"),
+            ({"topics": {"k": 3, "alpha": "auto"}}, "topics.alpha"),
+            ({"topics": {"k": 3, "alpha": 0}}, "topics.alpha"),
+            ({"topics": {"k": 3, "beta": -0.1}}, "topics.beta"),
+            ({"topics": {"k": 2.5}}, "topics.k"),
+            ({"threads": "two"}, "threads"),
+        ],
+    )
+    def test_bad_value_is_config_error(
+        self, tmp_path, fixture_corpus_path, caplog, overrides, message
+    ):
+        config_path = make_config(tmp_path, fixture_corpus_path, **overrides)
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        assert message in caplog.text
+
+    def test_threads_zero_rejected(self, tmp_path, fixture_corpus_path, caplog):
+        config_path = make_config(tmp_path, fixture_corpus_path)
+        assert main(["ingest", "--config", str(config_path), "--threads", "0"]) == 1
+        assert "threads must be >= 1" in caplog.text
+
+
 class TestExitCodes:
     def test_config_error_is_1(self, tmp_path):
         assert main(["ingest", "--config", str(tmp_path / "absent.yaml")]) == 1
@@ -171,6 +200,30 @@ class TestStages:
             sizes_by_k[k] = sizes_by_k.get(k, 0) + int(size)
         # every k-row partitions the same corpus
         assert len(set(sizes_by_k.values())) == 1
+
+    def test_cluster_diagnostics_in_manifest(self, pipeline_out):
+        manifest = json.loads((pipeline_out.out / "manifest.json").read_text())
+        counts = manifest["stages"]["cluster"]["counts"]
+        for lang in ("en", "it"):
+            fits = counts[f"fits_{lang}"]
+            assert [fit["k"] for fit in fits] == [2, 3]
+            with (pipeline_out.out / "cluster" / f"clusters_{lang}.csv").open(
+                newline="", encoding="utf-8"
+            ) as fh:
+                reported = {int(r["k"]): r["silhouette"] for r in csv.DictReader(fh)}
+            for fit in fits:
+                assert f"{fit['silhouette']:.4f}" == reported[fit["k"]]
+                assert fit["n_iters"] >= 1 and fit["wcss"] >= 0.0
+            best = max(fits, key=lambda fit: fit["silhouette"])
+            assert counts[f"best_k_{lang}"] == best["k"]
+
+    def test_graph_counts_capped_tweets(self, pipeline_out):
+        manifest = json.loads((pipeline_out.out / "manifest.json").read_text())
+        counts = manifest["stages"]["graph"]["counts"]
+        for lang in ("en", "it"):
+            for polarity in ("positive", "negative"):
+                # fixture tweets are far below the 50-lemma clique cap
+                assert counts[f"clique_capped_{lang}_{polarity}"] == 0
 
     def test_tourism_ids_unique(self, pipeline_out):
         for lang in ("en", "it"):

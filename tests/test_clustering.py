@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
+import oracles
 from tweetflow.clustering import kmeans, select_k, silhouette
 from tweetflow.errors import DataError
 from tweetflow.preprocess import TfIdfMatrix, Vocabulary
@@ -28,6 +30,86 @@ def blob_matrix(n_blobs, per_blob, seed, spread=0.08, dims_per_blob=3):
             row[other] = spread * rng.random() + 1e-6
             rows.append(row)
     return matrix_from_rows(rows, v_size)
+
+
+def random_sparse_matrix(seed, n, v_size, p_empty=0.1, p_duplicate=0.15):
+    """Seeded sparse rows with some empty rows and some copies of earlier rows."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n):
+        if rows and rng.random() < p_duplicate:
+            rows.append(dict(rows[rng.randrange(len(rows))]))
+        elif rng.random() < p_empty:
+            rows.append({})
+        else:
+            terms = rng.sample(range(v_size), rng.randint(1, max(1, v_size // 4)))
+            rows.append({t: 0.05 + 3.0 * rng.random() for t in terms})
+    return matrix_from_rows(rows, v_size)
+
+
+def assert_same_fit(matrix, k, seed):
+    expected = oracles.kmeans(matrix, k, seed)
+    got = kmeans(matrix, k, seed)
+    assert got.assignments == expected.assignments
+    assert got.n_iters == expected.n_iters
+    assert np.array_equal(got.centroids, expected.centroids)
+    assert got.wcss_history == expected.wcss_history
+
+
+class TestOracleEquivalence:
+    """The array kernels against the pair-at-a-time loops in tests/oracles.py."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_kmeans_fits_identical(self, seed):
+        matrix = random_sparse_matrix(seed, 20 + 7 * seed, 12 + seed)
+        n_nonempty = sum(1 for row in matrix.rows if row)
+        for k in (2, 3, 5, 8):
+            if k <= n_nonempty:
+                assert_same_fit(matrix, k, seed)
+
+    @pytest.mark.parametrize(
+        "rows, k",
+        [
+            # more clusters than distinct rows: a tied centroid empties a
+            # cluster on every iteration and the farthest point re-seeds it
+            ([{0: 1.0}] * 4 + [{1: 1.0}], 3),
+            ([{0: 1.0, 1: 0.1}] * 3 + [{0: 0.1, 1: 1.0}] * 3 + [{2: 1.0}, {}], 5),
+        ],
+    )
+    def test_kmeans_empty_cluster_reseed_identical(self, rows, k):
+        matrix = matrix_from_rows(rows, 3)
+        for seed in range(4):
+            assert_same_fit(matrix, k, seed)
+            assert len(set(kmeans(matrix, k, seed).assignments)) == k
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_silhouette_matches(self, seed):
+        matrix = random_sparse_matrix(seed, 15 + 6 * seed, 10 + seed)
+        n = len(matrix.rows)
+        rng = random.Random(seed)
+        for n_clusters in (2, 3, 6):
+            assignments = [rng.randrange(n_clusters) for _ in range(n)]
+            assignments[-1] = n_clusters  # a singleton cluster
+            for sample_size in (None, 1, n // 3, n, n + 5):
+                expected = oracles.silhouette(matrix, assignments, sample_size, seed)
+                got = silhouette(matrix, assignments, sample_size, seed)
+                assert type(got) is float
+                assert got == pytest.approx(expected, rel=0, abs=1e-12)
+
+    def test_silhouette_of_fitted_clusters_matches(self):
+        matrix = blob_matrix(4, 30, seed=13, spread=0.3)
+        model = kmeans(matrix, 4, seed=2)
+        expected = oracles.silhouette(matrix, model.assignments)
+        assert silhouette(matrix, model.assignments) == pytest.approx(expected, rel=0, abs=1e-12)
+
+    def test_silhouette_empty_and_duplicate_rows(self):
+        rows = [{}, {}, {0: 1.0, 1: 2.0, 2: 0.5}, {0: 1.0, 1: 2.0, 2: 0.5}, {2: 1.0}, {}]
+        matrix = matrix_from_rows(rows, 3)
+        for assignments in ([0, 0, 1, 1, 1, 0], [0, 1, 0, 1, 2, 2], [1, 0, 0, 0, 0, 0]):
+            expected = oracles.silhouette(matrix, assignments)
+            assert silhouette(matrix, assignments) == pytest.approx(expected, rel=0, abs=1e-12)
+        all_empty = matrix_from_rows([{}, {}, {}], 2)
+        assert silhouette(all_empty, [0, 1, 1]) == oracles.silhouette(all_empty, [0, 1, 1])
 
 
 class TestKmeans:
@@ -115,22 +197,22 @@ class TestSilhouette:
 class TestSelectK:
     def test_three_planted_blobs(self):
         matrix = blob_matrix(3, 15, seed=8)
-        best_k, model = select_k(matrix, (2, 6), seed=0)
-        assert best_k == 3
-        assert len(set(model.assignments)) == 3
+        best = select_k(matrix, (2, 6), seed=0).best
+        assert best.k == 3
+        assert len(set(best.assignments)) == 3
 
     def test_single_value_range(self):
         matrix = blob_matrix(2, 10, seed=9)
-        best_k, model = select_k(matrix, (2, 2), seed=0)
-        assert best_k == 2
+        selection = select_k(matrix, (2, 2), seed=0)
+        assert selection.best.k == 2
+        assert [model.k for model, _ in selection.fits] == [2]
 
     def test_tie_takes_smallest_k(self, monkeypatch):
         import tweetflow.clustering as clustering_mod
 
         matrix = blob_matrix(2, 10, seed=10)
         monkeypatch.setattr(clustering_mod, "silhouette", lambda *a, **k: 0.5)
-        best_k, _ = clustering_mod.select_k(matrix, (2, 5), seed=0)
-        assert best_k == 2
+        assert clustering_mod.select_k(matrix, (2, 5), seed=0).best.k == 2
 
     def test_empty_range_rejected(self):
         matrix = blob_matrix(2, 10, seed=0)
@@ -141,4 +223,15 @@ class TestSelectK:
         matrix = blob_matrix(3, 10, seed=11)
         a = select_k(matrix, (2, 5), seed=3)
         b = select_k(matrix, (2, 5), seed=3)
-        assert a[0] == b[0] and a[1].assignments == b[1].assignments
+        assert a.best.k == b.best.k and a.best.assignments == b.best.assignments
+
+    def test_every_fit_kept_with_its_score(self):
+        matrix = blob_matrix(3, 10, seed=12)
+        selection = select_k(matrix, (2, 5), seed=4, sample_size=20)
+        assert [model.k for model, _ in selection.fits] == [2, 3, 4, 5]
+        for model, score in selection.fits:
+            assert model.assignments == kmeans(matrix, model.k, seed=4).assignments
+            assert score == silhouette(matrix, model.assignments, sample_size=20, seed=4)
+        best_score = max(score for _, score in selection.fits)
+        first_best = next(m for m, score in selection.fits if score == best_score)
+        assert selection.best is first_best

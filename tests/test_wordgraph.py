@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import random
 
 import pytest
@@ -74,6 +75,16 @@ class TestBuildWordGraph:
         assert len(graph.nodes) == 4
         # the repeated lemmas outrank the others
         assert "w00" in graph.nodes and "w01" in graph.nodes
+
+    def test_capped_tweets_counted_with_one_warning(self, caplog):
+        wide = [f"w{i:02d}" for i in range(10)]
+        docs = [doc("1", wide), doc("2", ["a", "b"]), doc("3", wide[::-1])]
+        with caplog.at_level(logging.WARNING, logger="tweetflow.wordgraph"):
+            graph = build_word_graph(docs, clique_cap=4)
+        assert graph.capped_tweets == 2
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "2 of 3 tweets" in warnings[0].getMessage()
+        assert build_word_graph(docs, clique_cap=10).capped_tweets == 0
 
     def test_split_recorded(self):
         graph = build_word_graph([doc("1", ["a", "b"])], split=("it", "positive"))
