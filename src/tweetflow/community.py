@@ -9,6 +9,7 @@ the community whose lexicographically smallest member is smaller.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 import random
@@ -35,15 +36,6 @@ class Partition:
         for node, cid in self.assignment.items():
             groups.setdefault(cid, []).append(node)
         return [sorted(groups[cid]) for cid in range(len(self.sizes))]
-
-
-@dataclass(frozen=True)
-class CommunityReport:
-    algorithm: str
-    partition: Partition
-    threshold: float
-    chosen: tuple[int, ...]
-    hubs: dict[int, str]
 
 
 def _canonical_partition(groups: Iterable[Iterable[str]], q: float | None) -> Partition:
@@ -143,6 +135,11 @@ def greedy_modularity(graph) -> Partition:
     pair with maximal modularity gain (ties by lexicographically smallest
     representative pair) and returns the partition where modularity
     peaked along the merge path.
+
+    Clauset-Newman-Moore style: candidate pairs sit in a max-heap keyed by
+    (-gain, u, v) and are checked lazily when popped. A community is named
+    by its lexicographically smallest member; nodes are numbered in sorted
+    order, so comparing numbers compares names.
     """
     adj = _adjacency(graph)
     m2 = sum(len(neigh) for neigh in adj.values())
@@ -150,60 +147,57 @@ def greedy_modularity(graph) -> Partition:
         raise DataError("greedy modularity needs at least one edge")
     m = m2 / 2.0
 
-    # community state: representative = lexicographically smallest member
-    members: dict[str, set[str]] = {v: {v} for v in adj}
-    degree_sum: dict[str, int] = {v: len(adj[v]) for v in adj}
-    intra: dict[str, int] = {v: 0 for v in adj}
-    links: dict[str, Counter] = {v: Counter() for v in adj}
-    for v in adj:
-        for w in adj[v]:
+    names = sorted(adj)
+    index = {node: i for i, node in enumerate(names)}
+    degree = [len(adj[node]) for node in names]
+    links: list[dict[int, int]] = [{} for _ in names]
+    for v, neigh in adj.items():
+        iv = index[v]
+        for w in neigh:
             if v < w:
-                links[v][w] += 1
-                links[w][v] += 1
+                iw = index[w]
+                links[iv][iw] = links[iv].get(iw, 0) + 1
+                links[iw][iv] = links[iw].get(iv, 0) + 1
+    alive = [True] * len(names)
 
-    def q_now() -> float:
-        return sum(
-            intra[c] / m - (degree_sum[c] / m2) ** 2 for c in members
-        )
+    def gain(u: int, v: int) -> float:
+        return links[u][v] / m - 2.0 * (degree[u] / m2) * (degree[v] / m2)
 
-    best_q = q_now()
-    best_groups = [set(g) for g in members.values()]
-    current_q = best_q
-    while True:
-        best_pair = None
-        best_gain = -math.inf
-        for u in sorted(members):
-            for v in sorted(links[u]):
-                if v <= u:
-                    continue
-                gain = links[u][v] / m - 2.0 * (degree_sum[u] / m2) * (degree_sum[v] / m2)
-                if gain > best_gain or (gain == best_gain and (u, v) < best_pair):
-                    best_gain = gain
-                    best_pair = (u, v)
-        if best_pair is None:
-            break
-        u, v = best_pair
+    # singletons: no intra edges; summed in the graph's node order
+    best_q = current_q = sum(0.0 - (len(neigh) / m2) ** 2 for neigh in adj.values())
+    heap = [(-gain(u, v), u, v) for u in range(len(names)) for v in links[u] if u < v]
+    heapq.heapify(heap)
+    merge_log: list[tuple[int, int]] = []
+    best_merges = 0
+    while heap:
+        neg_gain, u, v = heapq.heappop(heap)
+        if not (alive[u] and alive[v]):
+            continue  # stale: an endpoint was merged away
+        best_gain = gain(u, v)
+        if best_gain != -neg_gain:
+            continue  # stale: the gain moved since this entry was pushed
         current_q += best_gain
-        # merge v into u, then rename to the smaller representative
-        merged = members.pop(u) | members.pop(v)
-        e_uv = links[u].pop(v)
-        links[v].pop(u)
-        new_intra = intra.pop(u) + intra.pop(v) + e_uv
-        new_degree = degree_sum.pop(u) + degree_sum.pop(v)
-        new_links = links.pop(u) + links.pop(v)
-        rep = min(merged)
-        members[rep] = merged
-        intra[rep] = new_intra
-        degree_sum[rep] = new_degree
-        links[rep] = new_links
-        for other in new_links:
-            links[other].pop(u, None)
-            links[other].pop(v, None)
-            links[other][rep] = new_links[other]
+        # merge v into u; u < v, so u stays the representative
+        alive[v] = False
+        merge_log.append((u, v))
+        links_u, links_v = links[u], links[v]
+        del links_u[v], links_v[u]
+        for other, count in links_v.items():
+            del links[other][v]
+            links_u[other] = links_u.get(other, 0) + count
+        degree[u] += degree[v]
+        for other, count in links_u.items():
+            links[other][u] = count
+            pair = (u, other) if u < other else (other, u)
+            heapq.heappush(heap, (-gain(*pair), *pair))
         if current_q > best_q:
             best_q = current_q
-            best_groups = [set(g) for g in members.values()]
-    return _canonical_partition(best_groups, best_q)
+            best_merges = len(merge_log)
+
+    groups = {i: [name] for i, name in enumerate(names)}
+    for u, v in merge_log[:best_merges]:
+        groups[u].extend(groups.pop(v))
+    return _canonical_partition(groups.values(), best_q)
 
 
 def choose_communities(partition: Partition) -> tuple[float, tuple[int, ...]]:

@@ -195,13 +195,15 @@ def load_config(
     seed = seed_override if seed_override is not None else raw.get("seed")
     if seed is None:
         raise ConfigError("a seed is required (config 'seed' or --seed)")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
 
     config = PipelineConfig(
         input=_resolve(base, str(input_value)),
         out=_resolve(base, str(out_value)),
         format=raw.get("format", "jsonl"),
         languages=tuple(languages),
-        seed=int(seed),
+        seed=seed,
         threads=threads,
         strict=bool(raw.get("strict", False)),
         interactive=interactive,

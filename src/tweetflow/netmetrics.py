@@ -9,14 +9,15 @@ reach-scaled form
 
 where r is the number of nodes v can reach (itself included), which
 degrades gracefully to 0 for isolated nodes. Betweenness follows
-Brandes' dependency accumulation; eigenvector centrality is power
-iteration with a self-damping fallback for bipartite oscillation.
+Brandes' dependency accumulation; both BFS-based measures walk integer
+neighbour lists, nodes numbered in adjacency order. Eigenvector
+centrality is power iteration with a self-damping fallback for bipartite
+oscillation.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -48,16 +49,10 @@ def degree_centrality(graph) -> CentralityScores:
     return CentralityScores("degree", values, normalized=True)
 
 
-def _bfs_distances(adj: Mapping[str, Sequence[str]], source: str) -> dict[str, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
+def _int_adjacency(adj: Mapping[str, Sequence[str]]) -> list[list[int]]:
+    """Neighbour lists as node indices, numbering nodes in `adj` order."""
+    index = {node: i for i, node in enumerate(adj)}
+    return [[index[w] for w in neigh] for neigh in adj.values()]
 
 
 def closeness_centrality(graph) -> CentralityScores:
@@ -66,11 +61,24 @@ def closeness_centrality(graph) -> CentralityScores:
     n = len(adj)
     if n < 2:
         raise DataError("closeness centrality needs at least 2 nodes")
+    neighbors = _int_adjacency(adj)
     values = {}
-    for node in adj:
-        dist = _bfs_distances(adj, node)
-        reach = len(dist)
-        total = sum(dist.values())
+    for source, node in enumerate(adj):
+        seen = [False] * n
+        seen[source] = True
+        frontier = [source]
+        reach, total, depth = 1, 0, 0
+        while frontier:
+            depth += 1
+            nxt = []
+            for v in frontier:
+                for w in neighbors[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        nxt.append(w)
+            reach += len(nxt)
+            total += depth * len(nxt)
+            frontier = nxt
         if reach > 1 and total > 0:
             values[node] = ((reach - 1) / (n - 1)) * ((reach - 1) / total)
         else:
@@ -86,42 +94,47 @@ def betweenness_centrality(graph, normalized: bool = False) -> CentralityScores:
     """
     adj = _adjacency(graph)
     nodes = list(adj)
-    centrality = {v: 0.0 for v in nodes}
-    for source in nodes:
-        stack: list[str] = []
-        preds: dict[str, list[str]] = {v: [] for v in nodes}
-        sigma = {v: 0.0 for v in nodes}
-        dist = {v: -1 for v in nodes}
+    neighbors = _int_adjacency(adj)
+    n = len(nodes)
+    centrality = [0.0] * n
+    for source in range(n):
+        sigma = [0.0] * n
+        dist = [-1] * n
+        preds: list[list[int] | None] = [None] * n
         sigma[source] = 1.0
         dist[source] = 0
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
+        order = [source]  # BFS order, grown while it is walked: the queue
+        for v in order:
+            next_dist = dist[v] + 1
+            sigma_v = sigma[v]
+            for w in neighbors[v]:
+                dist_w = dist[w]
+                if dist_w < 0:
+                    dist[w] = next_dist
+                    order.append(w)
+                    sigma[w] = sigma_v  # == 0.0 + sigma_v
+                    preds[w] = [v]
+                elif dist_w == next_dist:
+                    sigma[w] += sigma_v
                     preds[w].append(v)
-        delta = {v: 0.0 for v in nodes}
-        while stack:
-            w = stack.pop()
+        # dependencies pushed to predecessors in stack-pop order; the source
+        # comes last, has no predecessors and scores nothing
+        delta = [0.0] * n
+        for i in range(len(order) - 1, 0, -1):
+            w = order[i]
+            sigma_w = sigma[w]
+            weight = 1.0 + delta[w]
             for v in preds[w]:
-                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
-            if w != source:
-                centrality[w] += delta[w]
+                delta[v] += (sigma[v] / sigma_w) * weight
+            centrality[w] += delta[w]
     # each unordered pair was accumulated from both endpoints
-    for v in centrality:
-        centrality[v] /= 2.0
-    if normalized:
-        n = len(nodes)
-        if n > 2:
-            scale = 2.0 / ((n - 1) * (n - 2))
-            for v in centrality:
-                centrality[v] *= scale
-    return CentralityScores("betweenness", dict(sorted(centrality.items())), normalized)
+    centrality = [c / 2.0 for c in centrality]
+    if normalized and n > 2:
+        scale = 2.0 / ((n - 1) * (n - 2))
+        centrality = [c * scale for c in centrality]
+    return CentralityScores(
+        "betweenness", dict(sorted(zip(nodes, centrality))), normalized
+    )
 
 
 class NonConvergenceError(DataError):

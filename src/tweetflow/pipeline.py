@@ -323,17 +323,18 @@ def stage_cluster(config: PipelineConfig) -> tuple[dict, list[Path]]:
         lemmas, stopwords = _lang_resources(config, lang)
         docs = _docs_for(corpus, lemmas, stopwords)
         matrix = preprocess.build_tfidf(docs)
-        n_nonempty = sum(1 for row in matrix.rows if row)
-        k_max = min(config.cluster_k_max, n_nonempty)
+        # k-means cannot settle with more clusters than distinct points
+        n_distinct = len({frozenset(row.items()) for row in matrix.rows if row})
+        k_max = min(config.cluster_k_max, n_distinct)
         seed = config.stage_seed(f"cluster:{lang}")
 
         report_rows: list[list] = []
         if k_max < config.cluster_k_min:
             # degenerate corpus: too few rows with any distinguishing terms
             log.warning(
-                "cluster %s: only %d non-empty TF-IDF rows, skipping this route",
+                "cluster %s: only %d distinct non-empty TF-IDF rows, skipping this route",
                 lang,
-                n_nonempty,
+                n_distinct,
             )
             selected = []
             route_b = Corpus((), corpus.lang_filter)

@@ -3,22 +3,26 @@
 Everything here is deliberately naive and kept free of the package's own
 algorithm implementations: betweenness by enumerating all shortest paths,
 modularity by the pairwise double sum, the dominant eigenvector from a
-dense eigendecomposition, exhaustive set-partition search, and k-means and
-silhouette as plain loops over sparse dict rows.
+dense eigendecomposition, exhaustive set-partition search, k-means and
+silhouette as plain loops over sparse dict rows, and Brandes betweenness,
+closeness and greedy modularity over per-node dicts with an all-pairs
+rescan on every merge.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
 from tweetflow.clustering import ClusterModel
+from tweetflow.community import Partition, _canonical_partition
 from tweetflow.errors import DataError
+from tweetflow.netmetrics import CentralityScores, _adjacency
 from tweetflow.preprocess import TfIdfMatrix
 
 
@@ -32,6 +36,70 @@ def random_graph(n: int, p: float, seed: int) -> dict[str, list[str]]:
             adj[u].add(v)
             adj[v].add(u)
     return {v: sorted(neigh) for v, neigh in adj.items()}
+
+
+class AdjacencyView:
+    """A graph object whose adjacency() keeps the given node order (a plain
+    mapping is sorted by the kernels), so node-order effects show."""
+
+    def __init__(self, adj: dict[str, list[str]]):
+        self._adj = adj
+
+    def adjacency(self) -> dict[str, list[str]]:
+        return self._adj
+
+
+def _from_edges(nodes, edges) -> dict[str, list[str]]:
+    adj = {v: set() for v in nodes}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return {v: sorted(neigh) for v, neigh in adj.items()}
+
+
+def _clique(prefix: str, k: int) -> list[tuple[str, str]]:
+    return list(combinations([f"{prefix}{i}" for i in range(k)], 2))
+
+
+def kernel_graphs() -> list[tuple[str, object]]:
+    """Seeded random graphs (sparse ones are disconnected and carry isolated
+    nodes, some in shuffled node order) and tie-heavy graphs: cycles,
+    complete bipartite graphs, a barbell and equal cliques."""
+    graphs: list[tuple[str, object]] = []
+    rng = random.Random(2001)
+    for seed in range(40):
+        n = rng.randrange(2, 36)
+        p = rng.choice([0.02, 0.06, 0.12, 0.3, 0.7])
+        adj = random_graph(n, p, seed=seed)
+        if seed % 4 == 0:
+            adj.update({f"z{i}": [] for i in range(1 + seed % 3)})
+        if seed % 3 == 0:
+            order = list(adj)
+            rng.shuffle(order)
+            graphs.append((f"random{seed}-shuffled", AdjacencyView({v: adj[v] for v in order})))
+        else:
+            graphs.append((f"random{seed}", adj))
+    for n in (3, 4, 5, 6, 9, 12):
+        graphs.append((f"cycle{n}", _from_edges(
+            [f"c{i:02d}" for i in range(n)],
+            [(f"c{i:02d}", f"c{(i + 1) % n:02d}") for i in range(n)],
+        )))
+    for a, b in ((1, 4), (2, 3), (3, 3), (4, 2), (4, 5)):
+        left, right = [f"l{i}" for i in range(a)], [f"r{j}" for j in range(b)]
+        graphs.append((f"K{a},{b}", _from_edges(left + right, [(u, v) for u in left for v in right])))
+    graphs.append(("barbell", _from_edges(
+        [f"a{i}" for i in range(5)] + [f"b{i}" for i in range(5)],
+        _clique("a", 5) + _clique("b", 5) + [("a0", "b0")],
+    )))
+    graphs.append(("two-cliques", _from_edges(
+        [f"a{i}" for i in range(4)] + [f"b{i}" for i in range(4)],
+        _clique("a", 4) + _clique("b", 4),
+    )))
+    graphs.append(("two-cliques-path", _from_edges(
+        [f"a{i}" for i in range(4)] + [f"b{i}" for i in range(4)] + ["m"],
+        _clique("a", 4) + _clique("b", 4) + [("a3", "m"), ("m", "b3")],
+    )))
+    return graphs
 
 
 def is_connected(adj: dict[str, list[str]]) -> bool:
@@ -339,3 +407,140 @@ def silhouette(
         if denom > 0:
             total += (b - a) / denom
     return total / len(indices)
+
+
+# ---------------------------------------------------------------------------
+# betweenness, closeness and greedy modularity over per-node dicts
+
+def _bfs_distances(adj, source: str) -> dict[str, int]:
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def closeness_centrality(graph) -> CentralityScores:
+    """Reach-scaled closeness per component; isolated nodes score 0."""
+    adj = _adjacency(graph)
+    n = len(adj)
+    if n < 2:
+        raise DataError("closeness centrality needs at least 2 nodes")
+    values = {}
+    for node in adj:
+        dist = _bfs_distances(adj, node)
+        reach = len(dist)
+        total = sum(dist.values())
+        if reach > 1 and total > 0:
+            values[node] = ((reach - 1) / (n - 1)) * ((reach - 1) / total)
+        else:
+            values[node] = 0.0
+    return CentralityScores("closeness", values, normalized=True)
+
+
+def betweenness_centrality(graph, normalized: bool = False) -> CentralityScores:
+    """Brandes' algorithm with per-source dicts and a deque."""
+    adj = _adjacency(graph)
+    nodes = list(adj)
+    centrality = {v: 0.0 for v in nodes}
+    for source in nodes:
+        stack: list[str] = []
+        preds: dict[str, list[str]] = {v: [] for v in nodes}
+        sigma = {v: 0.0 for v in nodes}
+        dist = {v: -1 for v in nodes}
+        sigma[source] = 1.0
+        dist[source] = 0
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = {v: 0.0 for v in nodes}
+        while stack:
+            w = stack.pop()
+            for v in preds[w]:
+                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
+            if w != source:
+                centrality[w] += delta[w]
+    for v in centrality:
+        centrality[v] /= 2.0
+    if normalized:
+        n = len(nodes)
+        if n > 2:
+            scale = 2.0 / ((n - 1) * (n - 2))
+            for v in centrality:
+                centrality[v] *= scale
+    return CentralityScores("betweenness", dict(sorted(centrality.items())), normalized)
+
+
+def greedy_modularity(graph) -> Partition:
+    """Merge the best-gain community pair, found by rescanning every pair
+    (ties by smallest representative pair); keep the peak-Q partition."""
+    adj = _adjacency(graph)
+    m2 = sum(len(neigh) for neigh in adj.values())
+    if m2 == 0:
+        raise DataError("greedy modularity needs at least one edge")
+    m = m2 / 2.0
+
+    members: dict[str, set[str]] = {v: {v} for v in adj}
+    degree_sum: dict[str, int] = {v: len(adj[v]) for v in adj}
+    intra: dict[str, int] = {v: 0 for v in adj}
+    links: dict[str, Counter] = {v: Counter() for v in adj}
+    for v in adj:
+        for w in adj[v]:
+            if v < w:
+                links[v][w] += 1
+                links[w][v] += 1
+
+    def q_now() -> float:
+        return sum(
+            intra[c] / m - (degree_sum[c] / m2) ** 2 for c in members
+        )
+
+    best_q = q_now()
+    best_groups = [set(g) for g in members.values()]
+    current_q = best_q
+    while True:
+        best_pair = None
+        best_gain = -math.inf
+        for u in sorted(members):
+            for v in sorted(links[u]):
+                if v <= u:
+                    continue
+                gain = links[u][v] / m - 2.0 * (degree_sum[u] / m2) * (degree_sum[v] / m2)
+                if gain > best_gain or (gain == best_gain and (u, v) < best_pair):
+                    best_gain = gain
+                    best_pair = (u, v)
+        if best_pair is None:
+            break
+        u, v = best_pair
+        current_q += best_gain
+        merged = members.pop(u) | members.pop(v)
+        e_uv = links[u].pop(v)
+        links[v].pop(u)
+        new_intra = intra.pop(u) + intra.pop(v) + e_uv
+        new_degree = degree_sum.pop(u) + degree_sum.pop(v)
+        new_links = links.pop(u) + links.pop(v)
+        rep = min(merged)
+        members[rep] = merged
+        intra[rep] = new_intra
+        degree_sum[rep] = new_degree
+        links[rep] = new_links
+        for other in new_links:
+            links[other].pop(u, None)
+            links[other].pop(v, None)
+            links[other][rep] = new_links[other]
+        if current_q > best_q:
+            best_q = current_q
+            best_groups = [set(g) for g in members.values()]
+    return _canonical_partition(best_groups, best_q)

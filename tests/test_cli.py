@@ -97,6 +97,9 @@ class TestConfigValues:
             ({"topics": {"k": 3, "beta": -0.1}}, "topics.beta"),
             ({"topics": {"k": 2.5}}, "topics.k"),
             ({"threads": "two"}, "threads"),
+            ({"seed": "abc"}, "seed must be an integer"),
+            ({"seed": True}, "seed must be an integer"),
+            ({"seed": 4.0}, "seed must be an integer"),
         ],
     )
     def test_bad_value_is_config_error(
@@ -339,6 +342,36 @@ class TestEmptyPolaritySplit:
         assert (config.out / "metrics" / "centrality_degree.csv").is_file()
         assert (config.out / "communities" / "communities.csv").is_file()
         assert (config.out / "report" / "places_en.geojson").is_file()
+
+    def test_cluster_k_capped_by_distinct_rows(self, tmp_path):
+        # six distinct texts, two lemma sets: only two distinct TF-IDF rows,
+        # so k stops at 2 (k = 3 used to re-seed an empty cluster every iteration)
+        rows = [
+            {"id": f"d{i}", "lang": "en", "text": f"beach sunset coast {i}"}
+            for i in range(4)
+        ] + [
+            {"id": f"m{i}", "lang": "en", "text": f"museum castle history {i}"}
+            for i in range(2)
+        ]
+        corpus_path = tmp_path / "twins.jsonl"
+        corpus_path.write_text(
+            "\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8"
+        )
+        config_path = make_config(
+            tmp_path,
+            corpus_path,
+            languages=["en"],
+            topics={"k": 2, "alpha": 0.5, "iterations": 40, "max_rounds": 1, "top_words": 10},
+            cluster={"k_min": 2, "k_max": 3, "lda_refine": False},
+        )
+        config = load_config(config_path)
+        for stage in ("ingest", "explore", "filter", "topics", "cluster"):
+            run_stage(stage, config)
+        counts = json.loads((config.out / "manifest.json").read_text())["stages"]["cluster"]["counts"]
+        assert counts["clustered_en"] == 6
+        assert [fit["k"] for fit in counts["fits_en"]] == [2]
+        assert counts["fits_en"][0]["n_iters"] < config.cluster_max_iters
+        assert counts["best_k_en"] == 2
 
     def test_cluster_stage_degrades_when_nothing_to_cluster(self, tmp_path):
         # all docs share one token multiset: every TF-IDF row is empty

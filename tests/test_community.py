@@ -14,8 +14,15 @@ from tweetflow.community import (
     modularity,
 )
 from tweetflow.errors import DataError
+from tweetflow.netmetrics import _adjacency
 
-from oracles import best_partition_exhaustive, pairwise_modularity, random_graph
+import oracles
+from oracles import best_partition_exhaustive, kernel_graphs, pairwise_modularity, random_graph
+
+KERNEL_GRAPHS = kernel_graphs()
+over_kernel_graphs = pytest.mark.parametrize(
+    "graph", [g for _, g in KERNEL_GRAPHS], ids=[label for label, _ in KERNEL_GRAPHS]
+)
 
 
 class TestLabelPropagation:
@@ -248,3 +255,44 @@ class TestPartitionCanonicalOrder:
         assert partition.sizes == (3, 3, 2)
         groups = partition.communities()
         assert groups[0][0] == "a" and groups[1][0] == "x" and groups[2] == ["m", "n"]
+
+
+class TestOracleEquivalence:
+    """The heap-driven greedy modularity against the all-pairs rescan in
+    tests/oracles.py: the same partition, in the same order, with the same Q."""
+
+    @over_kernel_graphs
+    def test_greedy_identical(self, graph):
+        if not any(_adjacency(graph).values()):
+            for greedy in (oracles.greedy_modularity, greedy_modularity):
+                with pytest.raises(DataError):
+                    greedy(graph)
+            return
+        expected = oracles.greedy_modularity(graph)
+        got = greedy_modularity(graph)
+        assert got == expected
+        assert list(got.assignment.items()) == list(expected.assignment.items())
+        assert repr(got.modularity) == repr(expected.modularity)
+
+
+class TestNetworkxCrossCheck:
+    """modularity() against networkx (a test-only dependency)."""
+
+    @over_kernel_graphs
+    def test_modularity(self, graph):
+        nx = pytest.importorskip("networkx")
+        adj = _adjacency(graph)
+        if not any(adj.values()):
+            return
+        g = nx.Graph(adj)
+        rng = random.Random(len(adj))
+        nodes = sorted(adj)
+        random_groups = [[v for v in nodes if rng.random() < 0.5]]
+        random_groups.append([v for v in nodes if v not in random_groups[0]])
+        for groups in (
+            greedy_modularity(graph).communities(),
+            [group for group in random_groups if group],
+            [nodes],
+        ):
+            expected = nx.community.modularity(g, [set(group) for group in groups])
+            assert modularity(graph, groups) == pytest.approx(expected, rel=0, abs=1e-12)

@@ -7,6 +7,7 @@ import pytest
 
 from tweetflow.errors import DataError
 from tweetflow.netmetrics import (
+    _adjacency,
     betweenness_centrality,
     closeness_centrality,
     degree_centrality,
@@ -15,11 +16,18 @@ from tweetflow.netmetrics import (
 )
 from tweetflow.wordgraph import WordGraph
 
+import oracles
 from oracles import (
     brute_betweenness,
     dense_dominant_eigenvector,
     is_connected,
+    kernel_graphs,
     random_graph,
+)
+
+KERNEL_GRAPHS = kernel_graphs()
+over_kernel_graphs = pytest.mark.parametrize(
+    "graph", [g for _, g in KERNEL_GRAPHS], ids=[label for label, _ in KERNEL_GRAPHS]
 )
 
 
@@ -230,3 +238,41 @@ class TestNonConvergence:
 
         with pytest.raises(NonConvergenceError):
             eigenvector_centrality(star4, max_iters=0)
+
+
+class TestOracleEquivalence:
+    """The integer-indexed kernels against the per-node dict loops in
+    tests/oracles.py: same keys in the same order, same float bits."""
+
+    @over_kernel_graphs
+    def test_betweenness_identical(self, graph):
+        for normalized in (False, True):
+            expected = oracles.betweenness_centrality(graph, normalized)
+            got = betweenness_centrality(graph, normalized)
+            assert got == expected
+            assert repr(got.values) == repr(expected.values)
+
+    @over_kernel_graphs
+    def test_closeness_identical(self, graph):
+        expected = oracles.closeness_centrality(graph)
+        got = closeness_centrality(graph)
+        assert got == expected
+        assert repr(got.values) == repr(expected.values)
+
+
+class TestNetworkxCrossCheck:
+    """Independent reference values from networkx (a test-only dependency)."""
+
+    @over_kernel_graphs
+    def test_betweenness_and_closeness(self, graph):
+        nx = pytest.importorskip("networkx")
+        adj = _adjacency(graph)
+        g = nx.Graph(adj)
+        expected = nx.betweenness_centrality(g, normalized=True)
+        got = betweenness_centrality(graph, normalized=True).values
+        for node in adj:
+            assert got[node] == pytest.approx(expected[node], rel=0, abs=1e-12)
+        expected = nx.closeness_centrality(g, wf_improved=True)
+        got = closeness_centrality(graph).values
+        for node in adj:
+            assert got[node] == pytest.approx(expected[node], rel=0, abs=1e-12)
