@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .corpus import TweetRecord
 from .errors import DataError
-from .preprocess import TokenizedDoc, normalize
+from .preprocess import TokenizedDoc, normalize, ranked
 
 log = logging.getLogger(__name__)
 
@@ -69,9 +69,6 @@ class Place:
 class Gazetteer:
     places: tuple[Place, ...]
 
-    def by_name(self) -> dict[str, Place]:
-        return {p.name: p for p in self.places}
-
 
 @dataclass(frozen=True)
 class EntityMentions:
@@ -80,6 +77,17 @@ class EntityMentions:
     attractions: tuple[str, ...]
     hashtags: tuple[str, ...]
     adjectives: tuple[tuple[str, str], ...]  # (adjective, positive|negative)
+
+    @classmethod
+    def from_json_dict(cls, row: dict) -> EntityMentions:
+        """Inverse of dataclasses.asdict after a JSON round trip (lists back to tuples)."""
+        return cls(
+            tweet_id=row["tweet_id"],
+            cities=tuple(row["cities"]),
+            attractions=tuple(row["attractions"]),
+            hashtags=tuple(row["hashtags"]),
+            adjectives=tuple((a, p) for a, p in row["adjectives"]),
+        )
 
 
 def load_category_rules(path: str | Path) -> CategoryRules:
@@ -268,9 +276,6 @@ def category_report(
         if cat is None:
             raise DataError(f"tweet {mention.tweet_id!r} has no category")
         attractions_by_cat[cat].update(mention.attractions)
-
-    def ranked(counter: Counter, n: int) -> tuple[tuple[str, int], ...]:
-        return tuple(sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))[:n])
 
     return CategoryReport(
         distribution=distribution,

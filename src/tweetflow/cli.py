@@ -1,7 +1,7 @@
 """Command-line interface.
 
     tweetflow <stage> --config pipeline.yaml [--input PATH] [--out DIR]
-              [--seed N] [--lang en|it] [--threads N] [--interactive]
+              [--seed N] [--lang en|it] [--interactive]
 
 `all` runs every stage in order. Exit codes: 0 success, 1 configuration
 error, 2 data error, 3 stage failure.
@@ -15,7 +15,6 @@ import sys
 
 from .config import STAGES, load_config
 from .errors import ConfigError, DataError, StageError
-from .exports import export_geojson  # re-exported: the geodata surface lives here
 from .pipeline import run_all, run_stage
 
 EXIT_OK = 0
@@ -23,7 +22,7 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_STAGE = 3
 
-__all__ = ["main", "export_geojson"]
+__all__ = ["main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,11 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="override the configured output directory")
     parser.add_argument("--seed", type=int, help="override the global seed")
     parser.add_argument("--lang", choices=["en", "it"], help="restrict to one language")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        help="parallelism cap (1 is the reference behavior and the current implementation)",
-    )
     parser.add_argument(
         "--interactive",
         action="store_true",
@@ -69,7 +63,6 @@ def main(argv: list[str] | None = None) -> int:
             out_override=args.out,
             seed_override=args.seed,
             lang_override=args.lang,
-            threads_override=args.threads,
             interactive=args.interactive,
         )
     except ConfigError as exc:

@@ -31,22 +31,6 @@ STAGES = (
     "report",
 )
 
-_RESOURCE_KEYS = (
-    "stopwords_en",
-    "stopwords_it",
-    "lemmas_en",
-    "lemmas_it",
-    "sentiment_en",
-    "sentiment_it",
-    "boosters_en",
-    "boosters_it",
-    "negators_en",
-    "negators_it",
-    "gazetteer",
-    "category_rules",
-    "dictionary",
-)
-
 _RESOURCE_DEFAULTS = {
     "stopwords_en": "stopwords_en.txt",
     "stopwords_it": "stopwords_it.txt",
@@ -63,6 +47,18 @@ _RESOURCE_DEFAULTS = {
     "dictionary": "dictionary_default.csv",
 }
 
+# every key a config file may set, per section
+_SECTION_KEYS = {
+    "resources": tuple(_RESOURCE_DEFAULTS),
+    "explore": ("top_n",),
+    "filter": ("min_hits", "merge_mode"),
+    "topics": ("k", "alpha", "beta", "iterations", "max_rounds", "top_words", "overlap_threshold"),
+    "cluster": ("k_min", "k_max", "max_iters", "sample_size", "lda_refine"),
+    "graph": ("clique_cap",),
+    "metrics": ("top_k",),
+}
+_TOP_KEYS = ("input", "out", "format", "languages", "seed", "strict", *_SECTION_KEYS)
+
 
 @dataclass
 class PipelineConfig:
@@ -71,7 +67,6 @@ class PipelineConfig:
     format: str = "jsonl"
     languages: tuple[str, ...] = ("en", "it")
     seed: int = 0
-    threads: int = 1
     strict: bool = False
     interactive: bool = False
     resources: dict[str, Path] = field(default_factory=dict)
@@ -130,7 +125,6 @@ def load_config(
     out_override: str | None = None,
     seed_override: int | None = None,
     lang_override: str | None = None,
-    threads_override: int | None = None,
     interactive: bool = False,
 ) -> PipelineConfig:
     """Read and validate the YAML config, applying CLI overrides."""
@@ -145,6 +139,18 @@ def load_config(
         raise ConfigError(f"config root must be a mapping: {path}")
     base = path.parent.resolve()
 
+    def section(name: str) -> dict:
+        value = raw.get(name, {}) or {}
+        if not isinstance(value, dict):
+            raise ConfigError(f"config section {name!r} must be a mapping")
+        return value
+
+    unknown = sorted(str(key) for key in raw if key not in _TOP_KEYS)
+    for name, keys in _SECTION_KEYS.items():
+        unknown += sorted(f"{name}.{key}" for key in section(name) if key not in keys)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+
     input_value = input_override or raw.get("input")
     if not input_value:
         raise ConfigError("config needs an 'input' path (or pass --input)")
@@ -158,24 +164,15 @@ def load_config(
     if not languages or any(lang not in ("en", "it") for lang in languages):
         raise ConfigError(f"languages must be a subset of en/it, got {languages!r}")
 
-    resources_raw = raw.get("resources", {}) or {}
-    unknown = set(resources_raw) - set(_RESOURCE_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown resource keys: {sorted(unknown)}")
+    resources_raw = section("resources")
     resources = {}
-    for key in _RESOURCE_KEYS:
+    for key in _RESOURCE_DEFAULTS:
         if key in resources_raw:
             resources[key] = _resolve(base, str(resources_raw[key]))
         else:
             resources[key] = default_path(_RESOURCE_DEFAULTS[key])
         if not resources[key].is_file():
             raise ConfigError(f"resource {key}: file not found: {resources[key]}")
-
-    def section(name: str) -> dict:
-        value = raw.get(name, {}) or {}
-        if not isinstance(value, dict):
-            raise ConfigError(f"config section {name!r} must be a mapping")
-        return value
 
     def number(name: str, key: str, default, kind: type = int):
         """section.key as a kind (int or float); None stays None."""
@@ -187,10 +184,6 @@ def load_config(
             what = "an integer" if kind is int else "a number"
             raise ConfigError(f"{name}.{key} must be {what}, got {value!r}")
         return kind(value)
-
-    threads = threads_override if threads_override is not None else raw.get("threads", 1)
-    if isinstance(threads, bool) or not isinstance(threads, int):
-        raise ConfigError(f"threads must be an integer, got {threads!r}")
 
     seed = seed_override if seed_override is not None else raw.get("seed")
     if seed is None:
@@ -204,7 +197,6 @@ def load_config(
         format=raw.get("format", "jsonl"),
         languages=tuple(languages),
         seed=seed,
-        threads=threads,
         strict=bool(raw.get("strict", False)),
         interactive=interactive,
         resources=resources,
@@ -235,8 +227,6 @@ def _validate(config: PipelineConfig) -> None:
         raise ConfigError(f"format must be jsonl or csv, got {config.format!r}")
     if config.merge_mode not in ("union", "exclusive"):
         raise ConfigError(f"merge_mode must be union or exclusive, got {config.merge_mode!r}")
-    if config.threads < 1:
-        raise ConfigError("threads must be >= 1")
     if config.lda_k < 2:
         raise ConfigError("topics.k must be >= 2")
     if config.lda_alpha is not None and config.lda_alpha <= 0:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .errors import DataError
 from .preprocess import extract_hashtags, normalize
+from .storage import write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -200,10 +201,5 @@ def filter_language(corpus: Corpus, lang: str) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> int:
-    """Write a corpus as JSONL with sorted keys; returns the row count."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for record in corpus.records:
-            fh.write(json.dumps(record.to_json_dict(), sort_keys=True, ensure_ascii=False))
-            fh.write("\n")
-    return len(corpus.records)
+    """Write a corpus atomically as JSONL with sorted keys; returns the row count."""
+    return write_jsonl(path, (record.to_json_dict() for record in corpus.records))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .corpus import Corpus
 from .errors import DataError
-from .preprocess import TokenizedDoc
+from .preprocess import TokenizedDoc, ranked
 from .storage import write_csv
 
 log = logging.getLogger(__name__)
@@ -46,10 +46,6 @@ class TermDictionary:
         return self.terms(TOURISM)
 
 
-def _ranked(counter: Counter, n: int) -> tuple[tuple[str, int], ...]:
-    return tuple(sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))[:n])
-
-
 def explore(corpus: Corpus, docs: Sequence[TokenizedDoc], n: int = 1000) -> ExplorationReport:
     """Rank the corpus's lemmas and hashtags by occurrence count.
 
@@ -63,7 +59,7 @@ def explore(corpus: Corpus, docs: Sequence[TokenizedDoc], n: int = 1000) -> Expl
     hashtags: Counter = Counter()
     for record in corpus.records:
         hashtags.update(record.hashtags)
-    return ExplorationReport(_ranked(words, n), _ranked(hashtags, n), n)
+    return ExplorationReport(ranked(words, n), ranked(hashtags, n), n)
 
 
 def write_label_file(path: str | Path, ranked: Sequence[tuple[str, int]]) -> int:

@@ -1,4 +1,5 @@
-"""Serializers for graphs and geodata: GraphML, JSON adjacency, GeoJSON.
+"""Serializers for graphs and geodata: GraphML, JSON adjacency, GeoJSON,
+and the readers of the JSON adjacency files.
 
 All output is deterministic: nodes and edges are emitted in lexicographic
 order and JSON keys are sorted.
@@ -11,7 +12,7 @@ import logging
 from xml.etree import ElementTree as ET
 
 from .categorize import Gazetteer
-from .wordgraph import PlaceGraph, WordGraph
+from .wordgraph import PlaceGraph, PlaceNode, WordGraph
 
 log = logging.getLogger(__name__)
 
@@ -112,6 +113,26 @@ def place_graph_to_json(graph: PlaceGraph) -> str:
         "edges": [[u, v, w] for (u, v), w in sorted(graph.edges.items())],
     }
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def word_graph_from_json(text: str) -> WordGraph:
+    """Inverse of word_graph_to_json; capped_tweets is not stored and reads 0."""
+    doc = json.loads(text)
+    lang, polarity = doc["split"]["language"], doc["split"]["polarity"]
+    return WordGraph(
+        nodes={str(k): int(v) for k, v in doc["nodes"].items()},
+        edges={(u, v): int(w) for u, v, w in doc["edges"]},
+        split=None if lang is None and polarity is None else (lang, polarity),
+    )
+
+
+def place_graph_from_json(text: str) -> PlaceGraph:
+    """Inverse of place_graph_to_json, up to its rounding of the node metrics."""
+    doc = json.loads(text)
+    return PlaceGraph(
+        nodes={name: PlaceNode(name=name, **attrs) for name, attrs in doc["nodes"].items()},
+        edges={(u, v): int(w) for u, v, w in doc["edges"]},
+    )
 
 
 def export_geojson(place_graph: PlaceGraph, gazetteer: Gazetteer) -> dict:

@@ -65,6 +65,11 @@ def extract_hashtags(text: str) -> list[str]:
     return [m.casefold() for m in HASHTAG_RE.findall(text)]
 
 
+def ranked(counts: Mapping[str, int], n: int | None = None) -> tuple[tuple[str, int], ...]:
+    """The first n (term, count) pairs by descending count, ties alphabetical."""
+    return tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:n])
+
+
 @dataclass(frozen=True)
 class TokenizedDoc:
     """Parallel token/lemma streams for one tweet.

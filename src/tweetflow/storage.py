@@ -1,4 +1,4 @@
-"""Atomic file writes, checksums, and CSV/JSON emit helpers.
+"""Atomic file writes, checksums, CSV/JSON emit helpers and their strict readers.
 
 Every stage output goes through write-to-temp-then-rename so a crashed
 run never leaves a truncated file behind. CSVs are UTF-8, comma
@@ -59,6 +59,22 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
         count += 1
     atomic_write_text(path, buf.getvalue())
     return count
+
+
+def read_csv(path: str | Path, header: Sequence[str]) -> list[list[str]]:
+    """The data rows of a CSV that write_csv wrote with `header`; ValueError
+    if the header differs or a row has another number of fields."""
+    with Path(path).open("r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != list(header) or any(len(row) != len(header) for row in rows):
+        raise ValueError(f"not a CSV table of {','.join(header)}")
+    return rows[1:]
+
+
+def read_jsonl(path: str | Path) -> list:
+    """The rows of a JSONL file, skipping blank lines."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return [json.loads(line) for line in lines if line.strip()]
 
 
 def sha256_file(path: str | Path) -> str:

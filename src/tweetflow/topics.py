@@ -47,9 +47,6 @@ class LdaConfig:
     def effective_alpha(self) -> float:
         return self.alpha if self.alpha is not None else 50.0 / self.k
 
-    def with_seed(self, seed: int) -> "LdaConfig":
-        return LdaConfig(self.k, self.alpha, self.beta, self.iterations, seed)
-
 
 @dataclass
 class LdaModel:

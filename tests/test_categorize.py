@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import json
+from dataclasses import asdict
+
 import pytest
 
 from tweetflow.categorize import (
     CategoryRule,
     CategoryRules,
+    EntityMentions,
     Gazetteer,
     Place,
     assign_category,
@@ -89,6 +93,16 @@ class TestExtractEntities:
         mentions = extract_entities(record, d, gazetteer, LEXICON)
         assert mentions.cities == ("polignano_a_mare",)
         assert mentions.adjectives == (("bello", "positive"),)
+
+    def test_json_row_reads_back_equal(self, gazetteer):
+        record = TweetRecord(
+            id="1", text="che bello polignano a mare #puglia", lang="it", hashtags=("puglia",)
+        )
+        d = doc("1", ["bello", "polignano", "mare"])
+        mentions = extract_entities(record, d, gazetteer, LEXICON)
+        assert mentions.hashtags and mentions.adjectives
+        row = json.loads(json.dumps(asdict(mentions)))
+        assert EntityMentions.from_json_dict(row) == mentions
 
     def test_longest_match_over_substrings(self, gazetteer):
         record = TweetRecord(id="1", text="torre dell'orso e otranto", lang="it")

@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from tweetflow.cli import main
-from tweetflow.config import load_config
+from tweetflow.config import STAGES, load_config
 from tweetflow.errors import ConfigError
 from tweetflow.pipeline import run_all, run_stage
 
@@ -100,6 +100,11 @@ class TestConfigValues:
             ({"seed": "abc"}, "seed must be an integer"),
             ({"seed": True}, "seed must be an integer"),
             ({"seed": 4.0}, "seed must be an integer"),
+            ({"threads": 4}, "unknown config keys: threads"),
+            ({"topics": {"k": 3, "iteratons": 5}}, "unknown config keys: topics.iteratons"),
+            ({"cluster": {"k_max": 3, "lda_refne": False}}, "cluster.lda_refne"),
+            ({"resources": {"mystery": "x.txt"}}, "resources.mystery"),
+            ({"metric": {"top_k": 5}}, "unknown config keys: metric"),
         ],
     )
     def test_bad_value_is_config_error(
@@ -108,11 +113,6 @@ class TestConfigValues:
         config_path = make_config(tmp_path, fixture_corpus_path, **overrides)
         assert main(["ingest", "--config", str(config_path)]) == 1
         assert message in caplog.text
-
-    def test_threads_zero_rejected(self, tmp_path, fixture_corpus_path, caplog):
-        config_path = make_config(tmp_path, fixture_corpus_path)
-        assert main(["ingest", "--config", str(config_path), "--threads", "0"]) == 1
-        assert "threads must be >= 1" in caplog.text
 
 
 class TestExitCodes:
@@ -131,6 +131,81 @@ class TestExitCodes:
         config_path = make_config(tmp_path, fixture_corpus_path)
         with pytest.raises(SystemExit):
             main(["transmogrify", "--config", str(config_path)])
+
+    def test_threads_flag_is_gone(self, tmp_path, fixture_corpus_path):
+        config_path = make_config(tmp_path, fixture_corpus_path)
+        with pytest.raises(SystemExit):
+            main(["ingest", "--config", str(config_path), "--threads", "1"])
+
+    def test_unexpected_failure_is_stage_error_3(
+        self, tmp_path, fixture_corpus_path, monkeypatch, caplog
+    ):
+        from tweetflow import pipeline
+
+        def broken(config, out):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, "explore", broken)
+        config_path = make_config(tmp_path, fixture_corpus_path)
+        assert main(["explore", "--config", str(config_path)]) == 3
+        assert "stage explore failed: RuntimeError: boom" in caplog.text
+
+
+def _cut_first_line(text: str) -> str:
+    first, rest = text.split("\n", 1)
+    return first[: len(first) // 2] + "\n" + rest
+
+
+def _edit_csv_row(edit):
+    def corrupt(text: str) -> str:
+        rows = list(csv.reader(text.splitlines()))
+        rows[1] = edit(rows[1])
+        return "".join(",".join(row) + "\n" for row in rows)
+
+    return corrupt
+
+
+class TestCorruptUpstream:
+    """Malformed upstream files stop the reading stage with exit 2, naming the file."""
+
+    @pytest.mark.parametrize(
+        "rel, corrupt, stage",
+        [
+            ("graph/wordgraph_en_positive.json", lambda t: t[: len(t) // 2], "metrics"),
+            (
+                "graph/wordgraph_it_negative.json",
+                lambda t: t.replace('"edges"', '"arcs"'),
+                "communities",
+            ),
+            ("graph/placegraph_en.json", lambda t: t[: len(t) // 2], "report"),
+            ("categorize/entities_en.jsonl", _cut_first_line, "graph"),
+            ("sentiment/scores_en.csv", _edit_csv_row(lambda r: [r[0], "abc", r[2]]), "graph"),
+            ("sentiment/scores_en.csv", _edit_csv_row(lambda r: [r[0], r[1], "neutral"]), "graph"),
+            ("categorize/categories_en.csv", _edit_csv_row(lambda r: r[:1]), "sentiment"),
+            ("cluster/tourism_en.jsonl", _cut_first_line, "categorize"),
+        ],
+    )
+    def test_corrupt_file_is_data_error(
+        self, tmp_path, fixture_corpus_path, pipeline_out, caplog, rel, corrupt, stage
+    ):
+        shutil.copytree(pipeline_out.out, tmp_path / "out")
+        path = tmp_path / "out" / rel
+        path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
+        config_path = make_config(tmp_path, fixture_corpus_path)
+        assert main([stage, "--config", str(config_path)]) == 2
+        assert f"malformed upstream output {rel}" in caplog.text
+
+    def test_unscored_tweet_is_data_error(
+        self, tmp_path, fixture_corpus_path, pipeline_out, caplog
+    ):
+        shutil.copytree(pipeline_out.out, tmp_path / "out")
+        path = tmp_path / "out" / "sentiment" / "scores_en.csv"
+        header, dropped, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text(header + "".join(rest), encoding="utf-8")
+        config_path = make_config(tmp_path, fixture_corpus_path)
+        assert main(["graph", "--config", str(config_path)]) == 2
+        tweet_id = dropped.split(",")[0]
+        assert f"sentiment/scores_en.csv has no score for tweet {tweet_id!r}" in caplog.text
 
 
 class TestStages:
@@ -284,6 +359,16 @@ class TestStages:
                 if path.suffix == ".csv":
                     n_rows = len(path.read_text(encoding="utf-8").splitlines()) - 1
                     assert meta["rows"] == n_rows, rel
+
+    def test_manifest_lists_exactly_each_stage_directory(self, pipeline_out):
+        manifest = json.loads((pipeline_out.out / "manifest.json").read_text())
+        assert set(manifest["stages"]) == set(STAGES)
+        for stage, entry in manifest["stages"].items():
+            on_disk = {
+                path.relative_to(pipeline_out.out).as_posix()
+                for path in (pipeline_out.out / stage).iterdir()
+            }
+            assert set(entry["outputs"]) == on_disk, stage
 
     def test_rerun_stage_reproduces_outputs(self, tmp_path, fixture_corpus_path):
         config = load_config(make_config(tmp_path, fixture_corpus_path))

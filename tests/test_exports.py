@@ -8,8 +8,10 @@ import pytest
 from tweetflow.categorize import EntityMentions, Gazetteer, Place
 from tweetflow.exports import (
     export_geojson,
+    place_graph_from_json,
     place_graph_to_graphml,
     place_graph_to_json,
+    word_graph_from_json,
     word_graph_to_graphml,
     word_graph_to_json,
 )
@@ -53,6 +55,13 @@ class TestWordGraphExports:
         assert payload["nodes"] == {"a": 1, "b": 1}
         assert payload["edges"] == [["a", "b", 1]]
 
+    @pytest.mark.parametrize("split", [("en", "positive"), None])
+    def test_json_reads_back_equal(self, split):
+        graph = build_word_graph(
+            [doc("1", ["a", "b", "c"]), doc("2", ["c", "d"]), doc("3", ["e"])], split=split
+        )
+        assert word_graph_from_json(word_graph_to_json(graph)) == graph
+
     def test_deterministic_bytes(self):
         docs = [doc("1", ["b", "a"]), doc("2", ["c", "a"])]
         assert word_graph_to_json(build_word_graph(docs)) == word_graph_to_json(
@@ -72,6 +81,24 @@ class TestPlaceGraphExports:
     def test_graphml_has_metric_attrs(self):
         xml = place_graph_to_graphml(self._graph())
         assert "degree_centrality" in xml and "closeness" in xml
+
+    def test_json_reads_back_equal(self):
+        graph = self._graph()
+        assert place_graph_from_json(place_graph_to_json(graph)) == graph
+
+    def test_json_reads_back_to_the_same_bytes(self):
+        # a path of three places: closeness 2/3 is stored rounded, so only the
+        # bytes (not the floats) survive a round trip; "nowhere" has no sentiment
+        graph = build_place_graph(
+            [
+                mention("1", ["bari"], ["castello_svevo"]),
+                mention("2", ["nowhere"], ["castello_svevo"]),
+            ],
+            KINDS,
+            {"1": 0.25},
+        )
+        text = place_graph_to_json(graph)
+        assert place_graph_to_json(place_graph_from_json(text)) == text
 
     def test_json_has_sentiment(self):
         payload = json.loads(place_graph_to_json(self._graph()))
