@@ -261,6 +261,7 @@ def stage_topics(config: PipelineConfig, out: Out) -> dict:
         counts[f"in_{lang}"] = len(corpus)
         counts[f"refined_{lang}"] = len(result.corpus)
         counts[f"rounds_{lang}"] = len(result.rounds)
+        counts[f"loglik_{lang}"] = [r.log_likelihood for r in result.rounds]
     return counts
 
 
@@ -344,13 +345,16 @@ def stage_cluster(config: PipelineConfig, out: Out) -> dict:
                         config.stage_seed(f"cluster:lda:{lang}"),
                     )
                     route_b = result.corpus
-                except topics_mod.SelectorAbort:
+                    rounds = result.rounds
+                except topics_mod.SelectorAbort as abort:
+                    rounds = abort.rounds
                     # the clusters were already dictionary-selected; keep them
                     log.warning(
                         "cluster %s: refinement found no on-domain topic, "
                         "keeping the unrefined cluster selection",
                         lang,
                     )
+                counts[f"route_b_loglik_{lang}"] = [r.log_likelihood for r in rounds]
             counts[f"route_b_refined_{lang}"] = len(route_b)
 
         merged = domainfilter.merge_results(route_a, route_b, config.merge_mode)
@@ -409,10 +413,16 @@ def stage_sentiment(config: PipelineConfig, out: Out) -> dict:
     counts = {}
     for lang in config.languages:
         corpus = _read_corpus(config, f"cluster/tourism_{lang}.jsonl")
+        categories_rel = f"categorize/categories_{lang}.csv"
         grouping = dict(_read(
-            config, f"categorize/categories_{lang}.csv",
-            lambda path: read_csv(path, ["tweet_id", "category"]),
+            config, categories_rel, lambda path: read_csv(path, ["tweet_id", "category"]),
         ))
+        uncategorized = [record.id for record in corpus.records if record.id not in grouping]
+        if uncategorized:
+            raise DataError(
+                f"{categories_rel} has no category for tweet {uncategorized[0]!r}: "
+                "rerun categorize"
+            )
         lexicon = resources.load_sentiment_lexicon(
             config.resource(f"sentiment_{lang}"),
             config.resource(f"boosters_{lang}"),

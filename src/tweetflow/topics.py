@@ -6,14 +6,31 @@ The sampler resamples every token's topic from the full conditional
 
 with the token's own assignment excluded from all counts. Sampling is
 driven by a single seeded RNG, so identical seed and input give a
-bit-identical model. On top of the sampler sits the iterative refinement
-loop that repeatedly fits a model, keeps only documents whose dominant
-topic a selector marks as on-domain, and refits on the survivors.
+bit-identical model.
+
+The sweep keeps its counts word-major (`word_topic[w]` is one row of k
+counts) and as floats that always hold exact small integers, so every
+term is float-with-float arithmetic. The own assignment is excluded
+arithmetically rather than by a decrement and re-increment: for the
+token's topic the term reads `(c - 1.0 + alpha)`, and because the int to
+float conversion and the `- 1.0` are both exact this is bit-equal to the
+int expression `(c - 1) + alpha` of a decrementing sampler. The terms are
+summed in topic order, one uniform is drawn per token and the first
+cumulative sum above it wins, so the samples are the same bits as those
+of the plain loop over int tables (kept as `fit_lda` in tests/oracles.py
+and checked against this one). Counts change only when a token moves to
+another topic. The int topic-major tables of `LdaModel` are built once,
+after the last sweep.
+
+On top of the sampler sits the iterative refinement loop that repeatedly
+fits a model, keeps only documents whose dominant topic a selector marks
+as on-domain, and refits on the survivors.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -106,52 +123,83 @@ def fit_lda(
     v_beta = v_size * beta
     rng = random.Random(config.seed)
 
-    doc_topic = [[0] * k for _ in docs]
-    topic_word = [[0] * v_size for _ in range(k)]
-    topic_total = [0] * k
+    doc_topic = [[0.0] * k for _ in docs]
+    word_topic = [[0.0] * k for _ in vocab]
+    topic_total = [0.0] * k
     assignments: list[list[int]] = []
-    for d, words in enumerate(token_ids):
+    for dt, words in zip(doc_topic, token_ids):
         zs = []
         for w in words:
             z = rng.randrange(k)
             zs.append(z)
-            doc_topic[d][z] += 1
-            topic_word[z][w] += 1
-            topic_total[z] += 1
+            dt[z] += 1.0
+            word_topic[w][z] += 1.0
+            topic_total[z] += 1.0
         assignments.append(zs)
 
-    model = LdaModel(topic_word, doc_topic, topic_total, assignments, vocab, config)
-    topics = list(range(k))
+    def to_model() -> LdaModel:
+        return LdaModel(
+            [[int(row[t]) for row in word_topic] for t in range(k)],
+            [[int(c) for c in dt] for dt in doc_topic],
+            [int(n) for n in topic_total],
+            assignments,
+            vocab,
+            config,
+        )
+
+    topics = range(k)
     rand = rng.random
+    denom = [n + v_beta for n in topic_total]
+    cumulative = [0.0] * k
     for _sweep in range(config.iterations):
-        for d, words in enumerate(token_ids):
-            dt_row = doc_topic[d]
-            zs = assignments[d]
+        for dt, words, zs in zip(doc_topic, token_ids, assignments):
             for i, w in enumerate(words):
                 z = zs[i]
-                dt_row[z] -= 1
-                topic_word[z][w] -= 1
-                topic_total[z] -= 1
+                wt = word_topic[w]
                 total = 0.0
-                cumulative = []
                 for t in topics:
-                    total += (
-                        (dt_row[t] + alpha)
-                        * (topic_word[t][w] + beta)
-                        / (topic_total[t] + v_beta)
-                    )
-                    cumulative.append(total)
+                    if t == z:  # the token's own assignment left out of every count
+                        total += (
+                            (dt[t] - 1.0 + alpha)
+                            * (wt[t] - 1.0 + beta)
+                            / (topic_total[t] - 1.0 + v_beta)
+                        )
+                    else:
+                        total += (dt[t] + alpha) * (wt[t] + beta) / denom[t]
+                    cumulative[t] = total
                 r = rand() * total
                 for t in topics:
                     if r < cumulative[t]:
                         break
-                zs[i] = t
-                dt_row[t] += 1
-                topic_word[t][w] += 1
-                topic_total[t] += 1
+                if t != z:
+                    zs[i] = t
+                    dt[z] -= 1.0
+                    dt[t] += 1.0
+                    wt[z] -= 1.0
+                    wt[t] += 1.0
+                    topic_total[z] -= 1.0
+                    topic_total[t] += 1.0
+                    denom[z] = topic_total[z] + v_beta
+                    denom[t] = topic_total[t] + v_beta
         if check_invariants:
-            model.check_invariants()
-    return model
+            to_model().check_invariants()
+    return to_model()
+
+
+def log_likelihood(model: LdaModel) -> float:
+    """log p(w | z) of the model's assignments (Griffiths & Steyvers 2004, eq. 2).
+
+    A word a topic never drew adds lgamma(beta) - lgamma(beta) = 0, so only
+    the non-zero counts are summed.
+    """
+    beta = model.config.beta
+    v_beta = len(model.vocab) * beta
+    lgamma_beta = math.lgamma(beta)
+    total = 0.0
+    for row, n in zip(model.topic_word_counts, model.topic_totals):
+        total += math.lgamma(v_beta) - math.lgamma(n + v_beta)
+        total += sum(math.lgamma(c + beta) - lgamma_beta for c in row if c)
+    return total
 
 
 def top_words(model: LdaModel, topic: int, n: int) -> TopicSummary:
@@ -219,6 +267,7 @@ class RefineRound:
     n_survivors: int
     selected_topics: tuple[int, ...]
     summaries: tuple[TopicSummary, ...]
+    log_likelihood: float  # log p(w | z) of the round's fit
 
 
 @dataclass(frozen=True)
@@ -284,6 +333,7 @@ def iterative_refine(
                 n_survivors=len(kept),
                 selected_topics=tuple(sorted(selected)),
                 summaries=summaries,
+                log_likelihood=log_likelihood(model),
             )
         )
         log.info(

@@ -6,7 +6,8 @@ modularity by the pairwise double sum, the dominant eigenvector from a
 dense eigendecomposition, exhaustive set-partition search, k-means and
 silhouette as plain loops over sparse dict rows, and Brandes betweenness,
 closeness and greedy modularity over per-node dicts with an all-pairs
-rescan on every merge.
+rescan on every merge, and the collapsed Gibbs LDA sampler over int
+topic-major tables that decrements and re-increments every token.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter, deque
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,7 +25,8 @@ from tweetflow.clustering import ClusterModel
 from tweetflow.community import Partition, _canonical_partition
 from tweetflow.errors import DataError
 from tweetflow.netmetrics import CentralityScores, _adjacency
-from tweetflow.preprocess import TfIdfMatrix
+from tweetflow.preprocess import TfIdfMatrix, TokenizedDoc
+from tweetflow.topics import LdaConfig, LdaModel
 
 
 def random_graph(n: int, p: float, seed: int) -> dict[str, list[str]]:
@@ -544,3 +547,83 @@ def greedy_modularity(graph) -> Partition:
             best_q = current_q
             best_groups = [set(g) for g in members.values()]
     return _canonical_partition(best_groups, best_q)
+
+
+# ---------------------------------------------------------------------------
+# collapsed Gibbs LDA over int topic-major tables
+
+def fit_lda(
+    docs: Sequence[TokenizedDoc],
+    config: LdaConfig,
+    check_invariants: bool = False,
+) -> LdaModel:
+    """Fit an LDA model over the documents' lemma streams.
+
+    Empty documents keep their row in the doc-topic table (all zeros) but
+    contribute no tokens. With check_invariants the count tables are
+    validated after every full sweep.
+    """
+    vocab = sorted({lem for doc in docs for lem in doc.lemmas})
+    if not vocab:
+        raise DataError("cannot fit LDA on an empty vocabulary")
+    n_nonempty = sum(1 for doc in docs if doc.lemmas)
+    if config.k > n_nonempty:
+        raise DataError(
+            f"k={config.k} exceeds the {n_nonempty} non-empty documents"
+        )
+    word_index = {w: i for i, w in enumerate(vocab)}
+    token_ids = [[word_index[lem] for lem in doc.lemmas] for doc in docs]
+
+    k = config.k
+    v_size = len(vocab)
+    alpha = config.effective_alpha
+    beta = config.beta
+    v_beta = v_size * beta
+    rng = random.Random(config.seed)
+
+    doc_topic = [[0] * k for _ in docs]
+    topic_word = [[0] * v_size for _ in range(k)]
+    topic_total = [0] * k
+    assignments: list[list[int]] = []
+    for d, words in enumerate(token_ids):
+        zs = []
+        for w in words:
+            z = rng.randrange(k)
+            zs.append(z)
+            doc_topic[d][z] += 1
+            topic_word[z][w] += 1
+            topic_total[z] += 1
+        assignments.append(zs)
+
+    model = LdaModel(topic_word, doc_topic, topic_total, assignments, vocab, config)
+    topics = list(range(k))
+    rand = rng.random
+    for _sweep in range(config.iterations):
+        for d, words in enumerate(token_ids):
+            dt_row = doc_topic[d]
+            zs = assignments[d]
+            for i, w in enumerate(words):
+                z = zs[i]
+                dt_row[z] -= 1
+                topic_word[z][w] -= 1
+                topic_total[z] -= 1
+                total = 0.0
+                cumulative = []
+                for t in topics:
+                    total += (
+                        (dt_row[t] + alpha)
+                        * (topic_word[t][w] + beta)
+                        / (topic_total[t] + v_beta)
+                    )
+                    cumulative.append(total)
+                r = rand() * total
+                for t in topics:
+                    if r < cumulative[t]:
+                        break
+                zs[i] = t
+                dt_row[t] += 1
+                topic_word[t][w] += 1
+                topic_total[t] += 1
+        if check_invariants:
+            model.check_invariants()
+    return model

@@ -534,3 +534,15 @@ def test_criterion_10_report_shape_conformance(golden_runs):
             ).lemmas
         }
         assert len(word_rows) == min(1000, len(vocab))
+
+
+def test_route_b_log_likelihood_in_manifest(golden_runs):
+    # the fixture config refines route B with LDA; its rounds' log p(w | z)
+    # land in the cluster stage's manifest counts, outside the checksums
+    (run1, _), _ = golden_runs
+    manifest = json.loads((run1 / "manifest.json").read_text(encoding="utf-8"))
+    counts = manifest["stages"]["cluster"]["counts"]
+    for lang in ("en", "it"):
+        logliks = counts[f"route_b_loglik_{lang}"]
+        assert 1 <= len(logliks) <= 2
+        assert all(isinstance(v, float) and v < 0.0 for v in logliks)

@@ -207,6 +207,21 @@ class TestCorruptUpstream:
         tweet_id = dropped.split(",")[0]
         assert f"sentiment/scores_en.csv has no score for tweet {tweet_id!r}" in caplog.text
 
+    def test_uncategorized_tweet_is_data_error(
+        self, tmp_path, fixture_corpus_path, pipeline_out, caplog
+    ):
+        shutil.copytree(pipeline_out.out, tmp_path / "out")
+        path = tmp_path / "out" / "categorize" / "categories_en.csv"
+        header, dropped, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text(header + "".join(rest), encoding="utf-8")
+        config_path = make_config(tmp_path, fixture_corpus_path)
+        assert main(["sentiment", "--config", str(config_path)]) == 2
+        tweet_id = dropped.split(",")[0]
+        assert (
+            f"categorize/categories_en.csv has no category for tweet {tweet_id!r}: "
+            "rerun categorize"
+        ) in caplog.text
+
 
 class TestStages:
     def test_ingest_counts(self, pipeline_out):
@@ -294,6 +309,14 @@ class TestStages:
                 assert fit["n_iters"] >= 1 and fit["wcss"] >= 0.0
             best = max(fits, key=lambda fit: fit["silhouette"])
             assert counts[f"best_k_{lang}"] == best["k"]
+
+    def test_lda_log_likelihood_in_manifest(self, pipeline_out):
+        manifest = json.loads((pipeline_out.out / "manifest.json").read_text())
+        counts = manifest["stages"]["topics"]["counts"]
+        for lang in ("en", "it"):
+            logliks = counts[f"loglik_{lang}"]
+            assert len(logliks) == counts[f"rounds_{lang}"] >= 1
+            assert all(isinstance(v, float) and v < 0.0 for v in logliks)
 
     def test_graph_counts_capped_tweets(self, pipeline_out):
         manifest = json.loads((pipeline_out.out / "manifest.json").read_text())

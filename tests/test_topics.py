@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import math
 import random
 
+import oracles
 import pytest
 
+from tweetflow import topics
 from tweetflow.corpus import Corpus, TweetRecord
 from tweetflow.errors import DataError
 from tweetflow.preprocess import TokenizedDoc
@@ -15,6 +18,7 @@ from tweetflow.topics import (
     dominant_topic,
     fit_lda,
     iterative_refine,
+    log_likelihood,
     top_words,
 )
 
@@ -100,6 +104,119 @@ class TestFitLda:
         model = fit_lda(docs, LdaConfig(k=2, iterations=5, seed=0))
         assert len(model.doc_topic_counts) == 3
         assert sum(model.doc_topic_counts[1]) == 0
+
+
+def random_corpus(seed, n_docs, vocab_size, lengths):
+    """Seeded docs over w0..w{vocab_size-1}; every 5th doc is empty, and
+    some docs repeat a word."""
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(vocab_size)]
+    docs = []
+    for i in range(n_docs):
+        lemmas = [] if i % 5 == 4 else [rng.choice(vocab) for _ in range(rng.choice(lengths))]
+        if len(lemmas) > 1 and rng.random() < 0.5:
+            lemmas.append(lemmas[0])
+        docs.append(doc(f"d{i}", lemmas))
+    return docs
+
+
+ORACLE_CORPORA = {
+    "mixed": dict(n_docs=30, vocab_size=12, lengths=(1, 2, 4, 9)),
+    "one_word_vocabulary": dict(n_docs=20, vocab_size=1, lengths=(1, 3, 6)),
+    "length_one_docs": dict(n_docs=25, vocab_size=7, lengths=(1,)),
+}
+
+
+def assert_same_model(fast, slow):
+    # repr, so a float count of 3.0 does not pass for the int 3
+    assert repr(fast.topic_word_counts) == repr(slow.topic_word_counts)
+    assert repr(fast.doc_topic_counts) == repr(slow.doc_topic_counts)
+    assert repr(fast.topic_totals) == repr(slow.topic_totals)
+    assert fast.assignments == slow.assignments
+    assert fast.vocab == slow.vocab
+    n = len(fast.vocab)
+    for z in range(fast.config.k):
+        assert repr(top_words(fast, z, n)) == repr(top_words(slow, z, n))
+
+
+class TestOracleEquivalence:
+    """fit_lda against the decrement/re-increment loop over int tables in
+    tests/oracles.py: the same samples, counts and probabilities, bit for bit."""
+
+    @pytest.mark.parametrize("corpus", sorted(ORACLE_CORPORA))
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    @pytest.mark.parametrize("alpha", [None, 0.5])
+    @pytest.mark.parametrize("beta", [0.01, 1e-6])
+    def test_matches_oracle(self, corpus, k, alpha, beta):
+        docs = random_corpus(k, **ORACLE_CORPORA[corpus])
+        config = LdaConfig(k=k, alpha=alpha, beta=beta, iterations=25, seed=k)
+        model = fit_lda(docs, config)
+        assert_same_model(model, oracles.fit_lda(docs, config))
+        assert fit_lda(docs, config, check_invariants=True) == model
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_exact_ties_match_oracle(self, monkeypatch, k):
+        # Every word occurs once and alpha * beta underflows to 0.0, so a
+        # topic no other token of the doc holds weighs exactly 0.0, and a
+        # one-token doc weighs 0.0 in every topic. With every other uniform
+        # 0.0 the search must skip leading zero-weight topics (r < cumulative,
+        # not <=) and fall through to the last topic when the total is 0.0.
+        lengths = [0 if i % 5 == 4 else 1 + i % 3 for i in range(24)]
+        words = iter(range(sum(lengths)))
+        docs = [doc(f"d{i}", [f"u{next(words)}" for _ in range(n)]) for i, n in enumerate(lengths)]
+        config = LdaConfig(k=k, alpha=1e-200, beta=1e-200, iterations=10, seed=k)
+
+        class ZeroEveryOther(random.Random):
+            def random(self):
+                self.draws = getattr(self, "draws", 0) + 1
+                return 0.0 if self.draws % 2 else super().random()
+
+        monkeypatch.setattr(random, "Random", ZeroEveryOther)
+        assert_same_model(fit_lda(docs, config), oracles.fit_lda(docs, config))
+
+    def test_iterative_refine_matches_oracle(self, monkeypatch):
+        corpus, docs = mixture_corpus(7)
+        config = LdaConfig(k=3, iterations=60, seed=13)
+        selector = dictionary_selector(frozenset(TOURISM_VOCAB), top_n=10, threshold=0.5)
+        fast = iterative_refine(corpus, docs, config, selector, max_rounds=3)
+        monkeypatch.setattr(topics, "fit_lda", oracles.fit_lda)
+        slow = iterative_refine(corpus, docs, config, selector, max_rounds=3)
+        assert len(fast.rounds) >= 2
+        assert fast == slow
+        assert repr(fast.rounds) == repr(slow.rounds)
+
+
+class TestLogLikelihood:
+    def _model(self, topic_word_counts, beta):
+        totals = [sum(row) for row in topic_word_counts]
+        return LdaModel(
+            topic_word_counts=topic_word_counts,
+            doc_topic_counts=[totals],
+            topic_totals=totals,
+            assignments=[[]],
+            vocab=["a", "b"],
+            config=LdaConfig(k=2, beta=beta, iterations=1),
+        )
+
+    def test_uniform_prior_by_hand(self):
+        # beta = 1 over two words: topic 0 draws "a" twice, p = 1/2 * 2/3;
+        # topic 1 draws "a" then "b", p = 1/2 * 1/3; together 1/18
+        model = self._model([[2, 0], [1, 1]], beta=1.0)
+        assert math.isclose(log_likelihood(model), -math.log(18), rel_tol=1e-12)
+
+    def test_matches_polya_urn(self):
+        # the same tables drawn one word at a time from a Polya urn, beta = 0.5
+        model = self._model([[2, 0], [1, 1]], beta=0.5)
+        p = (0.5 / 1.0) * (1.5 / 2.0) * (0.5 / 1.0) * (0.5 / 2.0)
+        assert math.isclose(log_likelihood(model), math.log(p), rel_tol=1e-12)
+
+    def test_refine_rounds_carry_it(self):
+        corpus, docs = mixture_corpus(8)
+        config = LdaConfig(k=2, alpha=0.5, iterations=50, seed=3)
+        result = iterative_refine(corpus, docs, config, lambda s: {0, 1}, max_rounds=1)
+        (round_log,) = result.rounds
+        assert round_log.log_likelihood == log_likelihood(fit_lda(docs, config))
+        assert round_log.log_likelihood < 0.0
 
 
 class TestTopWords:
