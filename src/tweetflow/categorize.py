@@ -157,19 +157,6 @@ def assign_category(doc: TokenizedDoc, rules: CategoryRules) -> str:
     return rules.fallback
 
 
-def matching_categories(doc: TokenizedDoc, rules: CategoryRules) -> list[str]:
-    """Every category whose rules match, in precedence order (debug aid for
-    inspecting how exclusive assignment resolved overlaps)."""
-    lemma_set = set(doc.lemmas)
-    lemma_text = " ".join(doc.lemmas)
-    matches = [
-        rule.name
-        for rule in rules.categories
-        if lemma_set & rule.keywords or any(rx.search(lemma_text) for rx in rule.regexes)
-    ]
-    return matches or [rules.fallback]
-
-
 @functools.lru_cache(maxsize=8)
 def _gazetteer_index(gazetteer: Gazetteer) -> dict[tuple[str, ...], Place]:
     index: dict[tuple[str, ...], Place] = {}

@@ -15,7 +15,7 @@ import math
 import random
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DataError
 from .netmetrics import _adjacency
@@ -30,6 +30,8 @@ class Partition:
     assignment: dict[str, int]
     sizes: tuple[int, ...]
     modularity: float | None
+    # the detector's own run statistics, for the manifest; not part of the result
+    diagnostics: dict | None = field(default=None, compare=False)
 
     def communities(self) -> list[list[str]]:
         groups: dict[int, list[str]] = {}
@@ -38,7 +40,9 @@ class Partition:
         return [sorted(groups[cid]) for cid in range(len(self.sizes))]
 
 
-def _canonical_partition(groups: Iterable[Iterable[str]], q: float | None) -> Partition:
+def _canonical_partition(
+    groups: Iterable[Iterable[str]], q: float | None, diagnostics: dict | None = None
+) -> Partition:
     ordered = sorted(
         (sorted(set(g)) for g in groups if g),
         key=lambda members: (-len(members), members[0]),
@@ -47,7 +51,7 @@ def _canonical_partition(groups: Iterable[Iterable[str]], q: float | None) -> Pa
     for cid, members in enumerate(ordered):
         for node in members:
             assignment[node] = cid
-    return Partition(assignment, tuple(len(m) for m in ordered), q)
+    return Partition(assignment, tuple(len(m) for m in ordered), q, diagnostics)
 
 
 def label_propagation(graph, seed: int = 0) -> Partition:
@@ -58,12 +62,16 @@ def label_propagation(graph, seed: int = 0) -> Partition:
     otherwise it adopts one of them uniformly at random. Terminates when
     a sweep changes nothing, so every label sits in its neighborhood's
     majority set. Isolated nodes keep their own label.
+
+    The diagnostics give the sweeps run, whether the last of
+    MAX_LPA_SWEEPS still changed a label, and the largest community's
+    share of the nodes.
     """
     adj = _adjacency(graph)
     nodes = list(adj)
     rng = random.Random(seed)
     labels = {node: i for i, node in enumerate(nodes)}
-    for _sweep in range(MAX_LPA_SWEEPS):
+    for sweep in range(1, MAX_LPA_SWEEPS + 1):
         order = nodes[:]
         rng.shuffle(order)
         changed = False
@@ -86,7 +94,12 @@ def label_propagation(graph, seed: int = 0) -> Partition:
     for node, lab in labels.items():
         groups.setdefault(lab, []).append(node)
     q = modularity(graph, groups.values()) if any(adj.values()) else None
-    return _canonical_partition(groups.values(), q)
+    diagnostics = {
+        "sweeps": sweep,
+        "hit_sweep_cap": changed,
+        "largest_share": max(map(len, groups.values())) / len(nodes) if nodes else 0.0,
+    }
+    return _canonical_partition(groups.values(), q, diagnostics)
 
 
 def modularity(graph, partition) -> float:
@@ -136,10 +149,23 @@ def greedy_modularity(graph) -> Partition:
     representative pair) and returns the partition where modularity
     peaked along the merge path.
 
-    Clauset-Newman-Moore style: candidate pairs sit in a max-heap keyed by
-    (-gain, u, v) and are checked lazily when popped. A community is named
-    by its lexicographically smallest member; nodes are numbered in sorted
-    order, so comparing numbers compares names.
+    A community is named by its lexicographically smallest member; nodes
+    are numbered in sorted order, so comparing numbers compares names.
+    Clauset-Newman-Moore style, one best pair per row: row r holds the
+    linked pairs (r, c) with c > r, and best[r] is the row's largest gain,
+    ties to the smallest c. The invariant is that best[r] is exact for every
+    live row after each merge. A merge of v into u (u < v) changes only the
+    gains of pairs that hold u or v, so it restores the invariant by
+    rescanning row u, and for each neighbour o of the merged u: if o < u,
+    rescanning row o when best[o] pointed at u or v, else offering the new
+    gain(o, u); if o > u, rescanning row o when best[o] pointed at v. A
+    heap holds one (-gain, r, c) entry per best[r] it was set to; an entry
+    is live while it still equals best[r], so the first live entry popped
+    is the largest gain with the smallest pair, the same merge the
+    all-pairs rescan in tests/oracles.py picks.
+
+    The diagnostics count the merges, the merges up to the peak, the peak Q
+    and the heap entries popped, live or stale.
     """
     adj = _adjacency(graph)
     m2 = sum(len(neigh) for neigh in adj.values())
@@ -159,24 +185,36 @@ def greedy_modularity(graph) -> Partition:
                 links[iv][iw] = links[iv].get(iw, 0) + 1
                 links[iw][iv] = links[iw].get(iv, 0) + 1
     alive = [True] * len(names)
+    best_gain = [0.0] * len(names)
+    best_to = [-1] * len(names)  # -1: the row holds no pair
+    heap: list[tuple[float, int, int]] = []
 
     def gain(u: int, v: int) -> float:
         return links[u][v] / m - 2.0 * (degree[u] / m2) * (degree[v] / m2)
 
+    def settle(r: int, g: float, c: int) -> None:
+        best_gain[r], best_to[r] = g, c
+        heapq.heappush(heap, (-g, r, c))
+
+    def rescan(r: int) -> None:
+        top = max(((gain(r, c), -c) for c in links[r] if c > r), default=None)
+        if top is None:
+            best_to[r] = -1
+        else:
+            settle(r, top[0], -top[1])
+
+    for r in range(len(names)):
+        rescan(r)
     # singletons: no intra edges; summed in the graph's node order
     best_q = current_q = sum(0.0 - (len(neigh) / m2) ** 2 for neigh in adj.values())
-    heap = [(-gain(u, v), u, v) for u in range(len(names)) for v in links[u] if u < v]
-    heapq.heapify(heap)
     merge_log: list[tuple[int, int]] = []
-    best_merges = 0
+    best_merges = pops = 0
     while heap:
         neg_gain, u, v = heapq.heappop(heap)
-        if not (alive[u] and alive[v]):
-            continue  # stale: an endpoint was merged away
-        best_gain = gain(u, v)
-        if best_gain != -neg_gain:
-            continue  # stale: the gain moved since this entry was pushed
-        current_q += best_gain
+        pops += 1
+        if not alive[u] or best_to[u] != v or best_gain[u] != -neg_gain:
+            continue  # stale: row u's best moved since this entry was pushed
+        current_q += best_gain[u]
         # merge v into u; u < v, so u stays the representative
         alive[v] = False
         merge_log.append((u, v))
@@ -186,10 +224,18 @@ def greedy_modularity(graph) -> Partition:
             del links[other][v]
             links_u[other] = links_u.get(other, 0) + count
         degree[u] += degree[v]
+        rescan(u)
         for other, count in links_u.items():
             links[other][u] = count
-            pair = (u, other) if u < other else (other, u)
-            heapq.heappush(heap, (-gain(*pair), *pair))
+            if other > u:
+                if best_to[other] == v:
+                    rescan(other)
+            elif best_to[other] in (u, v):
+                rescan(other)
+            else:  # row `other` holds (other, u), so it has a best
+                g = gain(other, u)
+                if g > best_gain[other] or (g == best_gain[other] and u < best_to[other]):
+                    settle(other, g, u)
         if current_q > best_q:
             best_q = current_q
             best_merges = len(merge_log)
@@ -197,7 +243,13 @@ def greedy_modularity(graph) -> Partition:
     groups = {i: [name] for i, name in enumerate(names)}
     for u, v in merge_log[:best_merges]:
         groups[u].extend(groups.pop(v))
-    return _canonical_partition(groups.values(), best_q)
+    diagnostics = {
+        "merges": len(merge_log),
+        "merges_to_peak": best_merges,
+        "peak_q": best_q,
+        "heap_pops": pops,
+    }
+    return _canonical_partition(groups.values(), best_q, diagnostics)
 
 
 def choose_communities(partition: Partition) -> tuple[float, tuple[int, ...]]:

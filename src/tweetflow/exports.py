@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import logging
-from xml.etree import ElementTree as ET
 
 from .categorize import Gazetteer
 from .wordgraph import PlaceGraph, PlaceNode, WordGraph
@@ -18,44 +17,79 @@ log = logging.getLogger(__name__)
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 
-
-def _graphml_skeleton(keys: list[tuple[str, str, str, str]]) -> tuple[ET.Element, ET.Element]:
-    root = ET.Element("graphml", xmlns=GRAPHML_NS)
-    for key_id, domain, name, attr_type in keys:
-        ET.SubElement(
-            root,
-            "key",
-            {"id": key_id, "for": domain, "attr.name": name, "attr.type": attr_type},
-        )
-    graph = ET.SubElement(root, "graph", {"id": "G", "edgedefault": "undirected"})
-    return root, graph
+# GraphML is written as strings, byte for byte what xml.etree.ElementTree
+# wrote for the same tree after ET.indent (tests/oracles.py keeps that
+# writer): two spaces per level, a childless element closed as " />", the
+# escapes below and nothing else escaped.
 
 
-def _data(parent: ET.Element, key: str, value) -> None:
-    el = ET.SubElement(parent, "data", {"key": key})
-    el.text = repr(value) if isinstance(value, float) else str(value)
+def _escape_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _serialize(root: ET.Element) -> str:
-    ET.indent(root)
-    return ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
+def _escape_attr(text: str) -> str:
+    return (
+        _escape_text(text)
+        .replace('"', "&quot;")
+        .replace("\r", "&#13;")
+        .replace("\n", "&#10;")
+        .replace("\t", "&#09;")
+    )
+
+
+def _data(key: str, value) -> str:
+    text = repr(value) if isinstance(value, float) else str(value)
+    if not text:
+        return f'      <data key="{key}" />\n'
+    return f'      <data key="{key}">{_escape_text(text)}</data>\n'
+
+
+def _graphml(keys: list[tuple[str, str, str, str]], graph, node_data) -> str:
+    """The document for `graph`: its keys, then each node (sorted, with the
+    data lines `node_data(name)` gives) and each edge (sorted, numbered)."""
+    ids = {name: _escape_attr(name) for name in graph.nodes}
+    parts = ["<?xml version='1.0' encoding='utf-8'?>\n", f'<graphml xmlns="{GRAPHML_NS}">\n']
+    parts += [
+        f'  <key id="{key_id}" for="{domain}" attr.name="{name}" attr.type="{attr_type}" />\n'
+        for key_id, domain, name, attr_type in keys
+    ]
+    if not graph.nodes and not graph.edges:
+        parts.append('  <graph id="G" edgedefault="undirected" />\n</graphml>\n')
+        return "".join(parts)
+    parts.append('  <graph id="G" edgedefault="undirected">\n')
+    parts += [
+        f'    <node id="{ids[name]}">\n{node_data(name)}    </node>\n'
+        for name in sorted(graph.nodes)
+    ]
+    parts += [
+        f'    <edge id="e{i}" source="{ids[u]}" target="{ids[v]}">\n'
+        f'{_data("d_w", w)}    </edge>\n'
+        for i, ((u, v), w) in enumerate(sorted(graph.edges.items()))
+    ]
+    parts.append("  </graph>\n</graphml>\n")
+    return "".join(parts)
 
 
 def word_graph_to_graphml(graph: WordGraph) -> str:
-    root, g = _graphml_skeleton(
-        [("d_freq", "node", "frequency", "int"), ("d_w", "edge", "weight", "int")]
+    return _graphml(
+        [("d_freq", "node", "frequency", "int"), ("d_w", "edge", "weight", "int")],
+        graph,
+        lambda name: _data("d_freq", graph.nodes[name]),
     )
-    for node in sorted(graph.nodes):
-        el = ET.SubElement(g, "node", {"id": node})
-        _data(el, "d_freq", graph.nodes[node])
-    for i, ((u, v), w) in enumerate(sorted(graph.edges.items())):
-        el = ET.SubElement(g, "edge", {"id": f"e{i}", "source": u, "target": v})
-        _data(el, "d_w", w)
-    return _serialize(root)
 
 
 def place_graph_to_graphml(graph: PlaceGraph) -> str:
-    root, g = _graphml_skeleton(
+    def node_data(name: str) -> str:
+        node = graph.nodes[name]
+        return (
+            _data("d_kind", node.kind)
+            + _data("d_mentions", node.mentions)
+            + _data("d_degree", node.degree)
+            + _data("d_dc", round(node.degree_centrality, 6))
+            + _data("d_cc", round(node.closeness, 6))
+        )
+
+    return _graphml(
         [
             ("d_kind", "node", "kind", "string"),
             ("d_mentions", "node", "mentions", "int"),
@@ -63,20 +97,10 @@ def place_graph_to_graphml(graph: PlaceGraph) -> str:
             ("d_dc", "node", "degree_centrality", "double"),
             ("d_cc", "node", "closeness", "double"),
             ("d_w", "edge", "weight", "int"),
-        ]
+        ],
+        graph,
+        node_data,
     )
-    for name in sorted(graph.nodes):
-        node = graph.nodes[name]
-        el = ET.SubElement(g, "node", {"id": name})
-        _data(el, "d_kind", node.kind)
-        _data(el, "d_mentions", node.mentions)
-        _data(el, "d_degree", node.degree)
-        _data(el, "d_dc", round(node.degree_centrality, 6))
-        _data(el, "d_cc", round(node.closeness, 6))
-    for i, ((u, v), w) in enumerate(sorted(graph.edges.items())):
-        el = ET.SubElement(g, "edge", {"id": f"e{i}", "source": u, "target": v})
-        _data(el, "d_w", w)
-    return _serialize(root)
 
 
 def word_graph_to_json(graph: WordGraph) -> str:

@@ -9,8 +9,9 @@ reach-scaled form
 
 where r is the number of nodes v can reach (itself included), which
 degrades gracefully to 0 for isolated nodes. Betweenness follows
-Brandes' dependency accumulation; both BFS-based measures walk integer
-neighbour lists, nodes numbered in adjacency order. Eigenvector
+Brandes' dependency accumulation. Both BFS-based measures number the
+nodes in adjacency order: closeness walks integer neighbour lists,
+betweenness expands whole BFS levels over CSR arrays in numpy. Eigenvector
 centrality is power iteration with a self-damping fallback for bipartite
 oscillation.
 """
@@ -20,6 +21,9 @@ from __future__ import annotations
 import logging
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .errors import DataError
 
@@ -86,54 +90,92 @@ def closeness_centrality(graph) -> CentralityScores:
     return CentralityScores("closeness", values, normalized=True)
 
 
+def _csr(neighbors: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer neighbour lists as CSR arrays (indptr, degree, heads): node v's
+    arcs are indptr[v]:indptr[v + 1], in list order, and heads[a] is the node
+    arc a points to."""
+    degree = np.fromiter(map(len, neighbors), dtype=np.intp, count=len(neighbors))
+    indptr = np.zeros(len(neighbors) + 1, dtype=np.intp)
+    np.cumsum(degree, out=indptr[1:])
+    heads = np.fromiter(chain.from_iterable(neighbors), dtype=np.intp, count=int(indptr[-1]))
+    return indptr, degree, heads
+
+
 def betweenness_centrality(graph, normalized: bool = False) -> CentralityScores:
     """Brandes' algorithm over unweighted shortest paths.
 
     Raw scores count each unordered node pair once; the normalized option
     divides by (N-1)(N-2)/2.
+
+    Each source runs one breadth-first search a whole level at a time, in
+    numpy, and gives the same float bits as the one-node-at-a-time queue
+    loop (kept in tests/oracles.py), because every sum adds the same terms
+    in the same order:
+
+    - A level's arcs are expanded in queue order, then adjacency order: the
+      order in which the queue loop meets them. A new node's first arc fixes
+      its place in the queue (``minimum.at`` of the arc rank), so the next
+      level comes out in queue order.
+    - sigma (the shortest-path count, a float) is ``np.bincount`` over the
+      arcs into the new level. bincount adds its weights one by one in input
+      order, starting from 0.0, as the loop's ``sigma[w] += sigma[v]`` does;
+      so the bits agree even once sigma exceeds 2**53 and rounds.
+    - The dependency delta[v] sums over v's successors in stack-pop order,
+      i.e. reverse queue order. Each level's predecessor arcs are stably
+      sorted by their successor's queue place, descending, and summed into
+      delta with ``np.bincount`` by v.
+    - Every source's delta (its own entry zeroed) is added to the totals in
+      source order; a node the source cannot reach adds 0.0, which changes
+      no bit of a non-negative total.
     """
     adj = _adjacency(graph)
     nodes = list(adj)
-    neighbors = _int_adjacency(adj)
     n = len(nodes)
-    centrality = [0.0] * n
+    indptr, degree, heads = _csr(_int_adjacency(adj))
+    tails = np.repeat(np.arange(n), degree)  # the node each arc leaves
+
+    def arcs_of(level: np.ndarray) -> np.ndarray:
+        """The level's arc indices, node by node in level order."""
+        counts = degree[level]
+        ends = np.cumsum(counts)
+        return np.arange(ends[-1]) + np.repeat(indptr[level] - ends + counts, counts)
+
+    centrality = np.zeros(n)
+    first = np.empty(n, dtype=np.intp)  # a new node's first arc rank in its level
     for source in range(n):
-        sigma = [0.0] * n
-        dist = [-1] * n
-        preds: list[list[int] | None] = [None] * n
+        seen = np.zeros(n, dtype=bool)
+        sigma = np.zeros(n)
+        seen[source] = True
         sigma[source] = 1.0
-        dist[source] = 0
-        order = [source]  # BFS order, grown while it is walked: the queue
-        for v in order:
-            next_dist = dist[v] + 1
-            sigma_v = sigma[v]
-            for w in neighbors[v]:
-                dist_w = dist[w]
-                if dist_w < 0:
-                    dist[w] = next_dist
-                    order.append(w)
-                    sigma[w] = sigma_v  # == 0.0 + sigma_v
-                    preds[w] = [v]
-                elif dist_w == next_dist:
-                    sigma[w] += sigma_v
-                    preds[w].append(v)
-        # dependencies pushed to predecessors in stack-pop order; the source
-        # comes last, has no predecessors and scores nothing
-        delta = [0.0] * n
-        for i in range(len(order) - 1, 0, -1):
-            w = order[i]
-            sigma_w = sigma[w]
-            weight = 1.0 + delta[w]
-            for v in preds[w]:
-                delta[v] += (sigma[v] / sigma_w) * weight
-            centrality[w] += delta[w]
+        level = np.array([source], dtype=np.intp)
+        steps = []  # per level: its predecessor arcs (v, w), w in reverse queue order
+        while True:
+            arcs = arcs_of(level)
+            w = heads[arcs]
+            fresh = ~seen[w]
+            w = w[fresh]
+            if not len(w):
+                break
+            v = tails[arcs[fresh]]
+            rank = np.arange(len(w))
+            first[w] = len(w)
+            np.minimum.at(first, w, rank)
+            level = w[first[w] == rank]
+            seen[level] = True
+            sigma += np.bincount(w, sigma[v], n)
+            back = np.argsort(-first[w], kind="stable")
+            steps.append((v[back], w[back]))
+        delta = np.zeros(n)
+        for v, w in reversed(steps):
+            delta += np.bincount(v, (sigma[v] / sigma[w]) * (1.0 + delta[w]), n)
+        delta[source] = 0.0
+        centrality += delta
     # each unordered pair was accumulated from both endpoints
-    centrality = [c / 2.0 for c in centrality]
+    centrality /= 2.0
     if normalized and n > 2:
-        scale = 2.0 / ((n - 1) * (n - 2))
-        centrality = [c * scale for c in centrality]
+        centrality *= 2.0 / ((n - 1) * (n - 2))
     return CentralityScores(
-        "betweenness", dict(sorted(zip(nodes, centrality))), normalized
+        "betweenness", dict(sorted(zip(nodes, centrality.tolist()))), normalized
     )
 
 

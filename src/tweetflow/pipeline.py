@@ -588,6 +588,8 @@ def stage_communities(config: PipelineConfig, out: Out) -> dict:
                 "chosen": list(chosen),
             }
             counts[f"{algorithm}_{network}"] = len(partition.sizes)
+        counts[f"lpa_{network}"] = lpa.diagnostics
+        counts[f"greedy_{network}"] = greedy.diagnostics
         # hubs of the greedy partition's chosen communities (the loop's last pass)
         groups = membership["greedy_modularity"]["communities"]
         for group_no, cid in enumerate(chosen, start=1):

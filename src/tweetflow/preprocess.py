@@ -55,11 +55,6 @@ def lemmatize(tokens: Sequence[str], lemma_table: Mapping[str, str]) -> list[str
     return [lemma_table.get(tok, tok) for tok in tokens]
 
 
-def remove_stopwords(lemmas: Sequence[str], stoplist: frozenset[str] | set[str]) -> list[str]:
-    """Drop lemmas present in the stoplist, preserving order."""
-    return [lem for lem in lemmas if lem not in stoplist]
-
-
 def extract_hashtags(text: str) -> list[str]:
     """Pull '#word' tags out of raw text, lowercased, marker stripped."""
     return [m.casefold() for m in HASHTAG_RE.findall(text)]

@@ -6,8 +6,9 @@ modularity by the pairwise double sum, the dominant eigenvector from a
 dense eigendecomposition, exhaustive set-partition search, k-means and
 silhouette as plain loops over sparse dict rows, and Brandes betweenness,
 closeness and greedy modularity over per-node dicts with an all-pairs
-rescan on every merge, and the collapsed Gibbs LDA sampler over int
-topic-major tables that decrements and re-increments every token.
+rescan on every merge, the collapsed Gibbs LDA sampler over int
+topic-major tables that decrements and re-increments every token, and
+the GraphML writers as an xml.etree.ElementTree tree.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from collections import Counter, deque
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
+from xml.etree import ElementTree as ET
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from tweetflow.errors import DataError
 from tweetflow.netmetrics import CentralityScores, _adjacency
 from tweetflow.preprocess import TfIdfMatrix, TokenizedDoc
 from tweetflow.topics import LdaConfig, LdaModel
+from tweetflow.wordgraph import PlaceGraph, WordGraph
 
 
 def random_graph(n: int, p: float, seed: int) -> dict[str, list[str]]:
@@ -103,6 +106,68 @@ def kernel_graphs() -> list[tuple[str, object]]:
         _clique("a", 4) + _clique("b", 4) + [("a3", "m"), ("m", "b3")],
     )))
     return graphs
+
+
+def clique_union_graph(seed: int, docs: int = 180, vocabulary: int = 400) -> dict[str, list[str]]:
+    """A word graph at real size: the union of the cliques of seeded docs of
+    4-12 distinct words, drawn with Zipf weights, so a few hub words link
+    most docs and the tail words form small cliques (about 300 nodes)."""
+    rng = random.Random(seed)
+    words = [f"w{i:03d}" for i in range(vocabulary)]
+    weights = [1.0 / (i + 1) for i in range(vocabulary)]
+    edges = set()
+    nodes = set()
+    for _ in range(docs):
+        size = rng.randint(4, 12)
+        doc = set()
+        while len(doc) < size:
+            doc.add(rng.choices(words, weights)[0])
+        nodes |= doc
+        edges.update(combinations(sorted(doc), 2))
+    return _from_edges(sorted(nodes), sorted(edges))
+
+
+def diamond_chain() -> dict[str, list[str]]:
+    """A chain of diamonds with 2**53 + 2 shortest paths end to end.
+
+    Seventeen diamonds of width 8 and one of width 4 take the shortest-path
+    count from "c00" to "c18" to exactly 2**53. A private path of the same
+    length reaches "q1" and "q2", one path each, and all three link to "t".
+    So from "c00", sigma[t] adds 2**53, 1 and 1, and the float sum depends
+    on their order: 2**53 when the big count comes first (each 1 rounds
+    away), 2**53 + 2 when it comes last.
+    """
+    edges = []
+    for i, width in enumerate([8] * 17 + [4]):
+        for j in range(width):
+            middle = f"m{i:02d}_{j}"
+            edges += [(f"c{i:02d}", middle), (middle, f"c{i + 1:02d}")]
+    side = ["c00"] + [f"p{i:02d}" for i in range(1, 36)]
+    edges += list(zip(side, side[1:]))
+    edges += [(side[-1], "q1"), (side[-1], "q2"), ("q1", "t"), ("q2", "t"), ("c18", "t")]
+    return _from_edges(sorted({v for edge in edges for v in edge}), edges)
+
+
+def path_counts(adj: dict[str, list[str]], source: str) -> dict[str, int]:
+    """Exact number of shortest paths from `source` to each reachable node."""
+    dist = bfs_dist(adj, source)
+    counts = {source: 1}
+    for v in sorted(dist, key=dist.get)[1:]:
+        counts[v] = sum(counts[u] for u in adj[v] if dist.get(u) == dist[v] - 1)
+    return counts
+
+
+def real_size_graphs() -> list[tuple[str, object]]:
+    """The clique-union word graph in sorted and shuffled node order, and the
+    diamond chain: exact-equality cases at the size of a real word graph."""
+    adj = clique_union_graph(seed=7)
+    order = list(adj)
+    random.Random(7).shuffle(order)
+    return [
+        ("clique-union", adj),
+        ("clique-union-shuffled", AdjacencyView({v: adj[v] for v in order})),
+        ("diamond-chain", diamond_chain()),
+    ]
 
 
 def is_connected(adj: dict[str, list[str]]) -> bool:
@@ -627,3 +692,69 @@ def fit_lda(
         if check_invariants:
             model.check_invariants()
     return model
+
+
+# ---------------------------------------------------------------------------
+# GraphML through an xml.etree.ElementTree tree, ET.indent and tostring
+
+GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
+
+
+def _graphml_skeleton(keys: list[tuple[str, str, str, str]]) -> tuple[ET.Element, ET.Element]:
+    root = ET.Element("graphml", xmlns=GRAPHML_NS)
+    for key_id, domain, name, attr_type in keys:
+        ET.SubElement(
+            root,
+            "key",
+            {"id": key_id, "for": domain, "attr.name": name, "attr.type": attr_type},
+        )
+    graph = ET.SubElement(root, "graph", {"id": "G", "edgedefault": "undirected"})
+    return root, graph
+
+
+def _data(parent: ET.Element, key: str, value) -> None:
+    el = ET.SubElement(parent, "data", {"key": key})
+    el.text = repr(value) if isinstance(value, float) else str(value)
+
+
+def _serialize(root: ET.Element) -> str:
+    ET.indent(root)
+    return ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
+
+
+def word_graph_to_graphml(graph: WordGraph) -> str:
+    root, g = _graphml_skeleton(
+        [("d_freq", "node", "frequency", "int"), ("d_w", "edge", "weight", "int")]
+    )
+    for node in sorted(graph.nodes):
+        el = ET.SubElement(g, "node", {"id": node})
+        _data(el, "d_freq", graph.nodes[node])
+    for i, ((u, v), w) in enumerate(sorted(graph.edges.items())):
+        el = ET.SubElement(g, "edge", {"id": f"e{i}", "source": u, "target": v})
+        _data(el, "d_w", w)
+    return _serialize(root)
+
+
+def place_graph_to_graphml(graph: PlaceGraph) -> str:
+    root, g = _graphml_skeleton(
+        [
+            ("d_kind", "node", "kind", "string"),
+            ("d_mentions", "node", "mentions", "int"),
+            ("d_degree", "node", "degree", "int"),
+            ("d_dc", "node", "degree_centrality", "double"),
+            ("d_cc", "node", "closeness", "double"),
+            ("d_w", "edge", "weight", "int"),
+        ]
+    )
+    for name in sorted(graph.nodes):
+        node = graph.nodes[name]
+        el = ET.SubElement(g, "node", {"id": name})
+        _data(el, "d_kind", node.kind)
+        _data(el, "d_mentions", node.mentions)
+        _data(el, "d_degree", node.degree)
+        _data(el, "d_dc", round(node.degree_centrality, 6))
+        _data(el, "d_cc", round(node.closeness, 6))
+    for i, ((u, v), w) in enumerate(sorted(graph.edges.items())):
+        el = ET.SubElement(g, "edge", {"id": f"e{i}", "source": u, "target": v})
+        _data(el, "d_w", w)
+    return _serialize(root)

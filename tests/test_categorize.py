@@ -64,9 +64,14 @@ class TestAssignCategory:
 
     def test_precedence(self, rules):
         assert assign_category(doc("1", ["hotel", "beach"]), rules) == "Sea"
+        # Sea, Hotel and Restaurant all match: each is chosen once those ahead drop out
+        assert assign_category(doc("2", ["hotel", "beach", "wine"]), rules) == "Sea"
+        assert assign_category(doc("3", ["hotel", "wine"]), rules) == "Hotel"
+        assert assign_category(doc("4", ["wine"]), rules) == "Restaurant"
 
     def test_fallback(self, rules):
         assert assign_category(doc("1", ["nothing", "specific"]), rules) == "General Tourism"
+        assert assign_category(doc("2", []), rules) == "General Tourism"
 
     def test_regex_match(self):
         import re
@@ -215,16 +220,3 @@ class TestBundledResources:
         )
         with pytest.raises(DataError):
             load_gazetteer(path)
-
-
-class TestMatchingCategoriesDebug:
-    def test_all_matches_in_precedence_order(self, rules):
-        from tweetflow.categorize import matching_categories
-
-        d = doc("1", ["hotel", "beach", "wine"])
-        assert matching_categories(d, rules) == ["Sea", "Hotel", "Restaurant"]
-
-    def test_fallback_when_nothing_matches(self, rules):
-        from tweetflow.categorize import matching_categories
-
-        assert matching_categories(doc("1", ["xyz"]), rules) == ["General Tourism"]

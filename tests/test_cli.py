@@ -318,6 +318,30 @@ class TestStages:
             assert len(logliks) == counts[f"rounds_{lang}"] >= 1
             assert all(isinstance(v, float) and v < 0.0 for v in logliks)
 
+    def test_community_diagnostics_in_manifest(self, tmp_path, fixture_corpus_path, pipeline_out):
+        shutil.copytree(pipeline_out.out, tmp_path / "out")
+        config_path = make_config(tmp_path, fixture_corpus_path)
+        assert main(["communities", "--config", str(config_path)]) == 0
+        out = tmp_path / "out"
+        counts = json.loads((out / "manifest.json").read_text())["stages"]["communities"]["counts"]
+        for lang in ("en", "it"):
+            for polarity in ("positive", "negative"):
+                network = f"{lang}_{polarity}"
+                membership = json.loads(
+                    (out / "communities" / f"membership_{network}.json").read_text()
+                )
+                nodes = sum(map(len, membership["greedy_modularity"]["communities"]))
+                greedy = counts[f"greedy_{network}"]
+                peak = membership["greedy_modularity"]
+                # each merge joins two communities of the n singletons
+                assert nodes - greedy["merges_to_peak"] == len(peak["communities"])
+                assert greedy["merges_to_peak"] <= greedy["merges"] <= greedy["heap_pops"]
+                assert greedy["peak_q"] == peak["modularity"]
+                lpa = counts[f"lpa_{network}"]
+                largest = max(map(len, membership["label_propagation"]["communities"]))
+                assert lpa["largest_share"] == largest / nodes
+                assert lpa["hit_sweep_cap"] is False and lpa["sweeps"] >= 2
+
     def test_graph_counts_capped_tweets(self, pipeline_out):
         manifest = json.loads((pipeline_out.out / "manifest.json").read_text())
         counts = manifest["stages"]["graph"]["counts"]

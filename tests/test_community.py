@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from tweetflow import community
 from tweetflow.community import (
     Partition,
     choose_communities,
@@ -17,12 +18,22 @@ from tweetflow.errors import DataError
 from tweetflow.netmetrics import _adjacency
 
 import oracles
-from oracles import best_partition_exhaustive, kernel_graphs, pairwise_modularity, random_graph
+from oracles import (
+    best_partition_exhaustive,
+    kernel_graphs,
+    pairwise_modularity,
+    random_graph,
+    real_size_graphs,
+)
 
 KERNEL_GRAPHS = kernel_graphs()
-over_kernel_graphs = pytest.mark.parametrize(
-    "graph", [g for _, g in KERNEL_GRAPHS], ids=[label for label, _ in KERNEL_GRAPHS]
-)
+REAL_SIZE_GRAPHS = real_size_graphs()
+
+
+def over(graphs):
+    return pytest.mark.parametrize(
+        "graph", [g for _, g in graphs], ids=[label for label, _ in graphs]
+    )
 
 
 class TestLabelPropagation:
@@ -74,6 +85,36 @@ class TestLabelPropagation:
         )
         assert split == 93
         assert split >= 90
+
+
+class TestDiagnostics:
+    def test_greedy_on_barbell(self, barbell):
+        partition = greedy_modularity(barbell)
+        diagnostics = partition.diagnostics
+        # 8 nodes in one component: 7 merges; the peak is the two cliques, 6 in
+        assert diagnostics["merges"] == 7
+        assert diagnostics["merges_to_peak"] == 6
+        assert diagnostics["peak_q"] == partition.modularity == pytest.approx(11 / 26)
+        assert diagnostics["heap_pops"] >= diagnostics["merges"]
+
+    def test_lpa_on_barbell(self, barbell):
+        partition = label_propagation(barbell, seed=13)
+        diagnostics = partition.diagnostics
+        assert partition.sizes == (4, 4)
+        assert diagnostics["largest_share"] == 0.5
+        assert diagnostics["hit_sweep_cap"] is False
+        # the first sweep relabels every node, the last one changes nothing
+        assert diagnostics["sweeps"] >= 2
+
+    def test_lpa_sweep_cap_reported(self, barbell, monkeypatch):
+        monkeypatch.setattr(community, "MAX_LPA_SWEEPS", 1)
+        diagnostics = label_propagation(barbell, seed=13).diagnostics
+        assert diagnostics["sweeps"] == 1
+        assert diagnostics["hit_sweep_cap"] is True
+
+    def test_not_part_of_equality(self, barbell):
+        partition = greedy_modularity(barbell)
+        assert partition == Partition(partition.assignment, partition.sizes, partition.modularity)
 
 
 class TestModularity:
@@ -258,10 +299,10 @@ class TestPartitionCanonicalOrder:
 
 
 class TestOracleEquivalence:
-    """The heap-driven greedy modularity against the all-pairs rescan in
+    """The row-best greedy modularity against the all-pairs rescan in
     tests/oracles.py: the same partition, in the same order, with the same Q."""
 
-    @over_kernel_graphs
+    @over(KERNEL_GRAPHS + REAL_SIZE_GRAPHS)
     def test_greedy_identical(self, graph):
         if not any(_adjacency(graph).values()):
             for greedy in (oracles.greedy_modularity, greedy_modularity):
@@ -278,7 +319,7 @@ class TestOracleEquivalence:
 class TestNetworkxCrossCheck:
     """modularity() against networkx (a test-only dependency)."""
 
-    @over_kernel_graphs
+    @over(KERNEL_GRAPHS + REAL_SIZE_GRAPHS[:1])
     def test_modularity(self, graph):
         nx = pytest.importorskip("networkx")
         adj = _adjacency(graph)

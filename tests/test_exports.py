@@ -15,8 +15,23 @@ from tweetflow.exports import (
     word_graph_to_graphml,
     word_graph_to_json,
 )
+from tweetflow.netmetrics import _adjacency
 from tweetflow.preprocess import TokenizedDoc
-from tweetflow.wordgraph import build_place_graph, build_word_graph
+from tweetflow.wordgraph import (
+    PlaceGraph,
+    PlaceNode,
+    WordGraph,
+    build_place_graph,
+    build_word_graph,
+)
+
+import oracles
+
+# every character ElementTree escapes in attributes or text, and some it leaves alone
+AWKWARD_NAMES = [
+    "a&b", "<tag>", 'say "hi"', "it's", "tab\there", "line\nbreak", "cr\rreturn",
+    "città", "東京", "plain", "&amp;",
+]
 
 
 def doc(tweet_id, lemmas):
@@ -151,3 +166,77 @@ class TestGeoJson:
         return build_place_graph(
             [mention("1", ["bari"], ["castello_svevo"])], KINDS, {"1": 0.2}
         )
+
+
+def _word_graph(adj) -> WordGraph:
+    return WordGraph(
+        nodes={v: 1 + len(neigh) for v, neigh in adj.items()},
+        edges={(u, v): 1 + len(u + v) % 3 for u in adj for v in adj[u] if u < v},
+    )
+
+
+def _place_graph(adj, kinds=("city", "attraction")) -> PlaceGraph:
+    n = max(len(adj) - 1, 1)
+    return PlaceGraph(
+        nodes={
+            v: PlaceNode(
+                name=v,
+                kind=kinds[i % len(kinds)],
+                mentions=3 * i,
+                degree=len(neigh),
+                degree_centrality=len(neigh) / n,
+                closeness=1.0 / (i + 3) if i % 4 else 1e-7 * i,
+            )
+            for i, (v, neigh) in enumerate(adj.items())
+        },
+        edges={(u, v): 1 + len(u + v) % 3 for u in adj for v in adj[u] if u < v},
+    )
+
+
+def _path(names) -> dict[str, list[str]]:
+    names = sorted(names)
+    adj = {v: [] for v in names}
+    for u, v in zip(names, names[1:]):
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+class TestGraphmlByteOracle:
+    """The string writers against the ElementTree writers in tests/oracles.py."""
+
+    def _assert_same_bytes(self, word: WordGraph, place: PlaceGraph) -> None:
+        assert word_graph_to_graphml(word) == oracles.word_graph_to_graphml(word)
+        assert place_graph_to_graphml(place) == oracles.place_graph_to_graphml(place)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [g for _, g in oracles.kernel_graphs()],
+        ids=[label for label, _ in oracles.kernel_graphs()],
+    )
+    def test_kernel_graphs(self, graph):
+        adj = _adjacency(graph)
+        self._assert_same_bytes(_word_graph(adj), _place_graph(adj))
+
+    def test_awkward_names_and_kinds(self):
+        adj = _path(AWKWARD_NAMES)
+        self._assert_same_bytes(_word_graph(adj), _place_graph(adj, kinds=AWKWARD_NAMES))
+
+    def test_awkward_names_read_back(self):
+        root = ET.fromstring(word_graph_to_graphml(_word_graph(_path(AWKWARD_NAMES))))
+        ns = "{http://graphml.graphdrawing.org/xmlns}"
+        assert [n.get("id") for n in root.iter(f"{ns}node")] == sorted(AWKWARD_NAMES)
+
+    def test_empty_graph(self):
+        self._assert_same_bytes(WordGraph({}, {}), PlaceGraph({}, {}))
+
+    def test_isolated_nodes(self):
+        adj = {"a": [], "b": ["c"], "c": ["b"], "z": []}
+        self._assert_same_bytes(_word_graph(adj), _place_graph(adj))
+        only_isolated = {"x": [], "y": []}
+        self._assert_same_bytes(_word_graph(only_isolated), _place_graph(only_isolated))
+
+    def test_empty_kind(self):
+        # an element with empty text is closed as " />", like a childless one
+        adj = _path(["a", "b"])
+        self._assert_same_bytes(_word_graph(adj), _place_graph(adj, kinds=("",)))

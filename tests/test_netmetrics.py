@@ -22,13 +22,22 @@ from oracles import (
     dense_dominant_eigenvector,
     is_connected,
     kernel_graphs,
+    path_counts,
     random_graph,
+    real_size_graphs,
 )
 
 KERNEL_GRAPHS = kernel_graphs()
-over_kernel_graphs = pytest.mark.parametrize(
-    "graph", [g for _, g in KERNEL_GRAPHS], ids=[label for label, _ in KERNEL_GRAPHS]
-)
+REAL_SIZE_GRAPHS = real_size_graphs()
+
+
+def over(graphs):
+    return pytest.mark.parametrize(
+        "graph", [g for _, g in graphs], ids=[label for label, _ in graphs]
+    )
+
+
+over_kernel_graphs = over(KERNEL_GRAPHS)
 
 
 class TestDegreeCentrality:
@@ -244,7 +253,7 @@ class TestOracleEquivalence:
     """The integer-indexed kernels against the per-node dict loops in
     tests/oracles.py: same keys in the same order, same float bits."""
 
-    @over_kernel_graphs
+    @over(KERNEL_GRAPHS + REAL_SIZE_GRAPHS)
     def test_betweenness_identical(self, graph):
         for normalized in (False, True):
             expected = oracles.betweenness_centrality(graph, normalized)
@@ -259,11 +268,16 @@ class TestOracleEquivalence:
         assert got == expected
         assert repr(got.values) == repr(expected.values)
 
+    def test_diamond_chain_path_counts_pass_2_53(self):
+        # sigma passes 2**53 and rounds: the case where the order of its float sums matters
+        adj = dict(REAL_SIZE_GRAPHS)["diamond-chain"]
+        assert path_counts(adj, "c00")["t"] == 2**53 + 2
+
 
 class TestNetworkxCrossCheck:
     """Independent reference values from networkx (a test-only dependency)."""
 
-    @over_kernel_graphs
+    @over(KERNEL_GRAPHS + REAL_SIZE_GRAPHS[:1])
     def test_betweenness_and_closeness(self, graph):
         nx = pytest.importorskip("networkx")
         adj = _adjacency(graph)

@@ -14,7 +14,6 @@ from tweetflow.preprocess import (
     lemmatize,
     normalize,
     pipeline_doc,
-    remove_stopwords,
     tokenize,
 )
 
@@ -82,17 +81,6 @@ class TestLemmatize:
         assert len(lemmatize(tokens, {"beaches": "beach"})) == len(tokens)
 
 
-class TestRemoveStopwords:
-    def test_removed(self):
-        assert remove_stopwords(["the", "sea"], {"the"}) == ["sea"]
-
-    def test_empty(self):
-        assert remove_stopwords([], {"the"}) == []
-
-    def test_all_stopwords(self):
-        assert remove_stopwords(["the", "a"], {"the", "a"}) == []
-
-
 class TestHashtags:
     def test_extracted_lowercased(self):
         assert extract_hashtags("Visit #Puglia and #SALENTO") == ["puglia", "salento"]
@@ -106,6 +94,12 @@ class TestPipelineDoc:
         d = pipeline_doc("1", "The beaches are beautiful", {"beaches": "beach"}, {"the", "are"})
         assert d.tokens == ("beaches", "beautiful")
         assert d.lemmas == ("beach", "beautiful")
+
+    def test_empty(self):
+        assert pipeline_doc("1", "", {}, {"the"}) == TokenizedDoc("1", (), ())
+
+    def test_all_stopwords(self):
+        assert pipeline_doc("1", "The are", {}, {"the", "are"}) == TokenizedDoc("1", (), ())
 
     def test_mismatched_streams_rejected(self):
         with pytest.raises(DataError):
