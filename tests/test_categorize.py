@@ -64,13 +64,18 @@ class TestAssignCategory:
 
     def test_precedence(self, rules):
         assert assign_category(doc("1", ["hotel", "beach"]), rules) == "Sea"
+
+    def test_all_matches_in_precedence_order(self, rules):
         # Sea, Hotel and Restaurant all match: each is chosen once those ahead drop out
-        assert assign_category(doc("2", ["hotel", "beach", "wine"]), rules) == "Sea"
-        assert assign_category(doc("3", ["hotel", "wine"]), rules) == "Hotel"
-        assert assign_category(doc("4", ["wine"]), rules) == "Restaurant"
+        assert assign_category(doc("1", ["hotel", "beach", "wine"]), rules) == "Sea"
+        assert assign_category(doc("2", ["hotel", "wine"]), rules) == "Hotel"
+        assert assign_category(doc("3", ["wine"]), rules) == "Restaurant"
 
     def test_fallback(self, rules):
         assert assign_category(doc("1", ["nothing", "specific"]), rules) == "General Tourism"
+
+    def test_fallback_when_nothing_matches(self, rules):
+        assert assign_category(doc("1", ["xyz"]), rules) == "General Tourism"
         assert assign_category(doc("2", []), rules) == "General Tourism"
 
     def test_regex_match(self):

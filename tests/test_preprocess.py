@@ -81,6 +81,19 @@ class TestLemmatize:
         assert len(lemmatize(tokens, {"beaches": "beach"})) == len(tokens)
 
 
+class TestRemoveStopwords:
+    """Stopword removal, as the step of `pipeline_doc` after lemmatising."""
+
+    def test_removed(self):
+        assert pipeline_doc("1", "the sea", {}, {"the"}) == TokenizedDoc("1", ("sea",), ("sea",))
+
+    def test_empty(self):
+        assert pipeline_doc("1", "", {}, {"the"}) == TokenizedDoc("1", (), ())
+
+    def test_all_stopwords(self):
+        assert pipeline_doc("1", "The a", {}, {"the", "a"}) == TokenizedDoc("1", (), ())
+
+
 class TestHashtags:
     def test_extracted_lowercased(self):
         assert extract_hashtags("Visit #Puglia and #SALENTO") == ["puglia", "salento"]
@@ -94,12 +107,6 @@ class TestPipelineDoc:
         d = pipeline_doc("1", "The beaches are beautiful", {"beaches": "beach"}, {"the", "are"})
         assert d.tokens == ("beaches", "beautiful")
         assert d.lemmas == ("beach", "beautiful")
-
-    def test_empty(self):
-        assert pipeline_doc("1", "", {}, {"the"}) == TokenizedDoc("1", (), ())
-
-    def test_all_stopwords(self):
-        assert pipeline_doc("1", "The are", {}, {"the", "are"}) == TokenizedDoc("1", (), ())
 
     def test_mismatched_streams_rejected(self):
         with pytest.raises(DataError):
