@@ -20,7 +20,8 @@ import logging
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,17 +39,28 @@ class ClusterModel:
     seed: int
     n_iters: int
     wcss_history: list[float]      # within-cluster sum of squares per Lloyd iteration
+    # the fit's own run statistics, for the manifest; not part of the result
+    diagnostics: dict | None = field(default=None, compare=False)
+
+
+def _normalized(row: dict[int, float]) -> dict[int, float]:
+    norm = math.sqrt(sum(w * w for w in row.values()))
+    return {i: w / norm for i, w in row.items()} if norm > 0 else {}
 
 
 def _normalized_rows(matrix: TfIdfMatrix) -> list[dict[int, float]]:
-    rows = []
-    for row in matrix.rows:
-        norm = math.sqrt(sum(w * w for w in row.values()))
-        if norm > 0:
-            rows.append({i: w / norm for i, w in row.items()})
-        else:
-            rows.append({})
-    return rows
+    return [_normalized(row) for row in matrix.rows]
+
+
+def _n_distinct(rows: Iterable[dict[int, float]]) -> int:
+    return len({tuple(sorted(row.items())) for row in rows if row})
+
+
+def distinct_rows(matrix: TfIdfMatrix) -> int:
+    """Distinct non-empty rows once L2-normalized: the most clusters k-means
+    can keep apart. With more, a tied centroid empties a cluster on every
+    iteration and the fit never settles."""
+    return _n_distinct(map(_normalized, matrix.rows))
 
 
 def _sq_norms(rows: list[dict[int, float]]) -> np.ndarray:
@@ -131,15 +143,22 @@ def _kmeanspp_init(
 def kmeans(
     matrix: TfIdfMatrix, k: int, seed: int, max_iters: int = 100
 ) -> ClusterModel:
-    """Cluster the matrix rows into k groups; deterministic given the seed."""
+    """Cluster the matrix rows into k groups; deterministic given the seed.
+
+    k may not exceed the distinct non-empty rows (`distinct_rows`). The
+    diagnostics say whether the fit converged, i.e. stopped on unchanged
+    assignments rather than at max_iters.
+    """
     n = len(matrix.rows)
-    n_nonempty = sum(1 for row in matrix.rows if row)
-    if n_nonempty == 0:
-        raise DataError("cannot cluster an all-zero matrix")
-    if not 2 <= k <= n_nonempty:
-        raise DataError(f"k={k} out of range 2..{n_nonempty}")
-    v_size = len(matrix.vocabulary.terms)
     rows = _normalized_rows(matrix)
+    n_distinct = _n_distinct(rows)
+    if n_distinct == 0:
+        raise DataError("cannot cluster an all-zero matrix")
+    if k < 2:
+        raise DataError(f"k={k} out of range 2..{n_distinct}")
+    if k > n_distinct:
+        raise DataError(f"k={k} exceeds the {n_distinct} distinct non-empty rows")
+    v_size = len(matrix.vocabulary.terms)
     sq = _sq_norms(rows)
     idx, val = _padded(rows)
     filled = np.arange(idx.shape[1]) < np.array([len(row) for row in rows])[:, None]
@@ -152,6 +171,7 @@ def kmeans(
     assignments = [-1] * n
     wcss_history: list[float] = []
     n_iters = 0
+    converged = False
     for _ in range(max_iters):
         n_iters += 1
         c_sq = np.array([float(np.dot(centroids[c], centroids[c])) for c in range(k)])
@@ -164,6 +184,7 @@ def kmeans(
             wcss += d
         wcss_history.append(wcss)
         if new_assignments == assignments:
+            converged = True
             break
         assignments = new_assignments
 
@@ -195,7 +216,9 @@ def kmeans(
             if counts[c] > 0:
                 centroids[c] /= counts[c]
 
-    return ClusterModel(k, centroids, assignments, seed, n_iters, wcss_history)
+    return ClusterModel(
+        k, centroids, assignments, seed, n_iters, wcss_history, {"converged": converged}
+    )
 
 
 SILHOUETTE_BLOCK = 64  # query rows per Gram block
@@ -298,12 +321,19 @@ def select_k(
 ) -> KSelection:
     """Fit each k in the inclusive range; keep every fit and the silhouette argmax.
 
-    Ties go to the smallest k. Every fit uses the same seed, so the whole
-    selection is reproducible.
+    The range is capped at the matrix's distinct non-empty rows. Ties go to
+    the smallest k. Every fit uses the same seed, so the whole selection is
+    reproducible.
     """
     lo, hi = k_range
     if lo > hi:
         raise DataError(f"empty k range {lo}..{hi}")
+    n_distinct = distinct_rows(matrix)
+    if lo > n_distinct:
+        raise DataError(
+            f"k range {lo}..{hi} starts above the {n_distinct} distinct non-empty rows"
+        )
+    hi = min(hi, n_distinct)
     fits = []
     best, best_score = None, -math.inf
     for k in range(lo, hi + 1):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -35,6 +35,8 @@ class CentralityScores:
     measure: str
     values: dict[str, float]
     normalized: bool
+    # the measure's own run statistics, for the manifest; not part of the result
+    diagnostics: dict | None = field(default=None, compare=False)
 
 
 def _adjacency(graph) -> dict[str, list[str]]:
@@ -189,12 +191,13 @@ def _power_iteration(
     tol: float,
     max_iters: int,
     damping: float,
-) -> dict[str, float] | None:
+) -> tuple[dict[str, float] | None, int]:
+    """The converged vector (None if it never converged) and the iterations run."""
     n = len(nodes)
     index = {v: i for i, v in enumerate(nodes)}
     neighbor_ids = [[index[w] for w in adj[v]] for v in nodes]
     x = [1.0 / n ** 0.5] * n
-    for _ in range(max_iters):
+    for iteration in range(1, max_iters + 1):
         nxt = [damping * xi for xi in x]
         for i, neigh in enumerate(neighbor_ids):
             acc = nxt[i]
@@ -203,12 +206,12 @@ def _power_iteration(
             nxt[i] = acc
         norm = sum(v * v for v in nxt) ** 0.5
         if norm == 0.0:
-            return None
+            return None, iteration
         nxt = [v / norm for v in nxt]
         if max(abs(a - b) for a, b in zip(nxt, x)) < tol:
-            return dict(zip(nodes, nxt))
+            return dict(zip(nodes, nxt)), iteration
         x = nxt
-    return None
+    return None, max_iters
 
 
 def eigenvector_centrality(
@@ -218,21 +221,28 @@ def eigenvector_centrality(
 
     Starts from the uniform positive vector; if plain power iteration
     oscillates (bipartite spectrum), a 0.5 self-damping term is added,
-    which shifts the spectrum without changing eigenvectors.
+    which shifts the spectrum without changing eigenvectors. The
+    diagnostics give the iterations of the run that converged and whether
+    it was the damped one.
     """
     adj = _adjacency(graph)
     if not any(adj.values()):
         raise DataError("eigenvector centrality needs at least one edge")
     nodes = list(adj)
-    values = _power_iteration(adj, nodes, tol, max_iters, damping=0.0)
+    damped = False
+    values, iterations = _power_iteration(adj, nodes, tol, max_iters, damping=0.0)
     if values is None:
         log.debug("eigenvector: undamped iteration did not converge, damping")
-        values = _power_iteration(adj, nodes, tol, max_iters, damping=0.5)
+        damped = True
+        values, iterations = _power_iteration(adj, nodes, tol, max_iters, damping=0.5)
     if values is None:
         raise NonConvergenceError(
             f"power iteration did not converge in {max_iters} iterations"
         )
-    return CentralityScores("eigenvector", values, normalized=True)
+    return CentralityScores(
+        "eigenvector", values, normalized=True,
+        diagnostics={"iterations": iterations, "damped": damped},
+    )
 
 
 def top_k(scores: CentralityScores, k: int) -> list[tuple[str, float]]:

@@ -276,14 +276,13 @@ def stage_cluster(config: PipelineConfig, out: Out) -> dict:
         corpus, docs = _lang_docs(config, lang, f"ingest/corpus_{lang}.jsonl")
         route_a = _read_corpus(config, f"topics/refined_{lang}.jsonl")
         matrix = preprocess.build_tfidf(docs)
-        # k-means cannot settle with more clusters than distinct points
-        n_distinct = len({frozenset(row.items()) for row in matrix.rows if row})
-        k_max = min(config.cluster_k_max, n_distinct)
+        # select_k caps k at the distinct rows: k-means cannot keep more apart
+        n_distinct = clustering.distinct_rows(matrix)
 
         report_rows: list[list] = []
         selected: set[int] = set()
         route_b = Corpus((), corpus.lang_filter)
-        if k_max < config.cluster_k_min:
+        if n_distinct < config.cluster_k_min:
             # degenerate corpus: too few rows with any distinguishing terms
             log.warning(
                 "cluster %s: only %d distinct non-empty TF-IDF rows, skipping this route",
@@ -293,7 +292,8 @@ def stage_cluster(config: PipelineConfig, out: Out) -> dict:
             counts[f"best_k_{lang}"] = 0
         else:
             selection = clustering.select_k(
-                matrix, (config.cluster_k_min, k_max), config.stage_seed(f"cluster:{lang}"),
+                matrix, (config.cluster_k_min, config.cluster_k_max),
+                config.stage_seed(f"cluster:{lang}"),
                 config.cluster_max_iters, config.cluster_sample_size,
             )
             fits = []
@@ -318,6 +318,7 @@ def stage_cluster(config: PipelineConfig, out: Out) -> dict:
                     "silhouette": score,
                     "n_iters": model.n_iters,
                     "wcss": model.wcss_history[-1],
+                    **model.diagnostics,
                 })
             best = selection.best
             selected = select_tourism(summaries_by_k[best.k])
@@ -536,6 +537,7 @@ def stage_metrics(config: PipelineConfig, out: Out) -> dict:
         }
         if graph.edges:
             scores["eigenvector"] = netmetrics.eigenvector_centrality(graph)
+            counts[f"eigenvector_{network}"] = scores["eigenvector"].diagnostics
         else:
             log.warning("metrics: %s has no edges, skipping eigenvector", network)
         for measure, centrality in scores.items():

@@ -14,13 +14,23 @@ term is float-with-float arithmetic. The own assignment is excluded
 arithmetically rather than by a decrement and re-increment: for the
 token's topic the term reads `(c - 1.0 + alpha)`, and because the int to
 float conversion and the `- 1.0` are both exact this is bit-equal to the
-int expression `(c - 1) + alpha` of a decrementing sampler. The terms are
-summed in topic order, one uniform is drawn per token and the first
-cumulative sum above it wins, so the samples are the same bits as those
-of the plain loop over int tables (kept as `fit_lda` in tests/oracles.py
-and checked against this one). Counts change only when a token moves to
-another topic. The int topic-major tables of `LdaModel` are built once,
-after the last sweep.
+int expression `(c - 1) + alpha` of a decrementing sampler. Counts change
+only when a token moves to another topic. The int topic-major tables of
+`LdaModel` are built once, after the last sweep.
+
+The sweep itself is a Python function generated for each k from
+`_sweep_source(k)` and compiled once (`_sweep_kernel`). It holds the
+current document's k counts, the k topic totals with their denominators
+and the word's row in local variables instead of reading them from lists
+on every token, and it has one straight-line branch per own topic. Its
+bits equal those of the plain loop over int tables (kept as `fit_lda` in
+tests/oracles.py and checked against this one) because it evaluates the
+same expressions in the same order: each term is
+`(d + alpha) * (w + beta) / (n + V*beta)`, with `- 1.0` on all three
+counts for the own topic; the terms are summed left to right in topic
+order, the first sum being the first term itself (`0.0 + x == x` for the
+non-negative x here); one uniform is drawn per token and the first
+cumulative sum above it wins, the last topic when none is.
 
 On top of the sampler sits the iterative refinement loop that repeatedly
 fits a model, keeps only documents whose dominant topic a selector marks
@@ -29,6 +39,7 @@ as on-domain, and refits on the survivors.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import random
@@ -94,6 +105,80 @@ class TopicSummary:
     top_words: tuple[tuple[str, float], ...]
 
 
+def _sweep_source(k: int) -> str:
+    """Source of one Gibbs sweep over every token, specialised to k topics.
+
+    The current document's counts (d0..), the topic totals (n0..) with
+    their denominators (e0.. = n + V*beta) and the word's row (w0..) are
+    held in local variables; the document's counts are written back to
+    doc_topic at its end and the totals to topic_total at the sweep's end.
+    One branch per own topic chains the cumulative sums c0.. in topic
+    order, the own topic's term leaving the token out of every count.
+    """
+    topics = range(k)
+
+    def seq(name: str) -> str:
+        return ", ".join(f"{name}{t}" for t in topics)
+
+    def term(t: int, own: int) -> str:
+        if t == own:
+            return f"(d{t} - 1.0 + alpha) * (w{t} - 1.0 + beta) / (n{t} - 1.0 + v_beta)"
+        return f"(d{t} + alpha) * (w{t} + beta) / e{t}"
+
+    def step(t: int, op: str) -> list[str]:
+        return [f"d{t} {op}= 1.0", f"n{t} {op}= 1.0", f"e{t} = n{t} + v_beta"]
+
+    def chain(test: str, blocks: list[list[str]], indent: str) -> list[str]:
+        """if/elif on test for topics 0..k-2, the last topic taking the else."""
+        out = []
+        for t, block in enumerate(blocks):
+            head = "if" if t == 0 else "elif"
+            out.append(indent + (f"{head} {test.format(t=t)}:" if t < k - 1 else "else:"))
+            out.extend(indent + "    " + line for line in block)
+        return out
+
+    lines = [
+        "def sweep(doc_topic, token_ids, assignments, word_topic, topic_total,",
+        "          rand, alpha, beta, v_beta):",
+        f"    {seq('n')} = topic_total",
+        *(f"    e{t} = n{t} + v_beta" for t in topics),
+        "    for dt, words, zs in zip(doc_topic, token_ids, assignments):",
+        f"        {seq('d')} = dt",
+        "        for i, v in enumerate(words):",
+        "            wt = word_topic[v]",
+        f"            {seq('w')} = wt",
+        "            z = zs[i]",
+    ]
+    lines += chain("z == {t}", [
+        [f"c0 = {term(0, own)}"]
+        + [f"c{t} = c{t - 1} + {term(t, own)}" for t in range(1, k)]
+        for own in topics
+    ], "            ")
+    lines.append(f"            r = rand() * c{k - 1}")
+    lines += chain("r < c{t}", [[f"t = {t}"] for t in topics], "            ")
+    lines += [
+        "            if t != z:",
+        "                zs[i] = t",
+        "                wt[z] -= 1.0",
+        "                wt[t] += 1.0",
+    ]
+    lines += chain("z == {t}", [step(t, "-") for t in topics], "                ")
+    lines += chain("t == {t}", [step(t, "+") for t in topics], "                ")
+    lines += [
+        f"        dt[:] = {seq('d')}",
+        f"    topic_total[:] = {seq('n')}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_kernel(k: int) -> Callable[..., None]:
+    """The compiled sweep of _sweep_source(k)."""
+    namespace: dict = {}
+    exec(compile(_sweep_source(k), f"<gibbs sweep k={k}>", "exec"), namespace)
+    return namespace["sweep"]
+
+
 def fit_lda(
     docs: Sequence[TokenizedDoc],
     config: LdaConfig,
@@ -147,40 +232,11 @@ def fit_lda(
             config,
         )
 
-    topics = range(k)
+    sweep = _sweep_kernel(k)
     rand = rng.random
-    denom = [n + v_beta for n in topic_total]
-    cumulative = [0.0] * k
-    for _sweep in range(config.iterations):
-        for dt, words, zs in zip(doc_topic, token_ids, assignments):
-            for i, w in enumerate(words):
-                z = zs[i]
-                wt = word_topic[w]
-                total = 0.0
-                for t in topics:
-                    if t == z:  # the token's own assignment left out of every count
-                        total += (
-                            (dt[t] - 1.0 + alpha)
-                            * (wt[t] - 1.0 + beta)
-                            / (topic_total[t] - 1.0 + v_beta)
-                        )
-                    else:
-                        total += (dt[t] + alpha) * (wt[t] + beta) / denom[t]
-                    cumulative[t] = total
-                r = rand() * total
-                for t in topics:
-                    if r < cumulative[t]:
-                        break
-                if t != z:
-                    zs[i] = t
-                    dt[z] -= 1.0
-                    dt[t] += 1.0
-                    wt[z] -= 1.0
-                    wt[t] += 1.0
-                    topic_total[z] -= 1.0
-                    topic_total[t] += 1.0
-                    denom[z] = topic_total[z] + v_beta
-                    denom[t] = topic_total[t] + v_beta
+    for _ in range(config.iterations):
+        sweep(doc_topic, token_ids, assignments, word_topic, topic_total,
+              rand, alpha, beta, v_beta)
         if check_invariants:
             to_model().check_invariants()
     return to_model()

@@ -307,6 +307,8 @@ class TestStages:
             for fit in fits:
                 assert f"{fit['silhouette']:.4f}" == reported[fit["k"]]
                 assert fit["n_iters"] >= 1 and fit["wcss"] >= 0.0
+                # the fixture's fits all stop on unchanged assignments
+                assert fit["converged"] is True
             best = max(fits, key=lambda fit: fit["silhouette"])
             assert counts[f"best_k_{lang}"] == best["k"]
 
@@ -341,6 +343,17 @@ class TestStages:
                 largest = max(map(len, membership["label_propagation"]["communities"]))
                 assert lpa["largest_share"] == largest / nodes
                 assert lpa["hit_sweep_cap"] is False and lpa["sweeps"] >= 2
+
+    def test_eigenvector_diagnostics_in_manifest(self, pipeline_out):
+        manifest = json.loads((pipeline_out.out / "manifest.json").read_text())
+        counts = manifest["stages"]["metrics"]["counts"]
+        networks = [key[len("ranked_"):] for key in counts if key.startswith("ranked_")]
+        assert networks
+        for network in networks:
+            diagnostics = counts[f"eigenvector_{network}"]
+            assert set(diagnostics) == {"iterations", "damped"}
+            assert 1 <= diagnostics["iterations"] <= 1000
+            assert isinstance(diagnostics["damped"], bool)
 
     def test_graph_counts_capped_tweets(self, pipeline_out):
         manifest = json.loads((pipeline_out.out / "manifest.json").read_text())
@@ -503,6 +516,7 @@ class TestEmptyPolaritySplit:
         assert counts["clustered_en"] == 6
         assert [fit["k"] for fit in counts["fits_en"]] == [2]
         assert counts["fits_en"][0]["n_iters"] < config.cluster_max_iters
+        assert counts["fits_en"][0]["converged"] is True
         assert counts["best_k_en"] == 2
 
     def test_cluster_stage_degrades_when_nothing_to_cluster(self, tmp_path):

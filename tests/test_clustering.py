@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from tweetflow.clustering import kmeans, select_k, silhouette
+from tweetflow.clustering import distinct_rows, kmeans, select_k, silhouette
 from tweetflow.errors import DataError
 from tweetflow.preprocess import TfIdfMatrix, Vocabulary
 
@@ -62,25 +62,27 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("seed", range(12))
     def test_kmeans_fits_identical(self, seed):
         matrix = random_sparse_matrix(seed, 20 + 7 * seed, 12 + seed)
-        n_nonempty = sum(1 for row in matrix.rows if row)
         for k in (2, 3, 5, 8):
-            if k <= n_nonempty:
+            if k <= distinct_rows(matrix):
                 assert_same_fit(matrix, k, seed)
 
-    @pytest.mark.parametrize(
-        "rows, k",
-        [
-            # more clusters than distinct rows: a tied centroid empties a
-            # cluster on every iteration and the farthest point re-seeds it
-            ([{0: 1.0}] * 4 + [{1: 1.0}], 3),
-            ([{0: 1.0, 1: 0.1}] * 3 + [{0: 0.1, 1: 1.0}] * 3 + [{2: 1.0}, {}], 5),
-        ],
-    )
-    def test_kmeans_empty_cluster_reseed_identical(self, rows, k):
-        matrix = matrix_from_rows(rows, 3)
-        for seed in range(4):
-            assert_same_fit(matrix, k, seed)
-            assert len(set(kmeans(matrix, k, seed).assignments)) == k
+    def test_kmeans_empty_cluster_reseed_identical(self):
+        # 4 clusters over 6 distinct rows ({0: 6, 1: 6} and {0: 3, 1: 3}
+        # normalize alike): at seed 0 the second iteration's nearest
+        # centroids leave a cluster empty, the farthest point re-seeds it,
+        # and the fit still converges
+        rows = [{0: 2, 1: 5}, {0: 2, 1: 9}, {0: 6, 1: 6}, {0: 8, 1: 9},
+                {0: 3, 1: 3}, {0: 6, 1: 3}, {0: 6}]
+        matrix = matrix_from_rows(rows, 2)
+        points = np.array([[row.get(0, 0), row.get(1, 0)] for row in rows], dtype=float)
+        points /= np.linalg.norm(points, axis=1)[:, None]
+        centroids = kmeans(matrix, 4, seed=0, max_iters=1).centroids
+        nearest = ((points[:, None, :] - centroids[None]) ** 2).sum(axis=2).argmin(axis=1)
+        assert len(set(nearest.tolist())) == 3
+        assert_same_fit(matrix, 4, seed=0)
+        model = kmeans(matrix, 4, seed=0)
+        assert sorted(set(model.assignments)) == [0, 1, 2, 3]
+        assert model.diagnostics == {"converged": True}
 
     @pytest.mark.parametrize("seed", range(12))
     def test_silhouette_matches(self, seed):
@@ -157,6 +159,34 @@ class TestKmeans:
         with pytest.raises(DataError):
             kmeans(matrix, 2, seed=0)
 
+    @pytest.mark.parametrize(
+        "rows, k",
+        [
+            # a tied centroid would empty a cluster on every iteration and
+            # run all max_iters
+            ([{0: 1.0}] * 4 + [{1: 1.0}], 3),
+            ([{0: 1.0, 1: 0.1}] * 3 + [{0: 0.1, 1: 1.0}] * 3 + [{2: 1.0}, {}], 5),
+        ],
+    )
+    def test_k_above_distinct_rows_rejected(self, rows, k):
+        matrix = matrix_from_rows(rows, 3)
+        n_distinct = distinct_rows(matrix)
+        assert n_distinct < k
+        with pytest.raises(DataError, match=f"{n_distinct} distinct non-empty rows"):
+            kmeans(matrix, k, seed=0)
+        assert kmeans(matrix, n_distinct, seed=0).diagnostics == {"converged": True}
+
+    def test_distinct_rows_counts_normalized_rows(self):
+        rows = [{0: 1.0}, {0: 2.0}, {}, {0: 1.0, 1: 1.0}, {1: 2.0, 0: 2.0}, {1: 1.0}]
+        assert distinct_rows(matrix_from_rows(rows, 2)) == 3
+
+    def test_converged_flag(self):
+        matrix = blob_matrix(3, 8, seed=2)
+        model = kmeans(matrix, 3, seed=9)
+        assert model.n_iters > 1
+        assert model.diagnostics == {"converged": True}
+        assert kmeans(matrix, 3, seed=9, max_iters=1).diagnostics == {"converged": False}
+
 
 class TestSilhouette:
     def test_two_tight_far_blobs(self):
@@ -218,6 +248,13 @@ class TestSelectK:
         matrix = blob_matrix(2, 10, seed=0)
         with pytest.raises(DataError):
             select_k(matrix, (4, 2), seed=0)
+
+    def test_range_capped_at_distinct_rows(self):
+        matrix = matrix_from_rows([{0: 1.0}] * 4 + [{1: 1.0}, {2: 1.0}, {}], 3)
+        selection = select_k(matrix, (2, 6), seed=0)
+        assert [model.k for model, _ in selection.fits] == [2, 3]
+        with pytest.raises(DataError, match="3 distinct non-empty rows"):
+            select_k(matrix, (4, 6), seed=0)
 
     def test_reproducible(self):
         matrix = blob_matrix(3, 10, seed=11)

@@ -177,6 +177,15 @@ class TestEigenvectorCentrality:
         values = eigenvector_centrality(cycle).values
         assert all(v == pytest.approx(0.5, abs=1e-6) for v in values.values())
 
+    def test_diagnostics(self, k4, star4):
+        scores = eigenvector_centrality(k4)
+        # the uniform start is already K4's eigenvector
+        assert scores.diagnostics == {"iterations": 1, "damped": False}
+        assert scores == eigenvector_centrality(k4, max_iters=5)
+        # a star is bipartite and not regular: undamped iteration oscillates
+        star = eigenvector_centrality(star4).diagnostics
+        assert star["damped"] is True and 1 < star["iterations"] <= 1000
+
     def test_edgeless_rejected(self):
         with pytest.raises(DataError):
             eigenvector_centrality({"a": [], "b": []})

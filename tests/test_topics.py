@@ -106,14 +106,17 @@ class TestFitLda:
         assert sum(model.doc_topic_counts[1]) == 0
 
 
-def random_corpus(seed, n_docs, vocab_size, lengths):
-    """Seeded docs over w0..w{vocab_size-1}; every 5th doc is empty, and
-    some docs repeat a word."""
+def random_corpus(seed, n_docs, vocab_size, lengths, empty_docs=True):
+    """Seeded docs over w0..w{vocab_size-1}; every 5th doc is empty unless
+    empty_docs is false, and some docs repeat a word."""
     rng = random.Random(seed)
     vocab = [f"w{i}" for i in range(vocab_size)]
     docs = []
     for i in range(n_docs):
-        lemmas = [] if i % 5 == 4 else [rng.choice(vocab) for _ in range(rng.choice(lengths))]
+        if empty_docs and i % 5 == 4:
+            lemmas = []
+        else:
+            lemmas = [rng.choice(vocab) for _ in range(rng.choice(lengths))]
         if len(lemmas) > 1 and rng.random() < 0.5:
             lemmas.append(lemmas[0])
         docs.append(doc(f"d{i}", lemmas))
@@ -124,6 +127,7 @@ ORACLE_CORPORA = {
     "mixed": dict(n_docs=30, vocab_size=12, lengths=(1, 2, 4, 9)),
     "one_word_vocabulary": dict(n_docs=20, vocab_size=1, lengths=(1, 3, 6)),
     "length_one_docs": dict(n_docs=25, vocab_size=7, lengths=(1,)),
+    "all_length_one_docs": dict(n_docs=20, vocab_size=6, lengths=(1,), empty_docs=False),
 }
 
 
@@ -144,7 +148,7 @@ class TestOracleEquivalence:
     tests/oracles.py: the same samples, counts and probabilities, bit for bit."""
 
     @pytest.mark.parametrize("corpus", sorted(ORACLE_CORPORA))
-    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 13])
     @pytest.mark.parametrize("alpha", [None, 0.5])
     @pytest.mark.parametrize("beta", [0.01, 1e-6])
     def test_matches_oracle(self, corpus, k, alpha, beta):
@@ -184,6 +188,24 @@ class TestOracleEquivalence:
         assert len(fast.rounds) >= 2
         assert fast == slow
         assert repr(fast.rounds) == repr(slow.rounds)
+
+
+class TestSweepKernel:
+    def test_compiled_once_per_k(self):
+        assert topics._sweep_kernel(3) is topics._sweep_kernel(3)
+        assert topics._sweep_kernel(3) is not topics._sweep_kernel(4)
+        before = topics._sweep_kernel.cache_info()
+        fit_lda(planted_corpus(0, docs_per_side=5), LdaConfig(k=3, iterations=4))
+        after = topics._sweep_kernel.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_source_compiles_for_every_k(self):
+        for k in range(2, 41):
+            source = topics._sweep_source(k)
+            assert source == topics._sweep_source(k)
+            code = compile(source, f"<gibbs sweep k={k}>", "exec")
+            assert "sweep" in code.co_names
+            assert f"c{k - 1} = c{k - 2} + " in source
 
 
 class TestLogLikelihood:
