@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import resource
 import time
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
@@ -77,12 +78,18 @@ def _record_stage(
     outputs: Sequence[Path],
     elapsed: float,
 ) -> None:
+    """Write the stage's entry into the run manifest. Its peak_rss_mb is the
+    process's peak resident set so far (ru_maxrss, KiB on Linux), not the
+    stage's own: a stage that allocates less than an earlier one repeats
+    the earlier peak."""
     path = config.out / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8")) if path.is_file() else {"stages": {}}
     manifest["config"] = config.snapshot()
     manifest["stages"][stage] = {
         "counts": counts,
         "elapsed_s": round(elapsed, 3),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
+        "peak_rss_scope": "process peak so far",
         "outputs": {
             str(output.relative_to(config.out)): {
                 "rows": count_rows(output),

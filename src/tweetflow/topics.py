@@ -20,17 +20,32 @@ only when a token moves to another topic. The int topic-major tables of
 
 The sweep itself is a Python function generated for each k from
 `_sweep_source(k)` and compiled once (`_sweep_kernel`). It holds the
-current document's k counts, the k topic totals with their denominators
-and the word's row in local variables instead of reading them from lists
-on every token, and it has one straight-line branch per own topic. Its
-bits equal those of the plain loop over int tables (kept as `fit_lda` in
-tests/oracles.py and checked against this one) because it evaluates the
-same expressions in the same order: each term is
+current document's k counts and the k topic totals in local variables
+instead of reading them from lists on every token, and it has one
+straight-line branch per own topic. Every sum a term needs is kept beside
+the count it comes from and recomputed only when that count moves, which
+is about one draw in ten: per document `d + alpha` and `d - 1.0 + alpha`,
+per topic `n + V*beta` and `n - 1.0 + V*beta`, and per word a cache row
+beside its `word_topic` row holding `w + beta` for each topic, then
+`w - 1.0 + beta`. A term is then one product and one quotient of held
+values. The branch of the token's own topic z draws the uniform r and
+goes straight on to the next token when r falls in z's own interval
+(`c[z-1] <= r < c[z]`, open below for the first topic and above for the
+last); only a move reaches the search and the update block, which all
+own topics share.
+
+Its bits equal those of the plain loop over int tables (kept as `fit_lda`
+in tests/oracles.py and checked against this one) because it evaluates
+the same expressions in the same order: each term is
 `(d + alpha) * (w + beta) / (n + V*beta)`, with `- 1.0` on all three
-counts for the own topic; the terms are summed left to right in topic
-order, the first sum being the first term itself (`0.0 + x == x` for the
-non-negative x here); one uniform is drawn per token and the first
-cumulative sum above it wins, the last topic when none is.
+counts for the own topic, and a held sum is that same sub-expression on
+the same float count, only evaluated earlier; the terms are summed left
+to right in topic order, the first sum being the first term itself
+(`0.0 + x == x` for the non-negative x here); one uniform is drawn per
+token and the first cumulative sum above it wins, the last topic when
+none is. The cumulative sums never decrease, so that first sum above r
+is z's exactly when r lies in z's interval, and the early step to the
+next token keeps the same topic the search would.
 
 On top of the sampler sits the iterative refinement loop that repeatedly
 fits a model, keeps only documents whose dominant topic a selector marks
@@ -108,25 +123,50 @@ class TopicSummary:
 def _sweep_source(k: int) -> str:
     """Source of one Gibbs sweep over every token, specialised to k topics.
 
-    The current document's counts (d0..), the topic totals (n0..) with
-    their denominators (e0.. = n + V*beta) and the word's row (w0..) are
-    held in local variables; the document's counts are written back to
-    doc_topic at its end and the totals to topic_total at the sweep's end.
+    Every count and each value derived from it is held where the count
+    lives, and recomputed only when that count moves:
+    - the current document's counts d0.. with a0.. = d + alpha and
+      m0.. = d - 1.0 + alpha, document locals written back to doc_topic at
+      the document's end;
+    - the topic totals n0.. with e0.. = n + V*beta and
+      o0.. = n - 1.0 + V*beta, locals for the sweep written back to
+      topic_total at its end;
+    - the word's row h0.., g0.. of word_cache, which holds w + beta and
+      w - 1.0 + beta for each count w of the word's word_topic row.
     One branch per own topic chains the cumulative sums c0.. in topic
-    order, the own topic's term leaving the token out of every count.
+    order, the own topic's term leaving the token out of every count, draws
+    the uniform and goes on to the next token when the draw keeps the
+    token's topic. A move is found and made by one block shared by all
+    own topics.
     """
     topics = range(k)
 
-    def seq(name: str) -> str:
-        return ", ".join(f"{name}{t}" for t in topics)
+    def seq(*names: str) -> str:
+        return ", ".join(f"{name}{t}" for name in names for t in topics)
 
     def term(t: int, own: int) -> str:
-        if t == own:
-            return f"(d{t} - 1.0 + alpha) * (w{t} - 1.0 + beta) / (n{t} - 1.0 + v_beta)"
-        return f"(d{t} + alpha) * (w{t} + beta) / e{t}"
+        return f"m{t} * g{t} / o{t}" if t == own else f"a{t} * h{t} / e{t}"
+
+    def stays(own: int) -> str:
+        if own == 0:
+            return "r < c0"
+        if own == k - 1:
+            return f"r >= c{k - 2}"
+        return f"c{own - 1} <= r < c{own}"
 
     def step(t: int, op: str) -> list[str]:
-        return [f"d{t} {op}= 1.0", f"n{t} {op}= 1.0", f"e{t} = n{t} + v_beta"]
+        return [
+            f"d{t} {op}= 1.0",
+            f"a{t} = d{t} + alpha",
+            f"m{t} = d{t} - 1.0 + alpha",
+            f"n{t} {op}= 1.0",
+            f"e{t} = n{t} + v_beta",
+            f"o{t} = n{t} - 1.0 + v_beta",
+            f"x = wt[{t}] {op} 1.0",
+            f"wt[{t}] = x",
+            f"hg[{t}] = x + beta",
+            f"hg[{k + t}] = x - 1.0 + beta",
+        ]
 
     def chain(test: str, blocks: list[list[str]], indent: str) -> list[str]:
         """if/elif on test for topics 0..k-2, the last topic taking the else."""
@@ -138,32 +178,33 @@ def _sweep_source(k: int) -> str:
         return out
 
     lines = [
-        "def sweep(doc_topic, token_ids, assignments, word_topic, topic_total,",
-        "          rand, alpha, beta, v_beta):",
+        "def sweep(doc_topic, token_ids, assignments, word_topic, word_cache,",
+        "          topic_total, rand, alpha, beta, v_beta):",
         f"    {seq('n')} = topic_total",
         *(f"    e{t} = n{t} + v_beta" for t in topics),
+        *(f"    o{t} = n{t} - 1.0 + v_beta" for t in topics),
         "    for dt, words, zs in zip(doc_topic, token_ids, assignments):",
         f"        {seq('d')} = dt",
+        *(f"        a{t} = d{t} + alpha" for t in topics),
+        *(f"        m{t} = d{t} - 1.0 + alpha" for t in topics),
         "        for i, v in enumerate(words):",
-        "            wt = word_topic[v]",
-        f"            {seq('w')} = wt",
+        f"            {seq('h', 'g')} = word_cache[v]",
         "            z = zs[i]",
     ]
     lines += chain("z == {t}", [
         [f"c0 = {term(0, own)}"]
         + [f"c{t} = c{t - 1} + {term(t, own)}" for t in range(1, k)]
+        + [f"r = rand() * c{k - 1}", f"if {stays(own)}:", "    continue"]
         for own in topics
     ], "            ")
-    lines.append(f"            r = rand() * c{k - 1}")
     lines += chain("r < c{t}", [[f"t = {t}"] for t in topics], "            ")
     lines += [
-        "            if t != z:",
-        "                zs[i] = t",
-        "                wt[z] -= 1.0",
-        "                wt[t] += 1.0",
+        "            zs[i] = t",
+        "            wt = word_topic[v]",
+        "            hg = word_cache[v]",
     ]
-    lines += chain("z == {t}", [step(t, "-") for t in topics], "                ")
-    lines += chain("t == {t}", [step(t, "+") for t in topics], "                ")
+    lines += chain("z == {t}", [step(t, "-") for t in topics], "            ")
+    lines += chain("t == {t}", [step(t, "+") for t in topics], "            ")
     lines += [
         f"        dt[:] = {seq('d')}",
         f"    topic_total[:] = {seq('n')}",
@@ -187,8 +228,9 @@ def fit_lda(
     """Fit an LDA model over the documents' lemma streams.
 
     Empty documents keep their row in the doc-topic table (all zeros) but
-    contribute no tokens. With check_invariants the count tables are
-    validated after every full sweep.
+    contribute no tokens. With check_invariants the count tables, and each
+    word's cache row against its counts, are validated after every full
+    sweep.
     """
     vocab = sorted({lem for doc in docs for lem in doc.lemmas})
     if not vocab:
@@ -232,14 +274,33 @@ def fit_lda(
             config,
         )
 
+    word_cache = _word_cache(word_topic, beta)
     sweep = _sweep_kernel(k)
     rand = rng.random
     for _ in range(config.iterations):
-        sweep(doc_topic, token_ids, assignments, word_topic, topic_total,
-              rand, alpha, beta, v_beta)
+        sweep(doc_topic, token_ids, assignments, word_topic, word_cache,
+              topic_total, rand, alpha, beta, v_beta)
         if check_invariants:
             to_model().check_invariants()
+            _check_word_cache(word_cache, word_topic, beta, vocab)
     return to_model()
+
+
+def _word_cache(word_topic: list[list[float]], beta: float) -> list[list[float]]:
+    """Per word, [w + beta ...] then [w - 1.0 + beta ...] of its topic counts w."""
+    return [[c + beta for c in row] + [c - 1.0 + beta for c in row] for row in word_topic]
+
+
+def _check_word_cache(
+    word_cache: list[list[float]],
+    word_topic: list[list[float]],
+    beta: float,
+    vocab: Sequence[str],
+) -> None:
+    """Raise if a word's cache row is not the one its counts give, bit for bit."""
+    for word, row, expected in zip(vocab, word_cache, _word_cache(word_topic, beta)):
+        if repr(row) != repr(expected):
+            raise AssertionError(f"word {word!r}: cache row {row!r} != {expected!r}")
 
 
 def log_likelihood(model: LdaModel) -> float:

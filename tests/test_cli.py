@@ -420,6 +420,14 @@ class TestStages:
                     n_rows = len(path.read_text(encoding="utf-8").splitlines()) - 1
                     assert meta["rows"] == n_rows, rel
 
+    def test_manifest_records_process_peak_rss(self, pipeline_out):
+        manifest = json.loads((pipeline_out.out / "manifest.json").read_text())
+        entries = [manifest["stages"][stage] for stage in STAGES]
+        assert all(entry["peak_rss_scope"] == "process peak so far" for entry in entries)
+        peaks = [entry["peak_rss_mb"] for entry in entries]
+        assert all(isinstance(peak, float) and peak > 0 for peak in peaks)
+        assert peaks == sorted(peaks)
+
     def test_manifest_lists_exactly_each_stage_directory(self, pipeline_out):
         manifest = json.loads((pipeline_out.out / "manifest.json").read_text())
         assert set(manifest["stages"]) == set(STAGES)

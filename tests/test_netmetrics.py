@@ -170,12 +170,33 @@ class TestEigenvectorCentrality:
                 assert ours[node] == pytest.approx(oracle[node], abs=1e-6)
 
     def test_bipartite_oscillation_handled(self):
-        # even cycle: bipartite, plain power iteration oscillates
+        # K_{2,3}: bipartite and not regular, so the uniform start has a
+        # component on the -lambda eigenvector and plain power iteration
+        # oscillates until the damped fallback takes over
+        k23 = {
+            "a": ["x", "y", "z"], "b": ["x", "y", "z"],
+            "x": ["a", "b"], "y": ["a", "b"], "z": ["a", "b"],
+        }
+        scores = eigenvector_centrality(k23)
+        assert scores.diagnostics["damped"] is True
+        for node in "ab":
+            assert scores.values[node] == pytest.approx(0.5, rel=0, abs=1e-9)
+        for node in "xyz":
+            assert scores.values[node] == pytest.approx(1 / math.sqrt(6), rel=0, abs=1e-9)
+        nx = pytest.importorskip("networkx")
+        expected = nx.eigenvector_centrality(nx.Graph(k23), max_iter=1000, tol=1e-12)
+        for node in k23:
+            assert scores.values[node] == pytest.approx(expected[node], rel=0, abs=1e-9)
+
+    def test_regular_bipartite_converges_undamped(self):
+        # the 4-cycle is bipartite but regular: the uniform start is already
+        # its eigenvector, so the undamped iteration converges at once
         cycle = {
             "a": ["b", "d"], "b": ["a", "c"], "c": ["b", "d"], "d": ["c", "a"],
         }
-        values = eigenvector_centrality(cycle).values
-        assert all(v == pytest.approx(0.5, abs=1e-6) for v in values.values())
+        scores = eigenvector_centrality(cycle)
+        assert scores.diagnostics["damped"] is False
+        assert all(v == pytest.approx(0.5, abs=1e-6) for v in scores.values.values())
 
     def test_diagnostics(self, k4, star4):
         scores = eigenvector_centrality(k4)

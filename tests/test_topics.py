@@ -131,6 +131,15 @@ ORACLE_CORPORA = {
 }
 
 
+def oracle_docs(corpus, k):
+    """ORACLE_CORPORA[corpus] seeded by k, grown to 2k documents when its
+    listed size would hold fewer than k non-empty ones."""
+    spec = dict(ORACLE_CORPORA[corpus])
+    if spec["n_docs"] * 4 // 5 < k:
+        spec["n_docs"] = 2 * k
+    return random_corpus(k, **spec)
+
+
 def assert_same_model(fast, slow):
     # repr, so a float count of 3.0 does not pass for the int 3
     assert repr(fast.topic_word_counts) == repr(slow.topic_word_counts)
@@ -147,24 +156,28 @@ class TestOracleEquivalence:
     """fit_lda against the decrement/re-increment loop over int tables in
     tests/oracles.py: the same samples, counts and probabilities, bit for bit."""
 
+    # k = 4 and k = 40 have own topics first, in the middle and last that
+    # keep their token (the sweep's early continue) and that move it
     @pytest.mark.parametrize("corpus", sorted(ORACLE_CORPORA))
-    @pytest.mark.parametrize("k", [2, 3, 5, 8, 13])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 13, 40])
     @pytest.mark.parametrize("alpha", [None, 0.5])
     @pytest.mark.parametrize("beta", [0.01, 1e-6])
     def test_matches_oracle(self, corpus, k, alpha, beta):
-        docs = random_corpus(k, **ORACLE_CORPORA[corpus])
+        docs = oracle_docs(corpus, k)
         config = LdaConfig(k=k, alpha=alpha, beta=beta, iterations=25, seed=k)
         model = fit_lda(docs, config)
         assert_same_model(model, oracles.fit_lda(docs, config))
         assert fit_lda(docs, config, check_invariants=True) == model
 
-    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_exact_ties_match_oracle(self, monkeypatch, k):
         # Every word occurs once and alpha * beta underflows to 0.0, so a
         # topic no other token of the doc holds weighs exactly 0.0, and a
         # one-token doc weighs 0.0 in every topic. With every other uniform
         # 0.0 the search must skip leading zero-weight topics (r < cumulative,
-        # not <=) and fall through to the last topic when the total is 0.0.
+        # not <=) and fall through to the last topic when the total is 0.0;
+        # a middle own topic of zero weight has the empty interval
+        # c[z-1] == c[z], which its keep test must reject.
         lengths = [0 if i % 5 == 4 else 1 + i % 3 for i in range(24)]
         words = iter(range(sum(lengths)))
         docs = [doc(f"d{i}", [f"u{next(words)}" for _ in range(n)]) for i, n in enumerate(lengths)]
@@ -206,6 +219,20 @@ class TestSweepKernel:
             code = compile(source, f"<gibbs sweep k={k}>", "exec")
             assert "sweep" in code.co_names
             assert f"c{k - 1} = c{k - 2} + " in source
+
+    def test_one_shared_move_block(self):
+        # a move block per (own, new) pair would be about 38k lines at k = 40
+        assert topics._sweep_source(40).count("\n") < 4000
+
+    def test_invariants_catch_a_stale_word_cache(self, monkeypatch):
+        # the kernel with one cache refresh of the move block left out
+        source = topics._sweep_source(3).replace("hg[0] = x + beta\n", "pass\n", 1)
+        namespace = {}
+        exec(compile(source, "<stale sweep>", "exec"), namespace)
+        monkeypatch.setattr(topics, "_sweep_kernel", lambda k: namespace["sweep"])
+        docs = planted_corpus(0, docs_per_side=5)
+        with pytest.raises(AssertionError, match="cache row"):
+            fit_lda(docs, LdaConfig(k=3, iterations=4), check_invariants=True)
 
 
 class TestLogLikelihood:
