@@ -26,6 +26,9 @@ from .preprocess import TokenizedDoc, normalize, ranked
 log = logging.getLogger(__name__)
 
 DEFAULT_FALLBACK = "General Tourism"
+# per-category lengths of the category report's frequent-lemma and attraction lists
+REPORT_TOP_WORDS = 15
+REPORT_TOP_ATTRACTIONS = 3
 
 CITY = "city"
 ATTRACTION = "attraction"
@@ -227,22 +230,20 @@ class CategoryReport:
 def category_report(
     assignments: Mapping[str, str],
     docs: Sequence[TokenizedDoc],
+    rules: CategoryRules,
     mentions: Sequence[EntityMentions] = (),
-    rules: CategoryRules | None = None,
-    top_n_words: int = 15,
-    top_n_attractions: int = 3,
 ) -> CategoryReport:
     """Distribution plus per-category frequent lemmas and attractions.
 
     `assignments` maps tweet_id to category; docs (and mentions, if given)
-    must cover exactly the assigned tweets. Percentages sum to 100 within
-    rounding.
+    must cover exactly the assigned tweets. Categories follow the order of
+    `rules`, fallback last. Percentages sum to 100 within rounding.
     """
     if not assignments:
         raise DataError("no category assignments to report")
     counts: Counter = Counter(assignments.values())
     total = sum(counts.values())
-    names = rules.names() if rules is not None else sorted(counts)
+    names = rules.names()
     for name in counts:
         if name not in names:
             names.append(name)
@@ -266,8 +267,8 @@ def category_report(
 
     return CategoryReport(
         distribution=distribution,
-        top_words={name: ranked(words_by_cat[name], top_n_words) for name in names},
+        top_words={name: ranked(words_by_cat[name], REPORT_TOP_WORDS) for name in names},
         top_attractions={
-            name: ranked(attractions_by_cat[name], top_n_attractions) for name in names
+            name: ranked(attractions_by_cat[name], REPORT_TOP_ATTRACTIONS) for name in names
         },
     )

@@ -1,5 +1,7 @@
 """Pipeline configuration: a single YAML file plus CLI overrides.
 
+Each key a config file may set is declared once, as a `_setting` field of
+`PipelineConfig` that carries its dotted key, default, kind and bounds.
 Relative paths in the config resolve against the config file's directory.
 One global seed drives everything: per-stage seeds derive from it by
 hashing the stage name, so adding a stage never perturbs another stage's
@@ -9,7 +11,9 @@ randomness.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+import operator
+import sys
+from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -47,50 +51,60 @@ _RESOURCE_DEFAULTS = {
     "dictionary": "dictionary_default.csv",
 }
 
-# every key a config file may set, per section
-_SECTION_KEYS = {
-    "resources": tuple(_RESOURCE_DEFAULTS),
-    "explore": ("top_n",),
-    "filter": ("min_hits", "merge_mode"),
-    "topics": ("k", "alpha", "beta", "iterations", "max_rounds", "top_words", "overlap_threshold"),
-    "cluster": ("k_min", "k_max", "max_iters", "sample_size", "lda_refine"),
-    "graph": ("clique_cap",),
-    "metrics": ("top_k",),
-}
-_TOP_KEYS = ("input", "out", "format", "languages", "seed", "strict", *_SECTION_KEYS)
+
+def _setting(key: str, default, kind: type | None = None, choices: tuple = (), **bounds):
+    """A field that a config file sets under the dotted `key` ("topics.k").
+
+    `kind` is int, float (any finite number) or bool, and is the type of
+    `default` unless given; a key with `choices` accepts those values only.
+    `bounds` are inclusive `ge`/`le` and exclusive `gt` limits. null is
+    accepted only by the keys whose default is null.
+    """
+    section, _, name = key.rpartition(".")
+    meta = {
+        "key": key,
+        "section": section,
+        "name": name,
+        "kind": kind or type(default),
+        "choices": choices,
+        "bounds": bounds,
+    }
+    return field(default=default, metadata=meta)
 
 
 @dataclass
 class PipelineConfig:
     input: Path
     out: Path
-    format: str = "jsonl"
+    format: str = _setting("format", "jsonl", choices=("jsonl", "csv"))
     languages: tuple[str, ...] = ("en", "it")
     seed: int = 0
-    strict: bool = False
+    strict: bool = _setting("strict", False)
     interactive: bool = False
     resources: dict[str, Path] = field(default_factory=dict)
 
-    explore_top_n: int = 1000
-    filter_min_hits: int = 3
-    merge_mode: str = "union"
+    explore_top_n: int = _setting("explore.top_n", 1000, ge=1)
+    filter_min_hits: int = _setting("filter.min_hits", 3, ge=0)
+    merge_mode: str = _setting("filter.merge_mode", "union", choices=("union", "exclusive"))
 
-    lda_k: int = 3
-    lda_alpha: float | None = None
-    lda_beta: float = 0.01
-    lda_iterations: int = 1000
-    lda_max_rounds: int = 3
-    lda_top_words: int = 20
-    overlap_threshold: float = 0.3
+    lda_k: int = _setting("topics.k", 3, ge=2)
+    # null: 50/k
+    lda_alpha: float | None = _setting("topics.alpha", None, float, gt=0)
+    lda_beta: float = _setting("topics.beta", 0.01, gt=0)
+    lda_iterations: int = _setting("topics.iterations", 1000, ge=1)
+    lda_max_rounds: int = _setting("topics.max_rounds", 3, ge=0)
+    lda_top_words: int = _setting("topics.top_words", 20, ge=1)
+    overlap_threshold: float = _setting("topics.overlap_threshold", 0.3, ge=0, le=1)
 
-    cluster_k_min: int = 2
-    cluster_k_max: int = 12
-    cluster_max_iters: int = 100
-    cluster_sample_size: int | None = None
-    cluster_lda_refine: bool = True
+    cluster_k_min: int = _setting("cluster.k_min", 2, ge=2)
+    cluster_k_max: int = _setting("cluster.k_max", 12, ge=2)
+    cluster_max_iters: int = _setting("cluster.max_iters", 100, ge=1)
+    # null: exact silhouette over every row
+    cluster_sample_size: int | None = _setting("cluster.sample_size", None, int, ge=1)
+    cluster_lda_refine: bool = _setting("cluster.lda_refine", True)
 
-    graph_clique_cap: int = 50
-    metrics_top_k: int = 10
+    graph_clique_cap: int = _setting("graph.clique_cap", 50, ge=2)
+    metrics_top_k: int = _setting("metrics.top_k", 10, ge=1)
 
     def resource(self, key: str) -> Path:
         return self.resources[key]
@@ -119,6 +133,35 @@ def _resolve(base: Path, value: str) -> Path:
     return path if path.is_absolute() else (base / path).resolve()
 
 
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false"}
+_BOUNDS = {"ge": (">=", operator.ge), "gt": (">", operator.gt), "le": ("<=", operator.le)}
+
+
+def _checked(setting: Field, table: dict):
+    """The setting's value in its section's `table` (its default when absent),
+    as the setting's kind; a ConfigError naming its key if it is not allowed."""
+    meta = setting.metadata
+    key, kind = meta["key"], meta["kind"]
+    value = table.get(meta["name"], setting.default)
+    if value is None and setting.default is None:
+        return None
+    if meta["choices"]:
+        if value not in meta["choices"]:
+            raise ConfigError(f"{key} must be one of {', '.join(meta['choices'])}, got {value!r}")
+        return value
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:  # nan, inf, or too large
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    value = kind(value)
+    for bound, limit in meta["bounds"].items():
+        sign, holds = _BOUNDS[bound]
+        if not holds(value, limit):
+            raise ConfigError(f"{key} must be {sign} {limit}, got {value!r}")
+    return value
+
+
 def load_config(
     path: str | Path,
     input_override: str | None = None,
@@ -139,15 +182,22 @@ def load_config(
         raise ConfigError(f"config root must be a mapping: {path}")
     base = path.parent.resolve()
 
-    def section(name: str) -> dict:
-        value = raw.get(name, {}) or {}
-        if not isinstance(value, dict):
+    settings = [f for f in fields(PipelineConfig) if "key" in f.metadata]
+    sections = sorted({setting.metadata["section"] for setting in settings} - {""})
+    tables = {"": raw}
+    for name in (*sections, "resources"):
+        tables[name] = raw.get(name) or {}
+        if not isinstance(tables[name], dict):
             raise ConfigError(f"config section {name!r} must be a mapping")
-        return value
-
-    unknown = sorted(str(key) for key in raw if key not in _TOP_KEYS)
-    for name, keys in _SECTION_KEYS.items():
-        unknown += sorted(f"{name}.{key}" for key in section(name) if key not in keys)
+    known = {("", key) for key in ("input", "out", "languages", "seed", *sections, "resources")}
+    known.update((s.metadata["section"], s.metadata["name"]) for s in settings)
+    known.update(("resources", key) for key in _RESOURCE_DEFAULTS)
+    unknown = sorted(
+        f"{section}.{key}" if section else str(key)
+        for section, table in tables.items()
+        for key in table
+        if (section, key) not in known
+    )
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
@@ -158,32 +208,18 @@ def load_config(
     if not out_value:
         raise ConfigError("config needs an 'out' directory (or pass --out)")
 
-    languages = raw.get("languages", ["en", "it"])
-    if lang_override:
-        languages = [lang_override]
-    if not languages or any(lang not in ("en", "it") for lang in languages):
-        raise ConfigError(f"languages must be a subset of en/it, got {languages!r}")
+    languages = [lang_override] if lang_override else raw.get("languages", ["en", "it"])
+    if languages not in (["en"], ["it"], ["en", "it"], ["it", "en"]):
+        raise ConfigError(f"languages must be en, it or both, each once, got {languages!r}")
 
-    resources_raw = section("resources")
     resources = {}
-    for key in _RESOURCE_DEFAULTS:
-        if key in resources_raw:
-            resources[key] = _resolve(base, str(resources_raw[key]))
+    for key, name in _RESOURCE_DEFAULTS.items():
+        if key in tables["resources"]:
+            resources[key] = _resolve(base, str(tables["resources"][key]))
         else:
-            resources[key] = default_path(_RESOURCE_DEFAULTS[key])
+            resources[key] = default_path(name)
         if not resources[key].is_file():
             raise ConfigError(f"resource {key}: file not found: {resources[key]}")
-
-    def number(name: str, key: str, default, kind: type = int):
-        """section.key as a kind (int or float); None stays None."""
-        value = section(name).get(key, default)
-        if value is None:
-            return None
-        allowed = (int,) if kind is int else (int, float)
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            what = "an integer" if kind is int else "a number"
-            raise ConfigError(f"{name}.{key} must be {what}, got {value!r}")
-        return kind(value)
 
     seed = seed_override if seed_override is not None else raw.get("seed")
     if seed is None:
@@ -191,65 +227,18 @@ def load_config(
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
 
+    values = {s.name: _checked(s, tables[s.metadata["section"]]) for s in settings}
     config = PipelineConfig(
         input=_resolve(base, str(input_value)),
         out=_resolve(base, str(out_value)),
-        format=raw.get("format", "jsonl"),
         languages=tuple(languages),
         seed=seed,
-        strict=bool(raw.get("strict", False)),
         interactive=interactive,
         resources=resources,
-        explore_top_n=number("explore", "top_n", 1000),
-        filter_min_hits=number("filter", "min_hits", 3),
-        merge_mode=str(section("filter").get("merge_mode", "union")),
-        lda_k=number("topics", "k", 3),
-        lda_alpha=number("topics", "alpha", None, float),
-        lda_beta=number("topics", "beta", 0.01, float),
-        lda_iterations=number("topics", "iterations", 1000),
-        lda_max_rounds=number("topics", "max_rounds", 3),
-        lda_top_words=number("topics", "top_words", 20),
-        overlap_threshold=number("topics", "overlap_threshold", 0.3, float),
-        cluster_k_min=number("cluster", "k_min", 2),
-        cluster_k_max=number("cluster", "k_max", 12),
-        cluster_max_iters=number("cluster", "max_iters", 100),
-        cluster_sample_size=number("cluster", "sample_size", None),
-        cluster_lda_refine=bool(section("cluster").get("lda_refine", True)),
-        graph_clique_cap=number("graph", "clique_cap", 50),
-        metrics_top_k=number("metrics", "top_k", 10),
+        **values,
     )
-    _validate(config)
-    return config
-
-
-def _validate(config: PipelineConfig) -> None:
-    if config.format not in ("jsonl", "csv"):
-        raise ConfigError(f"format must be jsonl or csv, got {config.format!r}")
-    if config.merge_mode not in ("union", "exclusive"):
-        raise ConfigError(f"merge_mode must be union or exclusive, got {config.merge_mode!r}")
-    if config.lda_k < 2:
-        raise ConfigError("topics.k must be >= 2")
-    if config.lda_alpha is not None and config.lda_alpha <= 0:
-        raise ConfigError("topics.alpha must be > 0")
-    if config.lda_beta <= 0:
-        raise ConfigError("topics.beta must be > 0")
-    if config.lda_iterations < 1:
-        raise ConfigError("topics.iterations must be >= 1")
-    if config.lda_max_rounds < 0:
-        raise ConfigError("topics.max_rounds must be >= 0")
-    if not 0.0 <= config.overlap_threshold <= 1.0:
-        raise ConfigError("topics.overlap_threshold must be within [0, 1]")
-    if config.cluster_k_min < 2 or config.cluster_k_max < config.cluster_k_min:
-        raise ConfigError("cluster k range must satisfy 2 <= k_min <= k_max")
-    if config.cluster_max_iters < 1:
-        raise ConfigError("cluster.max_iters must be >= 1")
-    if config.cluster_sample_size is not None and config.cluster_sample_size < 1:
-        raise ConfigError("cluster.sample_size must be >= 1")
-    if config.filter_min_hits < 0:
-        raise ConfigError("filter.min_hits must be >= 0")
-    if config.graph_clique_cap < 2:
-        raise ConfigError("graph.clique_cap must be >= 2")
-    if config.metrics_top_k < 1:
-        raise ConfigError("metrics.top_k must be >= 1")
+    if config.cluster_k_max < config.cluster_k_min:
+        raise ConfigError("cluster k range must satisfy k_min <= k_max")
     if not config.input.is_file():
         raise ConfigError(f"input file not found: {config.input}")
+    return config

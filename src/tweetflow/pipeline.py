@@ -394,7 +394,7 @@ def stage_categorize(config: PipelineConfig, out: Out) -> dict:
             [[record.id, assignments[record.id]] for record in corpus.records],
         )
         write_jsonl(out(f"entities_{lang}.jsonl"), [asdict(m) for m in mentions])
-        report = categorize_mod.category_report(assignments, docs, mentions, rules)
+        report = categorize_mod.category_report(assignments, docs, rules, mentions)
         write_csv(
             out(f"category_distribution_{lang}.csv"),
             ["category", "count", "percent"],
@@ -435,7 +435,6 @@ def stage_sentiment(config: PipelineConfig, out: Out) -> dict:
             config.resource(f"sentiment_{lang}"),
             config.resource(f"boosters_{lang}"),
             config.resource(f"negators_{lang}"),
-            lang,
         )
         results = [
             sentiment_mod.score(

@@ -85,11 +85,9 @@ def load_sentiment_lexicon(
     valences_path: str | Path,
     boosters_path: str | Path,
     negators_path: str | Path,
-    language: str,
 ) -> SentimentLexicon:
     return SentimentLexicon(
         valences=load_valences(valences_path),
         boosters=load_boosters(boosters_path),
         negators=load_negators(negators_path),
-        language=language,
     )

@@ -15,14 +15,13 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import DataError
+from .preprocess import MENTION_RE, URL_RE
 
 NEGATION_SCALAR = -0.74
 BOOSTER_INCREMENT = 0.293
 NORMALIZATION_CONSTANT = 15.0
 MODIFIER_WINDOW = 3
 
-_URL_RE = re.compile(r"(?:https?://|www\.)\S+")
-_MENTION_RE = re.compile(r"@\w+")
 _KEEP_RE = re.compile(r"[^\w\s']")
 
 
@@ -31,7 +30,6 @@ class SentimentLexicon:
     valences: Mapping[str, float]   # token -> valence in [-4, 4]
     boosters: Mapping[str, float]   # token -> signed increment
     negators: frozenset[str]
-    language: str = "en"
 
 
 @dataclass(frozen=True)
@@ -45,27 +43,19 @@ def scoring_tokens(text: str) -> list[str]:
     """Tokenize raw text for scoring: casefold, strip URLs/mentions/'#',
     keep apostrophes so contractions like "don't" survive."""
     t = text.casefold()
-    t = _URL_RE.sub(" ", t)
-    t = _MENTION_RE.sub(" ", t)
+    t = URL_RE.sub(" ", t)
+    t = MENTION_RE.sub(" ", t)
     t = t.replace("#", "")
     t = _KEEP_RE.sub(" ", t)
     return [tok.strip("'") for tok in t.split() if tok.strip("'")]
 
 
-def score(
-    tokens: Sequence[str],
-    lexicon: SentimentLexicon,
-    tweet_id: str = "",
-    window: int = MODIFIER_WINDOW,
-    negation_scalar: float = NEGATION_SCALAR,
-    normalization: float = NORMALIZATION_CONSTANT,
-) -> SentimentResult:
+def score(tokens: Sequence[str], lexicon: SentimentLexicon, tweet_id: str = "") -> SentimentResult:
     """Score a token stream; compound is strictly inside (-1, 1).
 
     For each lexicon hit, boosters in the preceding window push the
     valence away from (or toward) zero along its own sign, then each
-    negator flips it scaled by 0.74. The modifier window and the two
-    scaling constants are overridable for calibration experiments.
+    negator flips it scaled by 0.74.
     """
     s = 0.0
     valences = lexicon.valences
@@ -75,16 +65,16 @@ def score(
         v = valences.get(tok)
         if v is None or v == 0.0:
             continue
-        preceding = tokens[max(0, i - window):i]
+        preceding = tokens[max(0, i - MODIFIER_WINDOW):i]
         for prev in preceding:
             inc = boosters.get(prev)
             if inc is not None and v != 0.0:
                 v += inc if v > 0 else -inc
         for prev in preceding:
             if prev in negators:
-                v *= negation_scalar
+                v *= NEGATION_SCALAR
         s += v
-    compound = s / math.sqrt(s * s + normalization)
+    compound = s / math.sqrt(s * s + NORMALIZATION_CONSTANT)
     label = "positive" if compound > 0 else "negative"
     return SentimentResult(tweet_id, compound, label)
 

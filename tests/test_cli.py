@@ -3,13 +3,14 @@ from __future__ import annotations
 import csv
 import json
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 import yaml
 
 from tweetflow.cli import main
-from tweetflow.config import STAGES, load_config
+from tweetflow.config import STAGES, PipelineConfig, load_config
 from tweetflow.errors import ConfigError
 from tweetflow.pipeline import run_all, run_stage
 
@@ -75,6 +76,43 @@ class TestConfig:
         )
         assert config.languages == ("it",)
 
+    def test_unset_keys_take_their_defaults(self, tmp_path, fixture_corpus_path):
+        path = tmp_path / "c.yaml"
+        path.write_text(
+            yaml.safe_dump({"input": str(fixture_corpus_path), "out": "out", "seed": 1}),
+            encoding="utf-8",
+        )
+        config = load_config(path)
+        settings = [f for f in fields(PipelineConfig) if "key" in f.metadata]
+        assert len(settings) == 19
+        for setting in settings:
+            assert getattr(config, setting.name) == setting.default, setting.metadata["key"]
+
+    def test_null_accepted_where_it_has_a_meaning(self, tmp_path, fixture_corpus_path):
+        path = make_config(
+            tmp_path,
+            fixture_corpus_path,
+            topics={"k": 3, "alpha": None},
+            cluster={"k_min": 2, "k_max": 3, "sample_size": None},
+        )
+        config = load_config(path)
+        assert config.lda_alpha is None
+        assert config.cluster_sample_size is None
+
+    def test_numbers_load_as_their_kind(self, tmp_path, fixture_corpus_path):
+        path = make_config(tmp_path, fixture_corpus_path, topics={"k": 3, "beta": 1}, strict=True)
+        config = load_config(path)
+        assert config.lda_beta == 1.0 and isinstance(config.lda_beta, float)
+        assert config.strict is True
+
+    def test_readme_lists_every_key_with_its_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        for setting in fields(PipelineConfig):
+            if "key" in setting.metadata:
+                default = yaml.safe_dump(setting.default).split("\n")[0]
+                row = f"| `{setting.metadata['key']}` | `{default}` |"
+                assert row in readme, row
+
     def test_unknown_resource_key_rejected(self, tmp_path, fixture_corpus_path):
         path = make_config(
             tmp_path, fixture_corpus_path, resources={"mystery": "x.txt"}
@@ -105,6 +143,23 @@ class TestConfigValues:
             ({"cluster": {"k_max": 3, "lda_refne": False}}, "cluster.lda_refne"),
             ({"resources": {"mystery": "x.txt"}}, "resources.mystery"),
             ({"metric": {"top_k": 5}}, "unknown config keys: metric"),
+            ({"strict": "false"}, "strict must be true or false"),
+            ({"cluster": {"k_max": 3, "lda_refine": "no"}}, "cluster.lda_refine must be true or"),
+            ({"topics": {"k": None}}, "topics.k must be an integer, got None"),
+            ({"metrics": {"top_k": None}}, "metrics.top_k must be an integer, got None"),
+            ({"explore": {"top_n": -5}}, "explore.top_n must be >= 1"),
+            ({"explore": {"top_n": 0}}, "explore.top_n must be >= 1"),
+            ({"topics": {"k": 3, "top_words": 0}}, "topics.top_words must be >= 1"),
+            ({"languages": ["en", "en"]}, "languages must be en, it or both, each once"),
+            ({"languages": "en"}, "languages must be"),
+            ({"graph": {"clique_cap": True}}, "graph.clique_cap must be an integer"),
+            ({"format": "xml"}, "format must be one of jsonl, csv"),
+            ({"filter": {"merge_mode": "both"}}, "filter.merge_mode must be one of union"),
+            ({"topics": {"k": 3, "overlap_threshold": 1.5}}, "topics.overlap_threshold must be <="),
+            ({"cluster": {"k_min": 4, "k_max": 3}}, "k_min <= k_max"),
+            ({"topics": {"k": 3}, "explore": None, "filter": ["x"]}, "section 'filter' must be a"),
+            ({"topics": {"k": 3, "beta": float("inf")}}, "topics.beta must be a finite number"),
+            ({"topics": {"k": 3, "alpha": 10**400}}, "topics.alpha must be a finite number"),
         ],
     )
     def test_bad_value_is_config_error(

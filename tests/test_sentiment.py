@@ -167,7 +167,6 @@ class TestLexiconFiles:
             default_path("sentiment_en.tsv"),
             default_path("boosters_en.txt"),
             default_path("negators_en.txt"),
-            "en",
         )
         assert lexicon.valences["beautiful"] > 0
         assert lexicon.valences["dirty"] < 0
