@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
+from .floats import _sum_left
 from .preprocess import TfIdfMatrix
 
 log = logging.getLogger(__name__)
@@ -44,7 +45,7 @@ class ClusterModel:
 
 
 def _normalized(row: dict[int, float]) -> dict[int, float]:
-    norm = math.sqrt(sum(w * w for w in row.values()))
+    norm = math.sqrt(_sum_left(w * w for w in row.values()))
     return {i: w / norm for i, w in row.items()} if norm > 0 else {}
 
 
@@ -64,7 +65,7 @@ def distinct_rows(matrix: TfIdfMatrix) -> int:
 
 
 def _sq_norms(rows: list[dict[int, float]]) -> np.ndarray:
-    return np.array([sum(w * w for w in row.values()) for row in rows], dtype=float)
+    return np.array([_sum_left(w * w for w in row.values()) for row in rows], dtype=float)
 
 
 def _padded(rows: list[dict[int, float]]) -> tuple[np.ndarray, np.ndarray]:
@@ -115,7 +116,7 @@ def _kmeanspp_init(
     chosen = [first]
     d_sq = _sq_dists_to_row(rows, sq, idx, val, v_size, first)
     for c in range(1, k):
-        total = sum(d_sq)
+        total = _sum_left(d_sq)
         if total <= 0.0:
             # all remaining points coincide with a centroid; spread over
             # the lowest-index unchosen rows
@@ -147,7 +148,10 @@ def kmeans(
 
     k may not exceed the distinct non-empty rows (`distinct_rows`). The
     diagnostics say whether the fit converged, i.e. stopped on unchanged
-    assignments rather than at max_iters.
+    assignments rather than at max_iters, and whether it cycled: the
+    assignments after an empty-cluster re-seed, which alone fix the next
+    centroids, repeated an earlier iteration's, so the rest of the run
+    would only replay the cycle and the fit stops there.
     """
     n = len(matrix.rows)
     rows = _normalized_rows(matrix)
@@ -171,7 +175,8 @@ def kmeans(
     assignments = [-1] * n
     wcss_history: list[float] = []
     n_iters = 0
-    converged = False
+    converged = cycled = False
+    seen: set[tuple[int, ...]] = set()  # post-re-seed assignments of every iteration
     for _ in range(max_iters):
         n_iters += 1
         c_sq = np.array([float(np.dot(centroids[c], centroids[c])) for c in range(k)])
@@ -215,10 +220,16 @@ def kmeans(
         for c in range(k):
             if counts[c] > 0:
                 centroids[c] /= counts[c]
+        state = tuple(assignments)
+        if state in seen:
+            cycled = True
+            break
+        seen.add(state)
 
-    return ClusterModel(
-        k, centroids, assignments, seed, n_iters, wcss_history, {"converged": converged}
-    )
+    diagnostics = {"converged": converged}
+    if cycled:
+        diagnostics["cycled"] = True
+    return ClusterModel(k, centroids, assignments, seed, n_iters, wcss_history, diagnostics)
 
 
 SILHOUETTE_BLOCK = 64  # query rows per Gram block

@@ -18,6 +18,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from .errors import DataError
+from .floats import _sum_left
 from .netmetrics import _adjacency
 
 log = logging.getLogger(__name__)
@@ -93,7 +94,7 @@ def label_propagation(graph, seed: int = 0) -> Partition:
     groups: dict[int, list[str]] = {}
     for node, lab in labels.items():
         groups.setdefault(lab, []).append(node)
-    q = modularity(graph, groups.values()) if any(adj.values()) else None
+    q = modularity(adj, groups.values()) if any(adj.values()) else None
     diagnostics = {
         "sweeps": sweep,
         "hit_sweep_cap": changed,
@@ -206,7 +207,7 @@ def greedy_modularity(graph) -> Partition:
     for r in range(len(names)):
         rescan(r)
     # singletons: no intra edges; summed in the graph's node order
-    best_q = current_q = sum(0.0 - (len(neigh) / m2) ** 2 for neigh in adj.values())
+    best_q = current_q = _sum_left(0.0 - (len(neigh) / m2) ** 2 for neigh in adj.values())
     merge_log: list[tuple[int, int]] = []
     best_merges = pops = 0
     while heap:
@@ -262,7 +263,7 @@ def choose_communities(partition: Partition) -> tuple[float, tuple[int, ...]]:
     if not sizes:
         raise DataError("partition has no communities")
     mean = sum(sizes) / len(sizes)
-    threshold = math.sqrt(sum((s - mean) ** 2 for s in sizes) / len(sizes))
+    threshold = math.sqrt(_sum_left((s - mean) ** 2 for s in sizes) / len(sizes))
     chosen = tuple(cid for cid, size in enumerate(sizes) if size > threshold)
     if not chosen:
         chosen = (0,)  # ids are ordered by descending size

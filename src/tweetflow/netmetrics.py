@@ -10,10 +10,10 @@ reach-scaled form
 where r is the number of nodes v can reach (itself included), which
 degrades gracefully to 0 for isolated nodes. Betweenness follows
 Brandes' dependency accumulation. Both BFS-based measures number the
-nodes in adjacency order: closeness walks integer neighbour lists,
-betweenness expands whole BFS levels over CSR arrays in numpy. Eigenvector
-centrality is power iteration with a self-damping fallback for bipartite
-oscillation.
+nodes in adjacency order: closeness runs every source's BFS at once over
+bit sets, betweenness expands whole BFS levels over CSR arrays in numpy.
+Eigenvector centrality is power iteration with a self-damping fallback
+for bipartite oscillation.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DataError
+from .floats import _sum_left
 
 log = logging.getLogger(__name__)
 
@@ -62,33 +63,47 @@ def _int_adjacency(adj: Mapping[str, Sequence[str]]) -> list[list[int]]:
 
 
 def closeness_centrality(graph) -> CentralityScores:
-    """Reach-scaled closeness per component; isolated nodes score 0."""
+    """Reach-scaled closeness per component; isolated nodes score 0.
+
+    One breadth-first search from every source at once, one bit per source
+    (Then et al., "The More the Merrier", PVLDB 2014). reached[v] has bit t
+    set once v has reached node t, and grew[v] holds the bits v gained at
+    the last level. v reaches t at depth d exactly when one of its
+    neighbours reached t at depth d - 1, so the OR of the neighbours' grew,
+    less reached[v], is the set of nodes at distance d from v. Their count
+    gives v's reach and distance total as the integers a BFS from v counts,
+    so the float expression gets the same bits. Each level costs one OR
+    per arc over n-bit ints; the three int lists take about 3 n^2 / 8 bytes.
+    """
     adj = _adjacency(graph)
     n = len(adj)
     if n < 2:
         raise DataError("closeness centrality needs at least 2 nodes")
     neighbors = _int_adjacency(adj)
+    reached = [1 << v for v in range(n)]
+    grew = reached[:]
+    reach, total = [1] * n, [0] * n
+    depth = 0
+    while True:
+        depth += 1
+        nxt = [0] * n
+        for v, neigh in enumerate(neighbors):
+            acc = 0
+            for w in neigh:
+                acc |= grew[w]
+            fresh = acc & ~reached[v]
+            if fresh:
+                reached[v] |= fresh
+                nxt[v] = fresh
+                count = fresh.bit_count()
+                reach[v] += count
+                total[v] += depth * count
+        if not any(nxt):
+            break
+        grew = nxt
     values = {}
-    for source, node in enumerate(adj):
-        seen = [False] * n
-        seen[source] = True
-        frontier = [source]
-        reach, total, depth = 1, 0, 0
-        while frontier:
-            depth += 1
-            nxt = []
-            for v in frontier:
-                for w in neighbors[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        nxt.append(w)
-            reach += len(nxt)
-            total += depth * len(nxt)
-            frontier = nxt
-        if reach > 1 and total > 0:
-            values[node] = ((reach - 1) / (n - 1)) * ((reach - 1) / total)
-        else:
-            values[node] = 0.0
+    for node, r, t in zip(adj, reach, total):
+        values[node] = ((r - 1) / (n - 1)) * ((r - 1) / t) if r > 1 and t > 0 else 0.0
     return CentralityScores("closeness", values, normalized=True)
 
 
@@ -204,7 +219,7 @@ def _power_iteration(
             for j in neigh:
                 acc += x[j]
             nxt[i] = acc
-        norm = sum(v * v for v in nxt) ** 0.5
+        norm = _sum_left(v * v for v in nxt) ** 0.5
         if norm == 0.0:
             return None, iteration
         nxt = [v / norm for v in nxt]

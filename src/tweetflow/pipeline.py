@@ -536,13 +536,14 @@ def stage_metrics(config: PipelineConfig, out: Out) -> dict:
             log.warning("metrics: %s has fewer than 2 nodes, skipping", network)
             counts[f"skipped_{network}"] = 1
             continue
+        adj = graph.adjacency()  # built once, shared by every measure
         scores = {
-            "betweenness": netmetrics.betweenness_centrality(graph, normalized=True),
-            "closeness": netmetrics.closeness_centrality(graph),
-            "degree": netmetrics.degree_centrality(graph),
+            "betweenness": netmetrics.betweenness_centrality(adj, normalized=True),
+            "closeness": netmetrics.closeness_centrality(adj),
+            "degree": netmetrics.degree_centrality(adj),
         }
         if graph.edges:
-            scores["eigenvector"] = netmetrics.eigenvector_centrality(graph)
+            scores["eigenvector"] = netmetrics.eigenvector_centrality(adj)
             counts[f"eigenvector_{network}"] = scores["eigenvector"].diagnostics
         else:
             log.warning("metrics: %s has no edges, skipping eigenvector", network)
@@ -572,8 +573,9 @@ def stage_communities(config: PipelineConfig, out: Out) -> dict:
             counts[f"skipped_{network}"] = 1
             continue
         seed = config.stage_seed(f"communities:{network}")
-        lpa = community.label_propagation(graph, seed)
-        greedy = community.greedy_modularity(graph)
+        adj = graph.adjacency()  # built once, shared by both detectors and the hubs
+        lpa = community.label_propagation(adj, seed)
+        greedy = community.greedy_modularity(adj)
         membership = {}
         for algorithm, partition in (
             ("label_propagation", lpa),
@@ -602,7 +604,7 @@ def stage_communities(config: PipelineConfig, out: Out) -> dict:
         groups = membership["greedy_modularity"]["communities"]
         for group_no, cid in enumerate(chosen, start=1):
             hub_rows.append(
-                [network, f"Group-{group_no}", community.hub_dominant(graph, groups[cid])]
+                [network, f"Group-{group_no}", community.hub_dominant(adj, groups[cid])]
             )
         write_json(out(f"membership_{lang}_{polarity}.json"), membership)
     write_csv(

@@ -15,6 +15,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import DataError
+from .floats import _sum_left
 from .preprocess import MENTION_RE, URL_RE
 
 NEGATION_SCALAR = -0.74
@@ -112,7 +113,7 @@ def aggregate(
         out[group] = GroupSentiment(
             group=group,
             count=n,
-            mean_compound=sum(r.compound for r in members) / n,
+            mean_compound=_sum_left(r.compound for r in members) / n,
             pct_positive=100.0 * n_pos / n,
             pct_negative=100.0 * (n - n_pos) / n,
         )

@@ -63,6 +63,7 @@ from dataclasses import dataclass
 
 from .corpus import Corpus
 from .errors import DataError, StageError
+from .floats import _sum_left
 from .preprocess import TokenizedDoc
 
 log = logging.getLogger(__name__)
@@ -315,7 +316,7 @@ def log_likelihood(model: LdaModel) -> float:
     total = 0.0
     for row, n in zip(model.topic_word_counts, model.topic_totals):
         total += math.lgamma(v_beta) - math.lgamma(n + v_beta)
-        total += sum(math.lgamma(c + beta) - lgamma_beta for c in row if c)
+        total += _sum_left(math.lgamma(c + beta) - lgamma_beta for c in row if c)
     return total
 
 

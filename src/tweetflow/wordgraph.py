@@ -17,6 +17,7 @@ from itertools import combinations
 
 from .categorize import EntityMentions
 from .errors import DataError
+from .floats import _sum_left
 from .preprocess import TokenizedDoc
 
 log = logging.getLogger(__name__)
@@ -166,7 +167,7 @@ def build_place_graph(
             name=place,
             kind=kind,
             mentions=mention_counts[place],
-            mean_sentiment=sum(compounds) / len(compounds) if compounds else None,
+            mean_sentiment=_sum_left(compounds) / len(compounds) if compounds else None,
         )
     graph = PlaceGraph(nodes, dict(sorted(edges.items())))
     _attach_place_metrics(graph)
@@ -184,8 +185,8 @@ def _attach_place_metrics(graph: PlaceGraph) -> None:
     for name, neighbors in adj.items():
         graph.nodes[name].degree = len(neighbors)
     if n >= 2:
-        dc = degree_centrality(graph)
-        cc = closeness_centrality(graph)
+        dc = degree_centrality(adj)
+        cc = closeness_centrality(adj)
         for name in graph.nodes:
             graph.nodes[name].degree_centrality = dc.values[name]
             graph.nodes[name].closeness = cc.values[name]

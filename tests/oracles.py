@@ -170,6 +170,17 @@ def real_size_graphs() -> list[tuple[str, object]]:
     ]
 
 
+def disconnected_word_graph() -> dict[str, list[str]]:
+    """The clique-union word graph beside a second, smaller clique union
+    (words "x...") and five isolated words "z0".."z4": several components
+    of different sizes, at the size of a real word graph."""
+    adj = dict(clique_union_graph(seed=7))
+    second = clique_union_graph(seed=8, docs=25, vocabulary=80)
+    adj.update({"x" + v[1:]: ["x" + w[1:] for w in neigh] for v, neigh in second.items()})
+    adj.update({f"z{i}": [] for i in range(5)})
+    return adj
+
+
 def is_connected(adj: dict[str, list[str]]) -> bool:
     nodes = list(adj)
     if not nodes:

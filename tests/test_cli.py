@@ -3,12 +3,14 @@ from __future__ import annotations
 import csv
 import json
 import shutil
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 import yaml
 
+from tweetflow import exports, wordgraph
 from tweetflow.cli import main
 from tweetflow.config import STAGES, PipelineConfig, load_config
 from tweetflow.errors import ConfigError
@@ -398,6 +400,30 @@ class TestStages:
                 largest = max(map(len, membership["label_propagation"]["communities"]))
                 assert lpa["largest_share"] == largest / nodes
                 assert lpa["hit_sweep_cap"] is False and lpa["sweeps"] >= 2
+
+    def test_metrics_and_communities_build_each_adjacency_once(
+        self, tmp_path, fixture_corpus_path, pipeline_out, monkeypatch
+    ):
+        shutil.copytree(pipeline_out.out, tmp_path / "out")
+        config = load_config(make_config(tmp_path, fixture_corpus_path))
+        graphs = [
+            exports.word_graph_from_json(path.read_text(encoding="utf-8"))
+            for path in sorted((config.out / "graph").glob("wordgraph_*.json"))
+        ]
+        assert len(graphs) == 4 and all(graph.edges for graph in graphs)
+        every_graph = Counter((tuple(g.nodes), tuple(g.edges)) for g in graphs)
+        built: Counter = Counter()
+        build = wordgraph.adjacency_from_edges
+
+        def counted(nodes, edges):
+            built[tuple(nodes), tuple(edges)] += 1
+            return build(nodes, edges)
+
+        monkeypatch.setattr(wordgraph, "adjacency_from_edges", counted)
+        for stage in ("metrics", "communities"):
+            built.clear()
+            run_stage(stage, config)
+            assert built == every_graph, stage
 
     def test_eigenvector_diagnostics_in_manifest(self, pipeline_out):
         manifest = json.loads((pipeline_out.out / "manifest.json").read_text())

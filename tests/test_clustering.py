@@ -180,6 +180,26 @@ class TestKmeans:
         rows = [{0: 1.0}, {0: 2.0}, {}, {0: 1.0, 1: 1.0}, {1: 2.0, 0: 2.0}, {1: 1.0}]
         assert distinct_rows(matrix_from_rows(rows, 2)) == 3
 
+    def test_reseed_cycle_stops_early(self):
+        # the three diagonal rows normalize alike only to the last bits, so
+        # they count apart; at k=4 two centroids tie on them, a cluster
+        # empties every iteration and its re-seed replays the same states
+        rows = [{0: 0.7, 1: 1.0}, {1: 1.1}, {0: 0.6, 1: 0.6},
+                {0: 1.1, 1: 1.1}, {0: 0.6, 1: 0.6}, {0: 0.2, 1: 0.2}]
+        matrix = matrix_from_rows(rows, 2)
+        assert distinct_rows(matrix) == 4
+        model = kmeans(matrix, 4, seed=0)
+        assert model.diagnostics == {"converged": False, "cycled": True}
+        assert model.n_iters < 100
+        # the run so far is the full run's prefix, and the full run only replays it
+        prefix = oracles.kmeans(matrix, 4, 0, max_iters=model.n_iters)
+        assert model.assignments == prefix.assignments
+        assert np.array_equal(model.centroids, prefix.centroids)
+        assert model.wcss_history == prefix.wcss_history
+        full = oracles.kmeans(matrix, 4, 0)
+        assert full.n_iters == 100
+        assert full.assignments == model.assignments
+
     def test_converged_flag(self):
         matrix = blob_matrix(3, 8, seed=2)
         model = kmeans(matrix, 3, seed=9)

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tweetflow.errors import DataError
 from tweetflow.netmetrics import (
@@ -20,6 +21,7 @@ import oracles
 from oracles import (
     brute_betweenness,
     dense_dominant_eigenvector,
+    disconnected_word_graph,
     is_connected,
     kernel_graphs,
     path_counts,
@@ -29,6 +31,7 @@ from oracles import (
 
 KERNEL_GRAPHS = kernel_graphs()
 REAL_SIZE_GRAPHS = real_size_graphs()
+DISCONNECTED = disconnected_word_graph()
 
 
 def over(graphs):
@@ -291,12 +294,32 @@ class TestOracleEquivalence:
             assert got == expected
             assert repr(got.values) == repr(expected.values)
 
-    @over_kernel_graphs
+    @over(KERNEL_GRAPHS + REAL_SIZE_GRAPHS + [("clique-union-disconnected", DISCONNECTED)])
     def test_closeness_identical(self, graph):
         expected = oracles.closeness_centrality(graph)
         got = closeness_centrality(graph)
         assert got == expected
         assert repr(got.values) == repr(expected.values)
+
+    def test_closeness_isolated_nodes_of_a_real_size_graph_score_zero(self):
+        values = closeness_centrality(DISCONNECTED).values
+        isolated = [v for v, neigh in DISCONNECTED.items() if not neigh]
+        assert isolated == [f"z{i}" for i in range(5)]
+        assert [values[v] for v in isolated] == [0.0] * 5
+        assert all(values[v] > 0.0 for v, neigh in DISCONNECTED.items() if neigh)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        p=st.sampled_from([0.01, 0.02, 0.04, 0.08]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_closeness_identical_on_sparse_random_graphs(self, n, p, seed):
+        # sparse G(n, p): many components, paths and isolated nodes
+        adj = random_graph(n, p, seed)
+        assert repr(closeness_centrality(adj).values) == repr(
+            oracles.closeness_centrality(adj).values
+        )
 
     def test_diamond_chain_path_counts_pass_2_53(self):
         # sigma passes 2**53 and rounds: the case where the order of its float sums matters
