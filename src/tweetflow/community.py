@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .errors import DataError
 from .floats import _sum_left
-from .netmetrics import _adjacency
+from .netmetrics import _adjacency, _int_adjacency
 
 log = logging.getLogger(__name__)
 
@@ -70,21 +70,25 @@ def label_propagation(graph, seed: int = 0) -> Partition:
     """
     adj = _adjacency(graph)
     nodes = list(adj)
+    # nodes by their index in `nodes`; shuffling the indices draws the same
+    # permutation as shuffling the names
+    neighbors = _int_adjacency(adj)
+    ids = list(range(len(nodes)))
     rng = random.Random(seed)
-    labels = {node: i for i, node in enumerate(nodes)}
+    labels = ids[:]
     for sweep in range(1, MAX_LPA_SWEEPS + 1):
-        order = nodes[:]
+        order = ids[:]
         rng.shuffle(order)
         changed = False
         for node in order:
-            neighbors = adj[node]
-            if not neighbors:
+            neigh = neighbors[node]
+            if not neigh:
                 continue
-            counts = Counter(labels[w] for w in neighbors)
+            counts = Counter(map(labels.__getitem__, neigh))
             top = max(counts.values())
-            candidates = sorted(lab for lab, c in counts.items() if c == top)
-            if labels[node] in candidates:
+            if counts.get(labels[node]) == top:
                 continue
+            candidates = sorted(lab for lab, c in counts.items() if c == top)
             labels[node] = candidates[rng.randrange(len(candidates))]
             changed = True
         if not changed:
@@ -92,7 +96,7 @@ def label_propagation(graph, seed: int = 0) -> Partition:
     else:
         log.warning("label propagation hit the sweep cap without settling")
     groups: dict[int, list[str]] = {}
-    for node, lab in labels.items():
+    for node, lab in zip(nodes, labels):
         groups.setdefault(lab, []).append(node)
     q = modularity(adj, groups.values()) if any(adj.values()) else None
     diagnostics = {
@@ -198,7 +202,12 @@ def greedy_modularity(graph) -> Partition:
         heapq.heappush(heap, (-g, r, c))
 
     def rescan(r: int) -> None:
-        top = max(((gain(r, c), -c) for c in links[r] if c > r), default=None)
+        # gain(r, c) inlined, same float operations in the same order
+        links_r, scale = links[r], 2.0 * (degree[r] / m2)
+        top = max(
+            ((links_r[c] / m - scale * (degree[c] / m2), -c) for c in links_r if c > r),
+            default=None,
+        )
         if top is None:
             best_to[r] = -1
         else:
@@ -275,14 +284,15 @@ def hub_dominant(graph, community: Iterable[str]) -> str:
 
     Degree centrality is computed on the induced subgraph, so external
     neighbors do not count; ties go to the lexicographically smallest
-    member. A single-node community is its own hub.
+    member. A single-node community is its own hub. Only the members'
+    neighbour lists are read, so a mapping is not copied.
     """
     member_set = set(community)
     if not member_set:
         raise DataError("community is empty")
     if len(member_set) == 1:
         return next(iter(member_set))
-    adj = _adjacency(graph)
+    adj = graph.adjacency() if hasattr(graph, "adjacency") else graph
     best_node, best_degree = None, -1
     for node in sorted(member_set):
         degree = sum(1 for w in adj.get(node, ()) if w in member_set)

@@ -6,9 +6,10 @@ modularity by the pairwise double sum, the dominant eigenvector from a
 dense eigendecomposition, exhaustive set-partition search, k-means and
 silhouette as plain loops over sparse dict rows, and Brandes betweenness,
 closeness and greedy modularity over per-node dicts with an all-pairs
-rescan on every merge, the collapsed Gibbs LDA sampler over int
-topic-major tables that decrements and re-increments every token, and
-the GraphML writers as an xml.etree.ElementTree tree.
+rescan on every merge, label propagation over node names, the collapsed
+Gibbs LDA sampler over int topic-major tables that decrements and
+re-increments every token, and the GraphML writers as an
+xml.etree.ElementTree tree.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from xml.etree import ElementTree as ET
 import numpy as np
 
 from tweetflow.clustering import ClusterModel
-from tweetflow.community import Partition, _canonical_partition
+from tweetflow.community import MAX_LPA_SWEEPS, Partition, _canonical_partition, modularity
 from tweetflow.errors import DataError
 from tweetflow.netmetrics import CentralityScores, _adjacency
 from tweetflow.preprocess import TfIdfMatrix, TokenizedDoc
@@ -489,7 +490,8 @@ def silhouette(
 
 
 # ---------------------------------------------------------------------------
-# betweenness, closeness and greedy modularity over per-node dicts
+# betweenness, closeness, greedy modularity and label propagation over
+# per-node dicts
 
 def _bfs_distances(adj, source: str) -> dict[str, int]:
     dist = {source: 0}
@@ -623,6 +625,41 @@ def greedy_modularity(graph) -> Partition:
             best_q = current_q
             best_groups = [set(g) for g in members.values()]
     return _canonical_partition(best_groups, best_q)
+
+
+def label_propagation(graph, seed: int = 0) -> Partition:
+    """Seeded asynchronous label propagation over node names and a label dict."""
+    adj = _adjacency(graph)
+    nodes = list(adj)
+    rng = random.Random(seed)
+    labels = {node: i for i, node in enumerate(nodes)}
+    for sweep in range(1, MAX_LPA_SWEEPS + 1):
+        order = nodes[:]
+        rng.shuffle(order)
+        changed = False
+        for node in order:
+            neighbors = adj[node]
+            if not neighbors:
+                continue
+            counts = Counter(labels[w] for w in neighbors)
+            top = max(counts.values())
+            candidates = sorted(lab for lab, c in counts.items() if c == top)
+            if labels[node] in candidates:
+                continue
+            labels[node] = candidates[rng.randrange(len(candidates))]
+            changed = True
+        if not changed:
+            break
+    groups: dict[int, list[str]] = {}
+    for node, lab in labels.items():
+        groups.setdefault(lab, []).append(node)
+    q = modularity(adj, groups.values()) if any(adj.values()) else None
+    diagnostics = {
+        "sweeps": sweep,
+        "hit_sweep_cap": changed,
+        "largest_share": max(map(len, groups.values())) / len(nodes) if nodes else 0.0,
+    }
+    return _canonical_partition(groups.values(), q, diagnostics)
 
 
 # ---------------------------------------------------------------------------

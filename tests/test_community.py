@@ -284,6 +284,15 @@ class TestHubDominant:
         with pytest.raises(DataError):
             hub_dominant(k4, [])
 
+    def test_graph_object_and_its_mapping_agree(self):
+        adj = dict(REAL_SIZE_GRAPHS)["clique-union"]
+        graph = oracles.AdjacencyView(adj)
+        members = sorted(adj)[::7]
+        assert hub_dominant(graph, members) == hub_dominant(adj, members)
+        assert hub_dominant(adj, members) == max(
+            members, key=lambda v: (sum(w in members for w in adj[v]), -members.index(v))
+        )
+
 
 class TestPartitionCanonicalOrder:
     def test_ids_by_descending_size_then_smallest_member(self):
@@ -299,7 +308,8 @@ class TestPartitionCanonicalOrder:
 
 
 class TestOracleEquivalence:
-    """The row-best greedy modularity against the all-pairs rescan in
+    """The row-best greedy modularity against the all-pairs rescan, and label
+    propagation over node indices against the loop over node names, in
     tests/oracles.py: the same partition, in the same order, with the same Q."""
 
     @over(KERNEL_GRAPHS + REAL_SIZE_GRAPHS)
@@ -314,6 +324,16 @@ class TestOracleEquivalence:
         assert got == expected
         assert list(got.assignment.items()) == list(expected.assignment.items())
         assert repr(got.modularity) == repr(expected.modularity)
+
+    @over(KERNEL_GRAPHS + REAL_SIZE_GRAPHS)
+    def test_label_propagation_identical(self, graph):
+        for seed in (0, 7, 12345):
+            expected = oracles.label_propagation(graph, seed)
+            got = label_propagation(graph, seed)
+            assert got == expected
+            assert list(got.assignment.items()) == list(expected.assignment.items())
+            assert repr(got.modularity) == repr(expected.modularity)
+            assert repr(got.diagnostics) == repr(expected.diagnostics)
 
 
 class TestNetworkxCrossCheck:

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tweetflow import netmetrics
 from tweetflow.errors import DataError
 from tweetflow.netmetrics import (
     _adjacency,
@@ -286,13 +287,62 @@ class TestOracleEquivalence:
     """The integer-indexed kernels against the per-node dict loops in
     tests/oracles.py: same keys in the same order, same float bits."""
 
-    @over(KERNEL_GRAPHS + REAL_SIZE_GRAPHS)
+    @over(KERNEL_GRAPHS + REAL_SIZE_GRAPHS + [("clique-union-disconnected", DISCONNECTED)])
     def test_betweenness_identical(self, graph):
         for normalized in (False, True):
             expected = oracles.betweenness_centrality(graph, normalized)
             got = betweenness_centrality(graph, normalized)
             assert got == expected
             assert repr(got.values) == repr(expected.values)
+
+    @pytest.mark.parametrize("entries", [1, 1 << 40], ids=["one-source", "all-sources"])
+    @over(KERNEL_GRAPHS + REAL_SIZE_GRAPHS + [("clique-union-disconnected", DISCONNECTED)])
+    def test_betweenness_identical_at_any_batch_size(self, graph, entries, monkeypatch):
+        # one source per batch, and every source in one batch
+        monkeypatch.setattr(netmetrics, "_BATCH_ENTRIES", entries)
+        expected = oracles.betweenness_centrality(graph)
+        assert repr(betweenness_centrality(graph).values) == repr(expected.values)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        p=st.floats(0.02, 0.7),
+        shuffled=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_betweenness_identical_on_random_graphs(self, n, p, shuffled, seed):
+        # sparse graphs expand every level top-down, dense ones switch to
+        # bottom-up; a shuffled node order gives neighbour lists in any order
+        adj = random_graph(n, p, seed)
+        graph = adj
+        if shuffled:
+            order = list(adj)
+            random.Random(seed).shuffle(order)
+            graph = oracles.AdjacencyView({v: adj[v] for v in order})
+        assert repr(betweenness_centrality(graph).values) == repr(
+            oracles.betweenness_centrality(graph).values
+        )
+
+    @pytest.mark.parametrize("adj", [
+        {"a": ["b"], "b": ["a"]},
+        {"a": [], "b": [], "c": []},
+        {"a": ["b"], "b": ["a", "c"], "c": ["b"], "y": [], "z": []},
+        {"a": []},
+        {},
+    ], ids=["single-edge", "no-edges", "isolated-sources", "single-node", "empty"])
+    def test_betweenness_edge_cases(self, adj):
+        for normalized in (False, True):
+            expected = oracles.betweenness_centrality(adj, normalized)
+            got = betweenness_centrality(adj, normalized)
+            assert repr(got.values) == repr(expected.values)
+            assert all(value == 0.0 for node, value in got.values.items() if node != "b")
+
+    def test_betweenness_of_arcs_without_twins(self):
+        # a mapping that is not symmetric is searched top-down only, along its arcs
+        adj = {"a": ["b", "c"], "b": ["d"], "c": ["d"], "d": ["e"], "e": []}
+        expected = oracles.betweenness_centrality(adj)
+        assert repr(betweenness_centrality(adj).values) == repr(expected.values)
+        assert expected.values["d"] == 1.5
 
     @over(KERNEL_GRAPHS + REAL_SIZE_GRAPHS + [("clique-union-disconnected", DISCONNECTED)])
     def test_closeness_identical(self, graph):
