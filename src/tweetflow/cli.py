@@ -4,7 +4,7 @@
               [--seed N] [--lang en|it] [--interactive]
 
 `all` runs every stage in order. Exit codes: 0 success, 1 configuration
-error, 2 data error, 3 stage failure.
+or usage error, 2 data error, 3 stage failure.
 """
 
 from __future__ import annotations
@@ -25,8 +25,16 @@ EXIT_STAGE = 3
 __all__ = ["main"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits EXIT_CONFIG on a usage error, not argparse's 2: 2 means a data error."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tweetflow",
         description="Deterministic tweet-corpus mining pipeline",
     )

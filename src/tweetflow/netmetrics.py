@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import DataError
 from .floats import _sum_left
+from .wordgraph import _adjacency, _int_adjacency
 
 log = logging.getLogger(__name__)
 
@@ -41,12 +42,6 @@ class CentralityScores:
     diagnostics: dict | None = field(default=None, compare=False)
 
 
-def _adjacency(graph) -> dict[str, list[str]]:
-    if hasattr(graph, "adjacency"):
-        return graph.adjacency()
-    return {node: sorted(neigh) for node, neigh in sorted(graph.items())}
-
-
 def degree_centrality(graph) -> CentralityScores:
     """Unweighted neighbor count scaled by N-1."""
     adj = _adjacency(graph)
@@ -55,12 +50,6 @@ def degree_centrality(graph) -> CentralityScores:
         raise DataError("degree centrality needs at least 2 nodes")
     values = {node: len(neigh) / (n - 1) for node, neigh in adj.items()}
     return CentralityScores("degree", values, normalized=True)
-
-
-def _int_adjacency(adj: Mapping[str, Sequence[str]]) -> list[list[int]]:
-    """Neighbour lists as node indices, numbering nodes in `adj` order."""
-    index = {node: i for i, node in enumerate(adj)}
-    return [[index[w] for w in neigh] for neigh in adj.values()]
 
 
 def closeness_centrality(graph) -> CentralityScores:

@@ -22,6 +22,7 @@ Stage map:
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import resource
@@ -34,11 +35,9 @@ from typing import TypeVar
 
 from . import (
     categorize as categorize_mod,
-    clustering,
     community,
     domainfilter,
     exports,
-    netmetrics,
     preprocess,
     resources,
     sentiment as sentiment_mod,
@@ -153,6 +152,19 @@ def _load_scores(path: Path) -> dict[str, tuple[float, str]]:
             raise ValueError(f"tweet {tweet_id!r}: label {label!r} is not one of {POLARITIES}")
         scores[tweet_id] = (float(compound), label)
     return scores
+
+
+def _csv_table_text(path: Path) -> str:
+    """The text of a CSV that write_csv wrote whole: it ends in a newline and
+    each row is as wide as the header. ValueError otherwise."""
+    text = path.read_text(encoding="utf-8")
+    if not text.endswith("\n"):
+        raise ValueError("no newline at the end: the file was cut short")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    for number, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"row {number} has {len(row)} fields, the header {len(rows[0])}")
+    return text
 
 
 def _load_entities(path: Path) -> list[categorize_mod.EntityMentions]:
@@ -273,6 +285,8 @@ def stage_topics(config: PipelineConfig, out: Out) -> dict:
 
 
 def stage_cluster(config: PipelineConfig, out: Out) -> dict:
+    from . import clustering  # loads numpy: imported only by the stages that need it
+
     dictionary = domainfilter.load_dictionary(config.resource("dictionary"))
     # a cluster is on-domain by the topic rule, applied to its 10 most frequent lemmas
     select_tourism = topics_mod.dictionary_selector(
@@ -529,6 +543,8 @@ MEASURES = ("betweenness", "closeness", "degree", "eigenvector")
 
 
 def stage_metrics(config: PipelineConfig, out: Out) -> dict:
+    from . import netmetrics  # loads numpy: imported only by the stages that need it
+
     counts = {}
     rows: dict[str, list[list]] = {measure: [] for measure in MEASURES}
     for lang, polarity, network, graph in _word_graphs(config):
@@ -644,7 +660,7 @@ def stage_report(config: PipelineConfig, out: Out) -> dict:
     for lang in config.languages:
         to_copy.extend(rel.format(lang=lang) for rel in REPORT_COPIES)
     for rel in to_copy:
-        text = _read(config, rel, lambda path: path.read_text(encoding="utf-8"))
+        text = _read(config, rel, _csv_table_text)
         atomic_write_text(out(Path(rel).name), text)
 
     for lang in config.languages:

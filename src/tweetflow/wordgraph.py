@@ -80,6 +80,19 @@ def adjacency_from_edges(
     return {node: sorted(neigh) for node, neigh in sorted(adj.items())}
 
 
+def _adjacency(graph) -> dict[str, list[str]]:
+    """The sorted adjacency of a graph object or of a node -> neighbours mapping."""
+    if hasattr(graph, "adjacency"):
+        return graph.adjacency()
+    return {node: sorted(neigh) for node, neigh in sorted(graph.items())}
+
+
+def _int_adjacency(adj: Mapping[str, Sequence[str]]) -> list[list[int]]:
+    """Neighbour lists as node indices, numbering nodes in `adj` order."""
+    index = {node: i for i, node in enumerate(adj)}
+    return [[index[w] for w in neigh] for neigh in adj.values()]
+
+
 def _capped_lemmas(doc: TokenizedDoc, cap: int) -> list[str]:
     distinct = sorted(set(doc.lemmas))
     if len(distinct) <= cap:
@@ -175,7 +188,7 @@ def build_place_graph(
 
 
 def _attach_place_metrics(graph: PlaceGraph) -> None:
-    # local import: netmetrics has no dependency back on this module
+    # local import: netmetrics imports this module, and it loads numpy
     from .netmetrics import closeness_centrality, degree_centrality
 
     adj = graph.adjacency()

@@ -14,7 +14,7 @@ from tweetflow import exports, wordgraph
 from tweetflow.cli import main
 from tweetflow.config import STAGES, PipelineConfig, load_config
 from tweetflow.errors import ConfigError
-from tweetflow.pipeline import run_all, run_stage
+from tweetflow.pipeline import REPORT_COPIES, REPORT_COPIES_GLOBAL, run_all, run_stage
 
 
 def make_config(tmp_path, corpus_path, **overrides) -> Path:
@@ -186,13 +186,44 @@ class TestExitCodes:
 
     def test_unknown_stage_rejected_by_parser(self, tmp_path, fixture_corpus_path):
         config_path = make_config(tmp_path, fixture_corpus_path)
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_info:
             main(["transmogrify", "--config", str(config_path)])
+        assert exit_info.value.code == 1
 
     def test_threads_flag_is_gone(self, tmp_path, fixture_corpus_path):
         config_path = make_config(tmp_path, fixture_corpus_path)
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_info:
             main(["ingest", "--config", str(config_path), "--threads", "1"])
+        assert exit_info.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ingest"], "the following arguments are required: --config"),
+            (
+                ["ingest", "--config", "{config}", "--seed", "abc"],
+                "argument --seed: invalid int value: 'abc'",
+            ),
+            (
+                ["ingest", "--config", "{config}", "--lang", "fr"],
+                "argument --lang: invalid choice: 'fr'",
+            ),
+        ],
+    )
+    def test_usage_error_is_1_with_message(
+        self, tmp_path, fixture_corpus_path, capsys, argv, message
+    ):
+        config_path = make_config(tmp_path, fixture_corpus_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main([arg.format(config=config_path) for arg in argv])
+        assert exit_info.value.code == 1
+        assert message in capsys.readouterr().err
+
+    def test_help_is_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert "usage: tweetflow" in capsys.readouterr().out
 
     def test_unexpected_failure_is_stage_error_3(
         self, tmp_path, fixture_corpus_path, monkeypatch, caplog
@@ -251,6 +282,42 @@ class TestCorruptUpstream:
         config_path = make_config(tmp_path, fixture_corpus_path)
         assert main([stage, "--config", str(config_path)]) == 2
         assert f"malformed upstream output {rel}" in caplog.text
+
+    def test_truncated_report_copy_is_data_error(
+        self, tmp_path, fixture_corpus_path, pipeline_out, caplog
+    ):
+        shutil.copytree(pipeline_out.out, tmp_path / "out")
+        config_path = make_config(tmp_path, fixture_corpus_path)
+        copied = list(REPORT_COPIES_GLOBAL) + [
+            rel.format(lang=lang) for lang in ("en", "it") for rel in REPORT_COPIES
+        ]
+        assert len(copied) == 19
+        for rel in copied:
+            path = tmp_path / "out" / rel
+            intact = path.read_bytes()
+            path.write_bytes(intact[:-7])
+            caplog.clear()
+            assert main(["report", "--config", str(config_path)]) == 2, rel
+            assert f"malformed upstream output {rel}" in caplog.text
+            path.write_bytes(intact)
+        assert main(["report", "--config", str(config_path)]) == 0
+        for path in sorted((pipeline_out.out / "report").iterdir()):
+            assert (tmp_path / "out" / "report" / path.name).read_bytes() == path.read_bytes()
+
+    def test_short_row_in_report_copy_is_data_error(
+        self, tmp_path, fixture_corpus_path, pipeline_out, caplog
+    ):
+        shutil.copytree(pipeline_out.out, tmp_path / "out")
+        path = tmp_path / "out" / "metrics" / "centrality_degree.csv"
+        path.write_text(
+            _edit_csv_row(lambda r: r[:1])(path.read_text(encoding="utf-8")), encoding="utf-8"
+        )
+        config_path = make_config(tmp_path, fixture_corpus_path)
+        assert main(["report", "--config", str(config_path)]) == 2
+        assert (
+            "malformed upstream output metrics/centrality_degree.csv: "
+            "ValueError: row 2 has 1 fields, the header 6"
+        ) in caplog.text
 
     def test_unscored_tweet_is_data_error(
         self, tmp_path, fixture_corpus_path, pipeline_out, caplog

@@ -1,18 +1,32 @@
 """Modules that import without numpy or PyYAML, so they can be run and
-compared on interpreters that have neither installed."""
+compared on interpreters that have neither installed; and the stage
+commands that never load numpy."""
 
 from __future__ import annotations
 
+import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import yaml
+
+from tweetflow.config import load_config
+from tweetflow.pipeline import run_all
+from tweetflow.storage import sha256_file
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 NUMPY_FREE = (
     "corpus", "preprocess", "resources", "domainfilter", "topics",
-    "sentiment", "categorize", "wordgraph", "exports", "storage",
+    "sentiment", "categorize", "wordgraph", "exports", "storage", "community",
 )
+NUMPY_FREE_STAGES = (
+    "ingest", "explore", "filter", "topics", "categorize", "sentiment", "communities", "report",
+)
+NUMPY_STAGES = ("cluster", "graph", "metrics")
 
 
 def test_numpy_free_modules_import_with_numpy_and_yaml_blocked():
@@ -43,3 +57,44 @@ def test_blocking_numpy_is_seen():
     )
     assert result.returncode != 0
     assert "ImportError" in result.stderr or "ModuleNotFoundError" in result.stderr
+
+
+def _main_with_numpy_blocked(stages, config_path: Path) -> tuple[dict, str]:
+    """Run each stage through the CLI's main, in one process where `import
+    numpy` fails; returns the exit codes by stage and the process's stderr."""
+    code = "\n".join([
+        "import json, sys",
+        f"sys.path.insert(0, {str(SRC)!r})",
+        'sys.modules["numpy"] = None',
+        "from tweetflow.cli import main",
+        f"stages = {tuple(stages)!r}",
+        f"codes = [main([stage, '--config', {str(config_path)!r}]) for stage in stages]",
+        "print(json.dumps(dict(zip(stages, codes))))",
+    ])
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout), result.stderr
+
+
+def test_numpy_free_stage_commands_rerun_with_numpy_blocked(tmp_path, fixture_config_path):
+    config = load_config(fixture_config_path, out_override=str(tmp_path / "out"))
+    run_all(config)
+    golden = json.loads((FIXTURES / "golden_checksums.json").read_text(encoding="utf-8"))
+    config_path = tmp_path / "pipeline.yaml"
+    payload = yaml.safe_load(fixture_config_path.read_text(encoding="utf-8"))
+    payload.update(input=str(FIXTURES / payload["input"]), out=str(config.out))
+    config_path.write_text(yaml.safe_dump(payload), encoding="utf-8")
+    # the reruns must write every file of these stages again
+    for stage in NUMPY_FREE_STAGES:
+        shutil.rmtree(config.out / stage)
+
+    codes, _ = _main_with_numpy_blocked(NUMPY_FREE_STAGES, config_path)
+    assert codes == dict.fromkeys(NUMPY_FREE_STAGES, 0)
+    assert {rel: sha256_file(config.out / rel) for rel in golden} == golden
+
+    codes, stderr = _main_with_numpy_blocked(NUMPY_STAGES, config_path)
+    assert codes == dict.fromkeys(NUMPY_STAGES, 3)
+    for stage in NUMPY_STAGES:
+        assert f"stage failure: stage {stage} failed: ModuleNotFoundError: import of numpy" in stderr
