@@ -98,19 +98,30 @@ def load_category_rules(path: str | Path) -> CategoryRules:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"category rules file not found: {path}")
-    raw = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path.name} line {exc.lineno}: invalid JSON ({exc.msg})") from None
     categories = []
     seen = set()
-    for entry in raw.get("categories", []):
+    for number, entry in enumerate(raw.get("categories", []), start=1):
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise DataError(f"{path.name}: category {number} has no name")
         name = entry["name"]
         if name in seen:
-            raise DataError(f"duplicate category name {name!r}")
+            raise DataError(f"{path.name}: duplicate category name {name!r}")
         seen.add(name)
+        try:
+            regexes = tuple(re.compile(p) for p in entry.get("regexes", []))
+        except re.error as exc:
+            raise DataError(
+                f"{path.name}: category {name!r}: bad regex {exc.pattern!r} ({exc})"
+            ) from None
         categories.append(
             CategoryRule(
                 name=name,
                 keywords=frozenset(k.casefold() for k in entry.get("keywords", [])),
-                regexes=tuple(re.compile(p) for p in entry.get("regexes", [])),
+                regexes=regexes,
             )
         )
     return CategoryRules(tuple(categories), raw.get("fallback", DEFAULT_FALLBACK))
@@ -136,15 +147,14 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
                 raise DataError(f"{path.name} line {line_no}: bad kind {kind!r}")
             seen.add(name)
             aliases = tuple(a for a in (row.get("aliases") or "").split("|") if a)
-            places.append(
-                Place(
-                    name=name,
-                    kind=kind,
-                    aliases=aliases,
-                    lat=float(row["lat"]),
-                    lon=float(row["lon"]),
-                )
-            )
+            try:
+                lat, lon = float(row["lat"]), float(row["lon"])
+            except (KeyError, TypeError, ValueError):
+                raise DataError(
+                    f"{path.name} line {line_no}: bad lat/lon "
+                    f"{row.get('lat')!r}, {row.get('lon')!r}"
+                ) from None
+            places.append(Place(name=name, kind=kind, aliases=aliases, lat=lat, lon=lon))
     return Gazetteer(tuple(places))
 
 

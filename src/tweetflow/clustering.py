@@ -37,7 +37,6 @@ class ClusterModel:
     k: int
     centroids: np.ndarray          # k x V dense
     assignments: list[int]
-    seed: int
     n_iters: int
     wcss_history: list[float]      # within-cluster sum of squares per Lloyd iteration
     # the fit's own run statistics, for the manifest; not part of the result
@@ -229,7 +228,7 @@ def kmeans(
     diagnostics = {"converged": converged}
     if cycled:
         diagnostics["cycled"] = True
-    return ClusterModel(k, centroids, assignments, seed, n_iters, wcss_history, diagnostics)
+    return ClusterModel(k, centroids, assignments, n_iters, wcss_history, diagnostics)
 
 
 SILHOUETTE_BLOCK = 64  # query rows per Gram block

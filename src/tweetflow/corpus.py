@@ -45,7 +45,6 @@ class TweetRecord:
 @dataclass(frozen=True)
 class Corpus:
     records: tuple[TweetRecord, ...]
-    lang_filter: str | None = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -57,9 +56,11 @@ class Corpus:
         return [r.id for r in self.records]
 
 
-def _parse_created_at(value: str | None, line_no: int) -> datetime | None:
-    if not value:
+def _parse_created_at(value, line_no: int) -> datetime | None:
+    if value is None or value == "":
         return None
+    if not isinstance(value, str):
+        raise DataError(f"line {line_no}: created_at must be a string or null, not {value!r}")
     try:
         # fromisoformat in 3.10 does not accept a trailing 'Z'
         return datetime.fromisoformat(value.replace("Z", "+00:00"))
@@ -86,8 +87,10 @@ def _make_record(row: dict, line_no: int) -> TweetRecord:
     hashtags_raw = row.get("hashtags")
     if hashtags_raw is None:
         hashtags = tuple(extract_hashtags(text))
-    else:
+    elif isinstance(hashtags_raw, list):
         hashtags = _clean_hashtags(hashtags_raw)
+    else:
+        raise DataError(f"line {line_no}: hashtags must be a list, not {hashtags_raw!r}")
     return TweetRecord(
         id=tweet_id,
         text=text,
@@ -183,7 +186,7 @@ def dedup(corpus: Corpus) -> Corpus:
             continue
         seen.add(key)
         kept.append(record)
-    return Corpus(tuple(kept), corpus.lang_filter)
+    return Corpus(tuple(kept))
 
 
 def filter_language(corpus: Corpus, lang: str) -> Corpus:
@@ -197,7 +200,7 @@ def filter_language(corpus: Corpus, lang: str) -> Corpus:
         len(kept),
         len(corpus.records) - len(kept),
     )
-    return Corpus(kept, lang)
+    return Corpus(kept)
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> int:

@@ -31,7 +31,6 @@ NOT_TOURISM = "NotTourism"
 class ExplorationReport:
     top_words: tuple[tuple[str, int], ...]
     top_hashtags: tuple[tuple[str, int], ...]
-    n: int
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ def explore(corpus: Corpus, docs: Sequence[TokenizedDoc], n: int = 1000) -> Expl
     hashtags: Counter = Counter()
     for record in corpus.records:
         hashtags.update(record.hashtags)
-    return ExplorationReport(ranked(words, n), ranked(hashtags, n), n)
+    return ExplorationReport(ranked(words, n), ranked(hashtags, n))
 
 
 def write_label_file(path: str | Path, ranked: Sequence[tuple[str, int]]) -> int:
@@ -92,7 +91,12 @@ def load_dictionary(path: str | Path) -> TermDictionary:
                 continue
             if label not in (TOURISM, NOT_TOURISM):
                 raise DataError(f"{path.name} line {line_no}: unknown label {label!r}")
-            freq = int(row.get("frequency") or 0)
+            try:
+                freq = int(row.get("frequency") or 0)
+            except ValueError:
+                raise DataError(
+                    f"{path.name} line {line_no}: bad frequency {row['frequency']!r}"
+                ) from None
             if term in entries:
                 if entries[term][0] != label:
                     raise DataError(
@@ -126,7 +130,7 @@ def match_strings(
         hits = sum(1 for lem in doc.lemmas if lem in tourism)
         if hits >= min_hits:
             kept.append(record)
-    return Corpus(tuple(kept), corpus.lang_filter)
+    return Corpus(tuple(kept))
 
 
 def merge_results(a: Corpus, b: Corpus, mode: str = "union") -> Corpus:
@@ -150,4 +154,4 @@ def merge_results(a: Corpus, b: Corpus, mode: str = "union") -> Corpus:
     else:
         merged = [r for r in a.records if r.id not in b_ids]
         merged.extend(r for r in b.records if r.id not in a_by_id)
-    return Corpus(tuple(merged), a.lang_filter)
+    return Corpus(tuple(merged))

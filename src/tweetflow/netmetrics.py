@@ -20,7 +20,6 @@ for bipartite oscillation.
 from __future__ import annotations
 
 import logging
-from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -35,9 +34,7 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class CentralityScores:
-    measure: str
     values: dict[str, float]
-    normalized: bool
     # the measure's own run statistics, for the manifest; not part of the result
     diagnostics: dict | None = field(default=None, compare=False)
 
@@ -49,7 +46,7 @@ def degree_centrality(graph) -> CentralityScores:
     if n < 2:
         raise DataError("degree centrality needs at least 2 nodes")
     values = {node: len(neigh) / (n - 1) for node, neigh in adj.items()}
-    return CentralityScores("degree", values, normalized=True)
+    return CentralityScores(values)
 
 
 def closeness_centrality(graph) -> CentralityScores:
@@ -94,7 +91,7 @@ def closeness_centrality(graph) -> CentralityScores:
     values = {}
     for node, r, t in zip(adj, reach, total):
         values[node] = ((r - 1) / (n - 1)) * ((r - 1) / t) if r > 1 and t > 0 else 0.0
-    return CentralityScores("closeness", values, normalized=True)
+    return CentralityScores(values)
 
 
 def _csr(neighbors: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -262,9 +259,7 @@ def betweenness_centrality(graph, normalized: bool = False) -> CentralityScores:
     centrality /= 2.0
     if normalized and n > 2:
         centrality *= 2.0 / ((n - 1) * (n - 2))
-    return CentralityScores(
-        "betweenness", dict(sorted(zip(nodes, centrality.tolist()))), normalized
-    )
+    return CentralityScores(dict(sorted(zip(nodes, centrality.tolist()))))
 
 
 class NonConvergenceError(DataError):
@@ -272,16 +267,13 @@ class NonConvergenceError(DataError):
 
 
 def _power_iteration(
-    adj: Mapping[str, Sequence[str]],
-    nodes: list[str],
+    neighbor_ids: list[list[int]],
     tol: float,
     max_iters: int,
     damping: float,
-) -> tuple[dict[str, float] | None, int]:
+) -> tuple[list[float] | None, int]:
     """The converged vector (None if it never converged) and the iterations run."""
-    n = len(nodes)
-    index = {v: i for i, v in enumerate(nodes)}
-    neighbor_ids = [[index[w] for w in adj[v]] for v in nodes]
+    n = len(neighbor_ids)
     x = [1.0 / n ** 0.5] * n
     for iteration in range(1, max_iters + 1):
         nxt = [damping * xi for xi in x]
@@ -295,7 +287,7 @@ def _power_iteration(
             return None, iteration
         nxt = [v / norm for v in nxt]
         if max(abs(a - b) for a, b in zip(nxt, x)) < tol:
-            return dict(zip(nodes, nxt)), iteration
+            return nxt, iteration
         x = nxt
     return None, max_iters
 
@@ -314,20 +306,19 @@ def eigenvector_centrality(
     adj = _adjacency(graph)
     if not any(adj.values()):
         raise DataError("eigenvector centrality needs at least one edge")
-    nodes = list(adj)
+    neighbor_ids = _int_adjacency(adj)
     damped = False
-    values, iterations = _power_iteration(adj, nodes, tol, max_iters, damping=0.0)
-    if values is None:
+    vector, iterations = _power_iteration(neighbor_ids, tol, max_iters, damping=0.0)
+    if vector is None:
         log.debug("eigenvector: undamped iteration did not converge, damping")
         damped = True
-        values, iterations = _power_iteration(adj, nodes, tol, max_iters, damping=0.5)
-    if values is None:
+        vector, iterations = _power_iteration(neighbor_ids, tol, max_iters, damping=0.5)
+    if vector is None:
         raise NonConvergenceError(
             f"power iteration did not converge in {max_iters} iterations"
         )
     return CentralityScores(
-        "eigenvector", values, normalized=True,
-        diagnostics={"iterations": iterations, "damped": damped},
+        dict(zip(adj, vector)), diagnostics={"iterations": iterations, "damped": damped}
     )
 
 

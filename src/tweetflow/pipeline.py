@@ -22,7 +22,6 @@ Stage map:
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import resource
@@ -48,6 +47,7 @@ from .corpus import Corpus, dedup, filter_language, load_corpus, save_corpus
 from .errors import DataError, StageError, TweetflowError
 from .preprocess import ranked
 from .storage import (
+    _csv_table,
     atomic_write_text,
     count_rows,
     read_csv,
@@ -152,19 +152,6 @@ def _load_scores(path: Path) -> dict[str, tuple[float, str]]:
             raise ValueError(f"tweet {tweet_id!r}: label {label!r} is not one of {POLARITIES}")
         scores[tweet_id] = (float(compound), label)
     return scores
-
-
-def _csv_table_text(path: Path) -> str:
-    """The text of a CSV that write_csv wrote whole: it ends in a newline and
-    each row is as wide as the header. ValueError otherwise."""
-    text = path.read_text(encoding="utf-8")
-    if not text.endswith("\n"):
-        raise ValueError("no newline at the end: the file was cut short")
-    rows = list(csv.reader(io.StringIO(text, newline="")))
-    for number, row in enumerate(rows[1:], start=2):
-        if len(row) != len(rows[0]):
-            raise ValueError(f"row {number} has {len(row)} fields, the header {len(rows[0])}")
-    return text
 
 
 def _load_entities(path: Path) -> list[categorize_mod.EntityMentions]:
@@ -302,7 +289,7 @@ def stage_cluster(config: PipelineConfig, out: Out) -> dict:
 
         report_rows: list[list] = []
         selected: set[int] = set()
-        route_b = Corpus((), corpus.lang_filter)
+        route_b = Corpus(())
         if n_distinct < config.cluster_k_min:
             # degenerate corpus: too few rows with any distinguishing terms
             log.warning(
@@ -348,8 +335,7 @@ def stage_cluster(config: PipelineConfig, out: Out) -> dict:
                     record
                     for record, assignment in zip(corpus.records, best.assignments)
                     if assignment in selected
-                ),
-                corpus.lang_filter,
+                )
             )
             counts[f"best_k_{lang}"] = best.k
             counts[f"fits_{lang}"] = fits
@@ -660,7 +646,7 @@ def stage_report(config: PipelineConfig, out: Out) -> dict:
     for lang in config.languages:
         to_copy.extend(rel.format(lang=lang) for rel in REPORT_COPIES)
     for rel in to_copy:
-        text = _read(config, rel, _csv_table_text)
+        text = _read(config, rel, lambda path: _csv_table(path)[0])
         atomic_write_text(out(Path(rel).name), text)
 
     for lang in config.languages:

@@ -67,21 +67,10 @@ def ranked(counts: Mapping[str, int], n: int | None = None) -> tuple[tuple[str, 
 
 @dataclass(frozen=True)
 class TokenizedDoc:
-    """Parallel token/lemma streams for one tweet.
-
-    tokens[i] is the surface form of lemmas[i]. When stopwords are removed
-    positionally (see pipeline_doc), both streams stay parallel.
-    """
+    """The lemma stream of one tweet, stopwords dropped."""
 
     tweet_id: str
-    tokens: tuple[str, ...]
     lemmas: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.tokens) != len(self.lemmas):
-            raise DataError(
-                f"tweet {self.tweet_id}: token/lemma streams differ in length"
-            )
 
 
 def pipeline_doc(
@@ -92,18 +81,10 @@ def pipeline_doc(
 ) -> TokenizedDoc:
     """Run the full normalize -> tokenize -> lemmatize -> stopword chain.
 
-    Stopword positions are dropped from both streams so the result stays
-    parallel; filtering keys on the lemma form.
+    Filtering keys on the lemma form.
     """
-    tokens = tokenize(normalize(text))
-    lemmas = lemmatize(tokens, lemma_table)
-    kept_tokens = []
-    kept_lemmas = []
-    for tok, lem in zip(tokens, lemmas):
-        if lem not in stoplist:
-            kept_tokens.append(tok)
-            kept_lemmas.append(lem)
-    return TokenizedDoc(tweet_id, tuple(kept_tokens), tuple(kept_lemmas))
+    lemmas = lemmatize(tokenize(normalize(text)), lemma_table)
+    return TokenizedDoc(tweet_id, tuple(lem for lem in lemmas if lem not in stoplist))
 
 
 @dataclass(frozen=True)

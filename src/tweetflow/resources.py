@@ -56,8 +56,11 @@ def load_valences(path: str | Path) -> dict[str, float]:
         if len(parts) != 2:
             raise ConfigError(f"{Path(path).name}: bad valence row {line_no}: {line!r}")
         token, raw = parts[0].casefold().strip(), parts[1].strip()
-        value = float(raw)
-        if abs(value) > MAX_VALENCE:
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ConfigError(f"{Path(path).name}: bad valence row {line_no}: {line!r}") from None
+        if not abs(value) <= MAX_VALENCE:
             raise ConfigError(
                 f"{Path(path).name}: valence {value} for {token!r} outside ±{MAX_VALENCE}"
             )

@@ -61,12 +61,26 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
     return count
 
 
-def read_csv(path: str | Path, header: Sequence[str]) -> list[list[str]]:
-    """The data rows of a CSV that write_csv wrote with `header`; ValueError
-    if the header differs or a row has another number of fields."""
+def _csv_table(path: str | Path) -> tuple[str, list[list[str]]]:
+    """The text and rows of a CSV that write_csv wrote whole: it ends in a
+    newline and each row is as wide as the header. ValueError otherwise."""
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != list(header) or any(len(row) != len(header) for row in rows):
+        text = fh.read()
+    if not text.endswith("\n"):
+        raise ValueError("no newline at the end: the file was cut short")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    for number, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"row {number} has {len(row)} fields, the header {len(rows[0])}")
+    return text, rows
+
+
+def read_csv(path: str | Path, header: Sequence[str]) -> list[list[str]]:
+    """The data rows of a CSV that write_csv wrote whole with `header`;
+    ValueError if it was cut short, has another header or a row is not as
+    wide as the header."""
+    rows = _csv_table(path)[1]
+    if rows[0] != list(header):
         raise ValueError(f"not a CSV table of {','.join(header)}")
     return rows[1:]
 

@@ -68,6 +68,9 @@ from .preprocess import TokenizedDoc
 
 log = logging.getLogger(__name__)
 
+# iterative_refine stops once a round drops less than this share of its docs
+MIN_CHANGE = 0.01
+
 
 @dataclass(frozen=True)
 class LdaConfig:
@@ -409,13 +412,12 @@ def iterative_refine(
     selector: TopicSelector,
     max_rounds: int,
     top_n: int = 20,
-    min_change: float = 0.01,
 ) -> RefineResult:
     """Repeatedly fit LDA and keep only tweets in selector-chosen topics.
 
     `docs` must be parallel to `corpus.records`. Each round fits on the
     surviving subset; refinement stops at max_rounds, when the surviving
-    set shrinks by less than min_change, or when too few non-empty
+    set shrinks by less than MIN_CHANGE, or when too few non-empty
     documents remain to fit k topics. Survivor sets are monotonically
     non-increasing.
     """
@@ -463,9 +465,7 @@ def iterative_refine(
         )
         change = (len(survivors) - len(kept)) / len(survivors) if survivors else 0.0
         survivors = kept
-        if change < min_change:
+        if change < MIN_CHANGE:
             break
-    refined = Corpus(
-        tuple(corpus.records[i] for i in survivors), corpus.lang_filter
-    )
+    refined = Corpus(tuple(corpus.records[i] for i in survivors))
     return RefineResult(refined, tuple(rounds))

@@ -438,7 +438,7 @@ def kmeans(matrix: TfIdfMatrix, k: int, seed: int, max_iters: int = 100) -> Clus
             if counts[c] > 0:
                 centroids[c] /= counts[c]
 
-    return ClusterModel(k, centroids, assignments, seed, n_iters, wcss_history)
+    return ClusterModel(k, centroids, assignments, n_iters, wcss_history)
 
 
 def silhouette(
@@ -520,7 +520,7 @@ def closeness_centrality(graph) -> CentralityScores:
             values[node] = ((reach - 1) / (n - 1)) * ((reach - 1) / total)
         else:
             values[node] = 0.0
-    return CentralityScores("closeness", values, normalized=True)
+    return CentralityScores(values)
 
 
 def betweenness_centrality(graph, normalized: bool = False) -> CentralityScores:
@@ -561,7 +561,7 @@ def betweenness_centrality(graph, normalized: bool = False) -> CentralityScores:
             scale = 2.0 / ((n - 1) * (n - 2))
             for v in centrality:
                 centrality[v] *= scale
-    return CentralityScores("betweenness", dict(sorted(centrality.items())), normalized)
+    return CentralityScores(dict(sorted(centrality.items())))
 
 
 def greedy_modularity(graph) -> Partition:

@@ -65,7 +65,7 @@ def criterion(number: int, name: str):
 
 
 def doc(tweet_id, lemmas):
-    return TokenizedDoc(tweet_id, tuple(lemmas), tuple(lemmas))
+    return TokenizedDoc(tweet_id, tuple(lemmas))
 
 
 # ---------------------------------------------------------------------------

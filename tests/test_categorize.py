@@ -24,7 +24,7 @@ from tweetflow.resources import default_path
 
 
 def doc(tweet_id, lemmas):
-    return TokenizedDoc(tweet_id, tuple(lemmas), tuple(lemmas))
+    return TokenizedDoc(tweet_id, tuple(lemmas))
 
 
 @pytest.fixture

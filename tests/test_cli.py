@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -10,11 +13,13 @@ from pathlib import Path
 import pytest
 import yaml
 
+import tweetflow
 from tweetflow import exports, wordgraph
 from tweetflow.cli import main
 from tweetflow.config import STAGES, PipelineConfig, load_config
 from tweetflow.errors import ConfigError
 from tweetflow.pipeline import REPORT_COPIES, REPORT_COPIES_GLOBAL, run_all, run_stage
+from tweetflow.resources import default_path
 
 
 def make_config(tmp_path, corpus_path, **overrides) -> Path:
@@ -283,6 +288,35 @@ class TestCorruptUpstream:
         assert main([stage, "--config", str(config_path)]) == 2
         assert f"malformed upstream output {rel}" in caplog.text
 
+    @pytest.mark.parametrize("lang", ["en", "it"])
+    @pytest.mark.parametrize(
+        "rel, stage",
+        [
+            ("ingest/corpus_{lang}.jsonl", "explore"),
+            ("filter/matched_{lang}.jsonl", "topics"),
+            ("topics/refined_{lang}.jsonl", "cluster"),
+            ("cluster/tourism_{lang}.jsonl", "categorize"),
+            ("categorize/categories_{lang}.csv", "sentiment"),
+            ("categorize/entities_{lang}.jsonl", "graph"),
+            ("sentiment/scores_{lang}.csv", "graph"),
+            ("graph/wordgraph_{lang}_positive.json", "metrics"),
+            ("graph/wordgraph_{lang}_negative.json", "metrics"),
+            ("graph/placegraph_{lang}.json", "report"),
+        ],
+    )
+    def test_file_cut_inside_last_record_is_data_error(
+        self, tmp_path, fixture_corpus_path, pipeline_out, caplog, rel, stage, lang
+    ):
+        rel = rel.format(lang=lang)
+        shutil.copytree(pipeline_out.out, tmp_path / "out")
+        path = tmp_path / "out" / rel
+        intact = path.read_bytes()
+        assert intact.endswith(b"\n") and intact.count(b"\n") >= 2, rel
+        path.write_bytes(intact[:-4])  # the final newline and 3 bytes of the last record
+        config_path = make_config(tmp_path, fixture_corpus_path)
+        assert main([stage, "--config", str(config_path), "--lang", lang]) == 2
+        assert f"malformed upstream output {rel}" in caplog.text
+
     def test_truncated_report_copy_is_data_error(
         self, tmp_path, fixture_corpus_path, pipeline_out, caplog
     ):
@@ -345,6 +379,47 @@ class TestCorruptUpstream:
             f"categorize/categories_en.csv has no category for tweet {tweet_id!r}: "
             "rerun categorize"
         ) in caplog.text
+
+
+RULES_TEXT = default_path("category_rules.json").read_text(encoding="utf-8")
+
+
+class TestMalformedResources:
+    """A malformed resource file stops the first stage that loads it with
+    the error type of its loader's other bad rows, naming the file."""
+
+    @pytest.mark.parametrize(
+        "key, name, text, stage, code, message",
+        [
+            ("dictionary", "dict.csv", "term,label,frequency\nbeach,Tourism,abc\n",
+             "filter", 2, "dict.csv line 2: bad frequency 'abc'"),
+            ("gazetteer", "places.csv", "name,kind,aliases,lat,lon\nbari,city,,north,16.87\n",
+             "categorize", 2, "places.csv line 2: bad lat/lon 'north', '16.87'"),
+            ("category_rules", "cut.json", RULES_TEXT[: len(RULES_TEXT) // 2],
+             "categorize", 2, "cut.json line "),
+            ("category_rules", "regex.json", '{"categories": [{"name": "Sea", "regexes": ["("]}]}',
+             "categorize", 2, "regex.json: category 'Sea': bad regex '('"),
+            ("category_rules", "unnamed.json", '{"categories": [{"keywords": ["sea"]}]}',
+             "categorize", 2, "unnamed.json: category 1 has no name"),
+            ("sentiment_en", "valences.tsv", "beautiful\tabc\n",
+             "categorize", 1, "valences.tsv: bad valence row 1"),
+        ],
+        ids=["frequency", "lat", "cut-json", "regex", "no-name", "valence"],
+    )
+    def test_exit_code_names_the_file(
+        self, tmp_path, fixture_corpus_path, pipeline_out, key, name, text, stage, code, message
+    ):
+        shutil.copytree(pipeline_out.out, tmp_path / "out")
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        config_path = make_config(tmp_path, fixture_corpus_path, resources={key: name})
+        result = subprocess.run(
+            [sys.executable, "-m", "tweetflow.cli", stage, "--config", str(config_path),
+             "--lang", "en"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(tweetflow.__file__).parents[1])},
+        )
+        assert result.returncode == code, result.stderr
+        assert message in result.stderr
 
 
 class TestStages:

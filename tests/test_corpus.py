@@ -51,6 +51,29 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match="line 2"):
             load_corpus(path, strict=True)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("hashtags", 5, "hashtags must be a list"),
+            ("hashtags", "sea", "hashtags must be a list"),
+            ("created_at", 5, "created_at must be a string or null"),
+        ],
+    )
+    def test_mistyped_field_is_malformed_row(self, tmp_path, caplog, field, value, message):
+        path = tmp_path / "typed.jsonl"
+        write_jsonl(path, [{"id": "1", "text": "ok"}, {"id": "2", "text": "bad", field: value}])
+        assert load_corpus(path).ids() == ["1"]
+        assert "typed.jsonl: skipping malformed row at line 2" in caplog.text
+        with pytest.raises(DataError, match=f"line 2: {message}"):
+            load_corpus(path, strict=True)
+
+    def test_null_and_empty_created_at_accepted(self, tmp_path):
+        path = tmp_path / "dates.jsonl"
+        write_jsonl(path, [{"id": "1", "text": "a", "created_at": None},
+                           {"id": "2", "text": "b", "created_at": ""}])
+        corpus = load_corpus(path, strict=True)
+        assert [r.created_at for r in corpus.records] == [None, None]
+
     def test_duplicate_id_rejected_in_strict_mode(self, tmp_path):
         path = tmp_path / "dup.jsonl"
         write_jsonl(path, [{"id": "1", "text": "a"}, {"id": "1", "text": "b"}])

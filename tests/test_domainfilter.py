@@ -24,7 +24,7 @@ def record(tweet_id, text="x", hashtags=()):
 
 
 def doc(tweet_id, lemmas):
-    return TokenizedDoc(tweet_id, tuple(lemmas), tuple(lemmas))
+    return TokenizedDoc(tweet_id, tuple(lemmas))
 
 
 def dictionary(tourism=("beach", "hotel", "travel"), not_tourism=("match",)):

@@ -35,7 +35,7 @@ AWKWARD_NAMES = [
 
 
 def doc(tweet_id, lemmas):
-    return TokenizedDoc(tweet_id, tuple(lemmas), tuple(lemmas))
+    return TokenizedDoc(tweet_id, tuple(lemmas))
 
 
 def mention(tweet_id, cities=(), attractions=()):

@@ -19,7 +19,7 @@ from tweetflow.preprocess import (
 
 
 def doc(tweet_id, lemmas):
-    return TokenizedDoc(tweet_id, tuple(lemmas), tuple(lemmas))
+    return TokenizedDoc(tweet_id, tuple(lemmas))
 
 
 class TestNormalize:
@@ -85,13 +85,13 @@ class TestRemoveStopwords:
     """Stopword removal, as the step of `pipeline_doc` after lemmatising."""
 
     def test_removed(self):
-        assert pipeline_doc("1", "the sea", {}, {"the"}) == TokenizedDoc("1", ("sea",), ("sea",))
+        assert pipeline_doc("1", "the sea", {}, {"the"}) == TokenizedDoc("1", ("sea",))
 
     def test_empty(self):
-        assert pipeline_doc("1", "", {}, {"the"}) == TokenizedDoc("1", (), ())
+        assert pipeline_doc("1", "", {}, {"the"}) == TokenizedDoc("1", ())
 
     def test_all_stopwords(self):
-        assert pipeline_doc("1", "The a", {}, {"the", "a"}) == TokenizedDoc("1", (), ())
+        assert pipeline_doc("1", "The a", {}, {"the", "a"}) == TokenizedDoc("1", ())
 
 
 class TestHashtags:
@@ -103,14 +103,9 @@ class TestHashtags:
 
 
 class TestPipelineDoc:
-    def test_streams_parallel_after_stopwords(self):
+    def test_lemmas_after_stopwords(self):
         d = pipeline_doc("1", "The beaches are beautiful", {"beaches": "beach"}, {"the", "are"})
-        assert d.tokens == ("beaches", "beautiful")
         assert d.lemmas == ("beach", "beautiful")
-
-    def test_mismatched_streams_rejected(self):
-        with pytest.raises(DataError):
-            TokenizedDoc("1", ("a", "b"), ("a",))
 
 
 class TestTfIdf:

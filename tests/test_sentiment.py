@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from tweetflow.errors import DataError
+from tweetflow.errors import ConfigError, DataError
 from tweetflow.resources import (
     default_path,
     load_boosters,
@@ -179,10 +179,11 @@ class TestLexiconFiles:
         valences = load_valences(default_path("sentiment_it.tsv"))
         assert valences["bellissimo"] > 0 and valences["pessimo"] < 0
 
-    def test_bad_valence_rejected(self, tmp_path):
+    @pytest.mark.parametrize("value", ["9.5", "-inf", "nan", "abc"])
+    def test_bad_valence_rejected(self, tmp_path, value):
         path = tmp_path / "lex.tsv"
-        path.write_text("word\t9.5\n", encoding="utf-8")
-        with pytest.raises(Exception):
+        path.write_text(f"word\t{value}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="lex.tsv"):
             load_valences(path)
 
     def test_bad_booster_rejected(self, tmp_path):

@@ -34,7 +34,7 @@ NOISE_VOCAB = [
 
 
 def doc(tweet_id, lemmas):
-    return TokenizedDoc(tweet_id, tuple(lemmas), tuple(lemmas))
+    return TokenizedDoc(tweet_id, tuple(lemmas))
 
 
 def planted_corpus(seed, docs_per_side=50, tokens_per_doc=8):

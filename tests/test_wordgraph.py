@@ -17,7 +17,7 @@ from tweetflow.wordgraph import (
 
 
 def doc(tweet_id, lemmas):
-    return TokenizedDoc(tweet_id, tuple(lemmas), tuple(lemmas))
+    return TokenizedDoc(tweet_id, tuple(lemmas))
 
 
 class TestBuildWordGraph:
