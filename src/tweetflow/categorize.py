@@ -102,15 +102,24 @@ def load_category_rules(path: str | Path) -> CategoryRules:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path.name} line {exc.lineno}: invalid JSON ({exc.msg})") from None
+    if not isinstance(raw, dict):
+        raise DataError(f"{path.name}: the top level is not an object")
+    entries, fallback = raw.get("categories", []), raw.get("fallback", DEFAULT_FALLBACK)
+    if not isinstance(entries, list) or not isinstance(fallback, str):
+        raise DataError(f"{path.name}: 'categories' must be a list and 'fallback' a string")
     categories = []
-    seen = set()
-    for number, entry in enumerate(raw.get("categories", []), start=1):
+    seen = {fallback}  # the fallback is a category name too
+    for number, entry in enumerate(entries, start=1):
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise DataError(f"{path.name}: category {number} has no name")
         name = entry["name"]
         if name in seen:
             raise DataError(f"{path.name}: duplicate category name {name!r}")
         seen.add(name)
+        for key in ("keywords", "regexes"):
+            value = entry.get(key, [])
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise DataError(f"{path.name}: category {name!r}: {key!r} must list strings")
         try:
             regexes = tuple(re.compile(p) for p in entry.get("regexes", []))
         except re.error as exc:
@@ -124,7 +133,7 @@ def load_category_rules(path: str | Path) -> CategoryRules:
                 regexes=regexes,
             )
         )
-    return CategoryRules(tuple(categories), raw.get("fallback", DEFAULT_FALLBACK))
+    return CategoryRules(tuple(categories), fallback)
 
 
 def load_gazetteer(path: str | Path) -> Gazetteer:

@@ -14,7 +14,7 @@ import logging
 import math
 import random
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import DataError
@@ -107,43 +107,30 @@ def label_propagation(graph, seed: int = 0) -> Partition:
     return _canonical_partition(groups.values(), q, diagnostics)
 
 
-def modularity(graph, partition) -> float:
+def modularity(graph, communities: Iterable[Iterable[str]]) -> float:
     """Newman modularity of a node grouping, unweighted.
 
-    `partition` may be a Partition, a node -> community mapping, or an
-    iterable of communities.
+    `communities` lists each community's members; every node of the graph
+    must sit in exactly one of them.
     """
     adj = _adjacency(graph)
     m2 = sum(len(neigh) for neigh in adj.values())  # 2m
     if m2 == 0:
         raise DataError("modularity is undefined for an edgeless graph")
-    community_of = _community_mapping(partition, adj)
+    groups = [set(members) for members in communities]
+    covered = set().union(*groups)
+    if sum(map(len, groups)) > len(covered):
+        twice = sorted(v for v, n in Counter(v for g in groups for v in g).items() if n > 1)
+        raise DataError(f"nodes in two communities: {twice[:5]}")
+    if covered != adj.keys():
+        missing, unknown = sorted(adj.keys() - covered), sorted(covered - adj.keys())
+        raise DataError(f"partition misses nodes {missing[:5]}, names non-nodes {unknown[:5]}")
     q = 0.0
-    for comm in set(community_of.values()):
-        members = [v for v, c in community_of.items() if c == comm]
-        member_set = set(members)
-        intra2 = sum(
-            1 for v in members for w in adj[v] if w in member_set
-        )  # 2 * intra edges
+    for members in groups:
+        intra2 = sum(1 for v in members for w in adj[v] if w in members)  # 2 * intra edges
         degree_sum = sum(len(adj[v]) for v in members)
         q += intra2 / m2 - (degree_sum / m2) ** 2
     return q
-
-
-def _community_mapping(partition, adj) -> dict[str, int]:
-    if isinstance(partition, Partition):
-        mapping = dict(partition.assignment)
-    elif isinstance(partition, Mapping):
-        mapping = dict(partition)
-    else:
-        mapping = {}
-        for cid, members in enumerate(partition):
-            for node in members:
-                mapping[node] = cid
-    missing = set(adj) - set(mapping)
-    if missing:
-        raise DataError(f"partition misses nodes: {sorted(missing)[:5]}")
-    return mapping
 
 
 def greedy_modularity(graph) -> Partition:

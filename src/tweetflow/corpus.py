@@ -100,14 +100,8 @@ def _make_record(row: dict, line_no: int) -> TweetRecord:
     )
 
 
-class _BadRow:
-    """Parse failure surfaced as a value so skip-and-warn can continue."""
-
-    def __init__(self, message: str):
-        self.message = message
-
-
 def _iter_jsonl(path: Path):
+    """(line number, row) pairs; a line that is no JSON object comes as its DataError."""
     with path.open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -116,11 +110,9 @@ def _iter_jsonl(path: Path):
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
-                yield line_no, _BadRow(f"line {line_no}: invalid JSON ({exc.msg})")
-                continue
-            if not isinstance(row, dict):
-                yield line_no, _BadRow(f"line {line_no}: row is not an object")
-                continue
+                row = DataError(f"line {line_no}: invalid JSON ({exc.msg})")
+            if not isinstance(row, (dict, DataError)):
+                row = DataError(f"line {line_no}: row is not an object")
             yield line_no, row
 
 
@@ -153,8 +145,8 @@ def load_corpus(path: str | Path, format: str = "jsonl", strict: bool = False) -
     skipped = 0
     for line_no, row in rows:
         try:
-            if isinstance(row, _BadRow):
-                raise DataError(row.message)
+            if isinstance(row, DataError):
+                raise row
             record = _make_record(row, line_no)
             if record.id in seen_ids:
                 raise DataError(f"line {line_no}: duplicate id {record.id!r}")

@@ -11,6 +11,7 @@ import json
 import logging
 
 from .categorize import Gazetteer
+from .storage import _json_text
 from .wordgraph import PlaceGraph, PlaceNode, WordGraph
 
 log = logging.getLogger(__name__)
@@ -113,7 +114,20 @@ def word_graph_to_json(graph: WordGraph) -> str:
         "nodes": {node: freq for node, freq in sorted(graph.nodes.items())},
         "edges": [[u, v, w] for (u, v), w in sorted(graph.edges.items())],
     }
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return _json_text(doc)
+
+
+def _place_fields(node: PlaceNode) -> dict:
+    """The place-node fields that the JSON and GeoJSON exports share."""
+    return {
+        "kind": node.kind,
+        "mentions": node.mentions,
+        "degree": node.degree,
+        "closeness": round(node.closeness, 6),
+        "mean_sentiment": (
+            round(node.mean_sentiment, 4) if node.mean_sentiment is not None else None
+        ),
+    }
 
 
 def place_graph_to_json(graph: PlaceGraph) -> str:
@@ -121,22 +135,14 @@ def place_graph_to_json(graph: PlaceGraph) -> str:
         "directed": False,
         "nodes": {
             name: {
-                "kind": node.kind,
-                "mentions": node.mentions,
-                "degree": node.degree,
+                **_place_fields(node),
                 "degree_centrality": round(node.degree_centrality, 6),
-                "closeness": round(node.closeness, 6),
-                "mean_sentiment": (
-                    round(node.mean_sentiment, 4)
-                    if node.mean_sentiment is not None
-                    else None
-                ),
             }
             for name, node in sorted(graph.nodes.items())
         },
         "edges": [[u, v, w] for (u, v), w in sorted(graph.edges.items())],
     }
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return _json_text(doc)
 
 
 def word_graph_from_json(text: str) -> WordGraph:
@@ -176,18 +182,7 @@ def export_geojson(place_graph: PlaceGraph, gazetteer: Gazetteer) -> dict:
             {
                 "type": "Feature",
                 "geometry": {"type": "Point", "coordinates": list(coords[name])},
-                "properties": {
-                    "name": name,
-                    "kind": node.kind,
-                    "mentions": node.mentions,
-                    "degree": node.degree,
-                    "closeness": round(node.closeness, 6),
-                    "mean_sentiment": (
-                        round(node.mean_sentiment, 4)
-                        if node.mean_sentiment is not None
-                        else None
-                    ),
-                },
+                "properties": {"name": name, **_place_fields(node)},
             }
         )
     for (u, v), w in sorted(place_graph.edges.items()):

@@ -320,9 +320,3 @@ def eigenvector_centrality(
     return CentralityScores(
         dict(zip(adj, vector)), diagnostics={"iterations": iterations, "damped": damped}
     )
-
-
-def top_k(scores: CentralityScores, k: int) -> list[tuple[str, float]]:
-    """Highest-scoring nodes, descending; ties lexicographic; k may exceed N."""
-    ranked = sorted(scores.values.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:k]

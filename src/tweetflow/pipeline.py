@@ -346,23 +346,22 @@ def stage_cluster(config: PipelineConfig, out: Out) -> dict:
         if config.cluster_lda_refine and len(route_b) > 0:
             docs_by_id = {doc.tweet_id: doc for doc in docs}
             route_b_docs = [docs_by_id[r.id] for r in route_b.records]
-            if sum(1 for d in route_b_docs if d.lemmas) >= config.lda_k:
-                try:
-                    result = _refine_corpus(
-                        config, route_b, route_b_docs, dictionary,
-                        config.stage_seed(f"cluster:lda:{lang}"),
-                    )
-                    route_b = result.corpus
-                    rounds = result.rounds
-                except topics_mod.SelectorAbort as abort:
-                    rounds = abort.rounds
-                    # the clusters were already dictionary-selected; keep them
-                    log.warning(
-                        "cluster %s: refinement found no on-domain topic, "
-                        "keeping the unrefined cluster selection",
-                        lang,
-                    )
-                counts[f"route_b_loglik_{lang}"] = [r.log_likelihood for r in rounds]
+            try:
+                result = _refine_corpus(
+                    config, route_b, route_b_docs, dictionary,
+                    config.stage_seed(f"cluster:lda:{lang}"),
+                )
+                route_b = result.corpus
+                rounds = result.rounds
+            except topics_mod.SelectorAbort as abort:
+                rounds = abort.rounds
+                # the clusters were already dictionary-selected; keep them
+                log.warning(
+                    "cluster %s: refinement found no on-domain topic, "
+                    "keeping the unrefined cluster selection",
+                    lang,
+                )
+            counts[f"route_b_loglik_{lang}"] = [r.log_likelihood for r in rounds]
             counts[f"route_b_refined_{lang}"] = len(route_b)
 
         merged = domainfilter.merge_results(route_a, route_b, config.merge_mode)
@@ -550,8 +549,8 @@ def stage_metrics(config: PipelineConfig, out: Out) -> dict:
         else:
             log.warning("metrics: %s has no edges, skipping eigenvector", network)
         for measure, centrality in scores.items():
-            ranked_scores = netmetrics.top_k(centrality, config.metrics_top_k)
-            for rank, (word, value) in enumerate(ranked_scores, start=1):
+            top = ranked(centrality.values, config.metrics_top_k)
+            for rank, (word, value) in enumerate(top, start=1):
                 rows[measure].append(
                     [network, polarity, lang, rank, word, f"{value:.2f}"]
                 )
@@ -602,12 +601,11 @@ def stage_communities(config: PipelineConfig, out: Out) -> dict:
             counts[f"{algorithm}_{network}"] = len(partition.sizes)
         counts[f"lpa_{network}"] = lpa.diagnostics
         counts[f"greedy_{network}"] = greedy.diagnostics
-        # hubs of the greedy partition's chosen communities (the loop's last pass)
-        groups = membership["greedy_modularity"]["communities"]
-        for group_no, cid in enumerate(chosen, start=1):
-            hub_rows.append(
-                [network, f"Group-{group_no}", community.hub_dominant(adj, groups[cid])]
-            )
+        # hubs of the greedy partition's chosen communities
+        greedy_choice = membership["greedy_modularity"]
+        for group_no, cid in enumerate(greedy_choice["chosen"], start=1):
+            hub = community.hub_dominant(adj, greedy_choice["communities"][cid])
+            hub_rows.append([network, f"Group-{group_no}", hub])
         write_json(out(f"membership_{lang}_{polarity}.json"), membership)
     write_csv(
         out("communities.csv"),

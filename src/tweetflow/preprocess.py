@@ -25,17 +25,21 @@ NUMERIC_RE = re.compile(r"^\d+$")
 HASHTAG_RE = re.compile(r"#(\w+)")
 
 
+def _strip_markup(text: str) -> str:
+    """Case-fold and drop URLs, mentions and the '#' of hashtags."""
+    t = text.casefold()
+    t = URL_RE.sub(" ", t)
+    t = MENTION_RE.sub(" ", t)
+    return t.replace("#", "")
+
+
 def normalize(text: str) -> str:
     """Case-fold and strip URLs, mentions, emoji, and punctuation.
 
     '#tag' keeps its tag token; whitespace collapses to single spaces.
     Idempotent: normalize(normalize(t)) == normalize(t).
     """
-    t = text.casefold()
-    t = URL_RE.sub(" ", t)
-    t = MENTION_RE.sub(" ", t)
-    t = t.replace("#", "")
-    t = NON_WORD_RE.sub(" ", t)
+    t = NON_WORD_RE.sub(" ", _strip_markup(text))
     return WS_RE.sub(" ", t).strip()
 
 
@@ -60,9 +64,9 @@ def extract_hashtags(text: str) -> list[str]:
     return [m.casefold() for m in HASHTAG_RE.findall(text)]
 
 
-def ranked(counts: Mapping[str, int], n: int | None = None) -> tuple[tuple[str, int], ...]:
-    """The first n (term, count) pairs by descending count, ties alphabetical."""
-    return tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:n])
+def ranked(values: Mapping[str, float], n: int | None = None) -> tuple[tuple[str, float], ...]:
+    """The first n (name, value) pairs by descending value, ties alphabetical."""
+    return tuple(sorted(values.items(), key=lambda kv: (-kv[1], kv[0]))[:n])
 
 
 @dataclass(frozen=True)

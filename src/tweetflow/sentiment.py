@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import DataError
 from .floats import _sum_left
-from .preprocess import MENTION_RE, URL_RE
+from .preprocess import _strip_markup
 
 NEGATION_SCALAR = -0.74
 BOOSTER_INCREMENT = 0.293
@@ -43,11 +43,7 @@ class SentimentResult:
 def scoring_tokens(text: str) -> list[str]:
     """Tokenize raw text for scoring: casefold, strip URLs/mentions/'#',
     keep apostrophes so contractions like "don't" survive."""
-    t = text.casefold()
-    t = URL_RE.sub(" ", t)
-    t = MENTION_RE.sub(" ", t)
-    t = t.replace("#", "")
-    t = _KEEP_RE.sub(" ", t)
+    t = _KEEP_RE.sub(" ", _strip_markup(text))
     return [tok.strip("'") for tok in t.split() if tok.strip("'")]
 
 

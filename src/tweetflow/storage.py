@@ -44,10 +44,13 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
     return count
 
 
+def _json_text(payload) -> str:
+    """The text of every JSON output file: indented, keys sorted, UTF-8 kept."""
+    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
 def write_json(path: str | Path, payload) -> None:
-    atomic_write_text(
-        path, json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    )
+    atomic_write_text(path, _json_text(payload))
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:

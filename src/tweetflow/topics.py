@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from .corpus import Corpus
 from .errors import DataError, StageError
 from .floats import _sum_left
-from .preprocess import TokenizedDoc
+from .preprocess import TokenizedDoc, ranked
 
 log = logging.getLogger(__name__)
 
@@ -330,12 +330,11 @@ def top_words(model: LdaModel, topic: int, n: int) -> TopicSummary:
         raise DataError(f"topic {topic} out of range 0..{k - 1}")
     beta = model.config.beta
     denom = model.topic_totals[topic] + len(model.vocab) * beta
-    scored = [
-        ((count + beta) / denom, word)
+    probabilities = {
+        word: (count + beta) / denom
         for word, count in zip(model.vocab, model.topic_word_counts[topic])
-    ]
-    scored.sort(key=lambda pair: (-pair[0], pair[1]))
-    return TopicSummary(topic, tuple((w, p) for p, w in scored[:n]))
+    }
+    return TopicSummary(topic, ranked(probabilities, n))
 
 
 def dominant_topic(model: LdaModel, doc: int) -> int:

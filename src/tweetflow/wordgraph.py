@@ -18,7 +18,7 @@ from itertools import combinations
 from .categorize import EntityMentions
 from .errors import DataError
 from .floats import _sum_left
-from .preprocess import TokenizedDoc
+from .preprocess import TokenizedDoc, ranked
 
 log = logging.getLogger(__name__)
 
@@ -94,12 +94,8 @@ def _int_adjacency(adj: Mapping[str, Sequence[str]]) -> list[list[int]]:
 
 
 def _capped_lemmas(doc: TokenizedDoc, cap: int) -> list[str]:
-    distinct = sorted(set(doc.lemmas))
-    if len(distinct) <= cap:
-        return distinct
-    counts = Counter(doc.lemmas)
-    ranked = sorted(distinct, key=lambda lem: (-counts[lem], lem))
-    return sorted(ranked[:cap])
+    """The doc's `cap` most repeated distinct lemmas, in sorted order."""
+    return sorted(lem for lem, _ in ranked(Counter(doc.lemmas), cap))
 
 
 def build_word_graph(

@@ -401,10 +401,26 @@ class TestMalformedResources:
              "categorize", 2, "regex.json: category 'Sea': bad regex '('"),
             ("category_rules", "unnamed.json", '{"categories": [{"keywords": ["sea"]}]}',
              "categorize", 2, "unnamed.json: category 1 has no name"),
+            ("category_rules", "list.json", "[]",
+             "categorize", 2, "list.json: the top level is not an object"),
+            ("category_rules", "regex5.json", '{"categories": [{"name": "Sea", "regexes": [5]}]}',
+             "categorize", 2, "regex5.json: category 'Sea': 'regexes' must list strings"),
+            ("category_rules", "kw5.json", '{"categories": [{"name": "Sea", "keywords": [5]}]}',
+             "categorize", 2, "kw5.json: category 'Sea': 'keywords' must list strings"),
+            ("category_rules", "kw.json", '{"categories": [{"name": "Sea", "keywords": "sea"}]}',
+             "categorize", 2, "kw.json: category 'Sea': 'keywords' must list strings"),
+            ("category_rules", "fallback.json", '{"fallback": 5}',
+             "categorize", 2, "fallback.json: 'categories' must be a list and 'fallback' a string"),
+            ("category_rules", "object.json", '{"categories": {"name": "Sea"}}',
+             "categorize", 2, "object.json: 'categories' must be a list and 'fallback' a string"),
+            ("category_rules", "twice.json", '{"categories": [{"name": "Sea"}], "fallback": "Sea"}',
+             "categorize", 2, "twice.json: duplicate category name 'Sea'"),
             ("sentiment_en", "valences.tsv", "beautiful\tabc\n",
              "categorize", 1, "valences.tsv: bad valence row 1"),
         ],
-        ids=["frequency", "lat", "cut-json", "regex", "no-name", "valence"],
+        ids=["frequency", "lat", "cut-json", "regex", "no-name", "rules-list", "regex-not-str",
+             "keyword-not-str", "keywords-str", "fallback-not-str", "categories-object",
+             "fallback-repeats-name", "valence"],
     )
     def test_exit_code_names_the_file(
         self, tmp_path, fixture_corpus_path, pipeline_out, key, name, text, stage, code, message

@@ -151,10 +151,17 @@ class TestModularity:
         with pytest.raises(DataError):
             modularity({"a": [], "b": []}, [["a"], ["b"]])
 
-    def test_accepts_partition_and_mapping(self, two_k3):
-        groups = [["a", "b", "c"], ["x", "y", "z"]]
-        as_mapping = {n: 0 for n in "abc"} | {n: 1 for n in "xyz"}
-        assert modularity(two_k3, groups) == modularity(two_k3, as_mapping)
+    def test_node_in_two_communities_rejected(self, two_k3):
+        with pytest.raises(DataError, match=r"two communities: \['c'\]"):
+            modularity(two_k3, [["a", "b", "c"], ["c", "x", "y", "z"]])
+
+    def test_missing_node_rejected(self, two_k3):
+        with pytest.raises(DataError, match=r"misses nodes \['z'\]"):
+            modularity(two_k3, [["a", "b", "c"], ["x", "y"]])
+
+    def test_unknown_node_rejected(self, two_k3):
+        with pytest.raises(DataError, match=r"names non-nodes \['q'\]"):
+            modularity(two_k3, [["a", "b", "c"], ["x", "y", "z", "q"]])
 
 
 class TestGreedyModularity:

@@ -14,8 +14,8 @@ from tweetflow.netmetrics import (
     closeness_centrality,
     degree_centrality,
     eigenvector_centrality,
-    top_k,
 )
+from tweetflow.preprocess import ranked
 from tweetflow.wordgraph import WordGraph
 
 import oracles
@@ -255,24 +255,27 @@ class TestRelabelingInvariance:
             assert max(values.values()) - min(values.values()) < 1e-6
 
 
-class TestTopK:
+class TestRankedScores:
+    """Centrality rankings go through preprocess.ranked over float scores."""
+
     def test_descending_with_lexicographic_ties(self):
         scores = degree_centrality(
             {"b": ["c"], "a": ["c"], "c": ["a", "b"]}
         )
-        ranked = top_k(scores, 3)
-        assert [node for node, _ in ranked] == ["c", "a", "b"]
+        top = ranked(scores.values, 3)
+        assert [node for node, _ in top] == ["c", "a", "b"]
+        assert top[1][1] == top[2][1] == 0.5
 
-    def test_k_larger_than_n(self, path3):
-        ranked = top_k(degree_centrality(path3), 10)
-        assert len(ranked) == 3
+    def test_n_larger_than_item_count(self, path3):
+        top = ranked(degree_centrality(path3).values, 10)
+        assert len(top) == 3
 
-    def test_matches_oracle_sort(self):
+    def test_matches_reference_sort(self):
         adj = random_graph(9, 0.4, seed=11)
         scores = betweenness_centrality(adj)
-        ranked = top_k(scores, 5)
+        top = ranked(scores.values, 5)
         expected = sorted(scores.values.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
-        assert ranked == expected
+        assert top == tuple(expected)
 
 
 class TestNonConvergence:
