@@ -9,12 +9,16 @@ replays the run twice and compares byte-for-byte against this file.
 Rerun this script whenever an intentional change alters pipeline output.
 With --check it writes nothing: it lists the files whose checksum
 changed, the golden files the run did not produce and the produced files
-the goldens lack, and exits 1 on any difference.
+the goldens lack, and exits 1 on any difference. With --check --out DIR
+it runs nothing either: it hashes the existing run directory DIR, for
+example one written by an installed `tweetflow all`, and imports no
+tweetflow code.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import tempfile
@@ -24,12 +28,20 @@ REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "fixtures" / "golden_checksums.json"
 
 
+def run_checksums(out: Path) -> dict[str, str]:
+    """sha256 of every file under the run directory `out`, manifest aside."""
+    return {
+        str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path.name != "manifest.json"
+    }
+
+
 def fixture_checksums() -> dict[str, str]:
-    """sha256 of every file the seed-42 fixture run writes, manifest aside."""
+    """run_checksums of a seed-42 fixture run of the code under src/."""
     sys.path.insert(0, str(REPO / "src"))
     from tweetflow.config import load_config
     from tweetflow.pipeline import run_all
-    from tweetflow.storage import sha256_file
 
     with tempfile.TemporaryDirectory() as scratch:
         config = load_config(
@@ -38,11 +50,7 @@ def fixture_checksums() -> dict[str, str]:
             seed_override=42,
         )
         run_all(config)
-        return {
-            str(path.relative_to(config.out)): sha256_file(path)
-            for path in sorted(config.out.rglob("*"))
-            if path.is_file() and path.name != "manifest.json"
-        }
+        return run_checksums(config.out)
 
 
 def differences(golden: dict[str, str], actual: dict[str, str]) -> list[str]:
@@ -64,8 +72,16 @@ def main(argv: list[str] | None = None) -> int:
         "--check", action="store_true",
         help="compare the run with the goldens instead of writing them",
     )
+    parser.add_argument(
+        "--out", type=Path, metavar="DIR",
+        help="with --check: hash this existing run directory instead of running the pipeline",
+    )
     args = parser.parse_args(argv)
-    checksums = fixture_checksums()
+    if args.out is not None and not args.check:
+        parser.error("--out needs --check")
+    if args.out is not None and not args.out.is_dir():
+        parser.error(f"--out {args.out} is not a directory")
+    checksums = run_checksums(args.out) if args.out is not None else fixture_checksums()
     if args.check:
         golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
         lines = differences(golden, checksums)

@@ -69,11 +69,6 @@ class Place:
 
 
 @dataclass(frozen=True)
-class Gazetteer:
-    places: tuple[Place, ...]
-
-
-@dataclass(frozen=True)
 class EntityMentions:
     tweet_id: str
     cities: tuple[str, ...]
@@ -136,7 +131,7 @@ def load_category_rules(path: str | Path) -> CategoryRules:
     return CategoryRules(tuple(categories), fallback)
 
 
-def load_gazetteer(path: str | Path) -> Gazetteer:
+def load_gazetteer(path: str | Path) -> tuple[Place, ...]:
     """Read the name,kind,aliases,lat,lon gazetteer CSV."""
     path = Path(path)
     if not path.is_file():
@@ -164,7 +159,7 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
                     f"{row.get('lat')!r}, {row.get('lon')!r}"
                 ) from None
             places.append(Place(name=name, kind=kind, aliases=aliases, lat=lat, lon=lon))
-    return Gazetteer(tuple(places))
+    return tuple(places)
 
 
 def assign_category(doc: TokenizedDoc, rules: CategoryRules) -> str:
@@ -180,9 +175,9 @@ def assign_category(doc: TokenizedDoc, rules: CategoryRules) -> str:
 
 
 @functools.lru_cache(maxsize=8)
-def _gazetteer_index(gazetteer: Gazetteer) -> dict[tuple[str, ...], Place]:
+def _gazetteer_index(gazetteer: tuple[Place, ...]) -> dict[tuple[str, ...], Place]:
     index: dict[tuple[str, ...], Place] = {}
-    for place in gazetteer.places:
+    for place in gazetteer:
         for form in place.match_forms():
             existing = index.get(form)
             # deterministic collision rule: lexicographically smaller canonical wins
@@ -194,7 +189,7 @@ def _gazetteer_index(gazetteer: Gazetteer) -> dict[tuple[str, ...], Place]:
 def extract_entities(
     record: TweetRecord,
     doc: TokenizedDoc,
-    gazetteer: Gazetteer,
+    gazetteer: tuple[Place, ...],
     adjective_lexicon: Mapping[str, float],
 ) -> EntityMentions:
     """Scan for place mentions, polarity-tagged adjectives, and hashtags.

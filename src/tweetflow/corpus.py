@@ -1,8 +1,9 @@
 """Tweet corpus loading, validation, deduplication, and language filtering.
 
-A Corpus is immutable after load and safe to share read-only. Input order
-is the canonical tiebreak everywhere: the first occurrence of a duplicate
-wins, and filters preserve order.
+A Corpus is a tuple of TweetRecords, so it is immutable after load and
+safe to share read-only. Input order is the canonical tiebreak
+everywhere: the first occurrence of a duplicate wins, and filters
+preserve order.
 """
 
 from __future__ import annotations
@@ -42,18 +43,7 @@ class TweetRecord:
         }
 
 
-@dataclass(frozen=True)
-class Corpus:
-    records: tuple[TweetRecord, ...]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def ids(self) -> list[str]:
-        return [r.id for r in self.records]
+Corpus = tuple[TweetRecord, ...]
 
 
 def _parse_created_at(value, line_no: int) -> datetime | None:
@@ -160,7 +150,7 @@ def load_corpus(path: str | Path, format: str = "jsonl", strict: bool = False) -
         records.append(record)
     if skipped:
         log.warning("%s: skipped %d malformed rows", path.name, skipped)
-    return Corpus(tuple(records))
+    return tuple(records)
 
 
 def dedup(corpus: Corpus) -> Corpus:
@@ -172,29 +162,29 @@ def dedup(corpus: Corpus) -> Corpus:
     """
     seen: set[str] = set()
     kept = []
-    for record in corpus.records:
+    for record in corpus:
         key = normalize(record.text)
         if key in seen:
             continue
         seen.add(key)
         kept.append(record)
-    return Corpus(tuple(kept))
+    return tuple(kept)
 
 
 def filter_language(corpus: Corpus, lang: str) -> Corpus:
     """Keep only records tagged with the given language, in original order."""
     if lang not in SUPPORTED_LANGUAGES:
         raise DataError(f"unsupported language code: {lang!r}")
-    kept = tuple(r for r in corpus.records if r.lang == lang)
+    kept = tuple(r for r in corpus if r.lang == lang)
     log.info(
         "language filter %s: kept %d, dropped %d",
         lang,
         len(kept),
-        len(corpus.records) - len(kept),
+        len(corpus) - len(kept),
     )
-    return Corpus(kept)
+    return kept
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> int:
     """Write a corpus atomically as JSONL with sorted keys; returns the row count."""
-    return write_jsonl(path, (record.to_json_dict() for record in corpus.records))
+    return write_jsonl(path, (record.to_json_dict() for record in corpus))

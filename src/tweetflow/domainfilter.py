@@ -33,30 +33,18 @@ class ExplorationReport:
     top_hashtags: tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class TermDictionary:
-    entries: dict[str, tuple[str, int]]  # term -> (label, frequency)
-
-    def terms(self, label: str) -> frozenset[str]:
-        return frozenset(t for t, (lab, _) in self.entries.items() if lab == label)
-
-    @property
-    def tourism_terms(self) -> frozenset[str]:
-        return self.terms(TOURISM)
-
-
 def explore(corpus: Corpus, docs: Sequence[TokenizedDoc], n: int = 1000) -> ExplorationReport:
     """Rank the corpus's lemmas and hashtags by occurrence count.
 
     Both lists count with multiplicity; ties break lexicographically.
     """
-    if len(docs) != len(corpus.records):
+    if len(docs) != len(corpus):
         raise DataError("docs must be parallel to corpus records")
     words: Counter = Counter()
     for doc in docs:
         words.update(doc.lemmas)
     hashtags: Counter = Counter()
-    for record in corpus.records:
+    for record in corpus:
         hashtags.update(record.hashtags)
     return ExplorationReport(ranked(words, n), ranked(hashtags, n))
 
@@ -68,16 +56,17 @@ def write_label_file(path: str | Path, ranked: Sequence[tuple[str, int]]) -> int
     )
 
 
-def load_dictionary(path: str | Path) -> TermDictionary:
-    """Read a curated term,label,frequency CSV.
+def load_dictionary(path: str | Path) -> frozenset[str]:
+    """Read a curated term,label,frequency CSV; returns its Tourism terms.
 
     Blank labels are ignored with a warning; a term may carry exactly one
-    label, so conflicting duplicates abort the load.
+    label, so conflicting duplicates abort the load, as do unknown labels
+    and frequencies that are not integers.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"dictionary file not found: {path}")
-    entries: dict[str, tuple[str, int]] = {}
+    labels: dict[str, str] = {}
     blank = 0
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -92,27 +81,22 @@ def load_dictionary(path: str | Path) -> TermDictionary:
             if label not in (TOURISM, NOT_TOURISM):
                 raise DataError(f"{path.name} line {line_no}: unknown label {label!r}")
             try:
-                freq = int(row.get("frequency") or 0)
+                int(row.get("frequency") or 0)  # checked, though no caller reads it
             except ValueError:
                 raise DataError(
                     f"{path.name} line {line_no}: bad frequency {row['frequency']!r}"
                 ) from None
-            if term in entries:
-                if entries[term][0] != label:
-                    raise DataError(
-                        f"{path.name} line {line_no}: term {term!r} labeled twice"
-                    )
-                continue
-            entries[term] = (label, freq)
+            if labels.setdefault(term, label) != label:
+                raise DataError(f"{path.name} line {line_no}: term {term!r} labeled twice")
     if blank:
         log.warning("%s: ignored %d unlabeled rows", path.name, blank)
-    return TermDictionary(entries)
+    return frozenset(term for term, label in labels.items() if label == TOURISM)
 
 
 def match_strings(
     corpus: Corpus,
     docs: Sequence[TokenizedDoc],
-    dictionary: TermDictionary,
+    tourism: frozenset[str],
     min_hits: int = 3,
 ) -> Corpus:
     """Keep tweets whose lemma stream hits domain-labeled terms often enough.
@@ -120,17 +104,16 @@ def match_strings(
     Occurrences count with multiplicity: three repeats of one term
     qualify just like three distinct terms.
     """
-    if len(docs) != len(corpus.records):
+    if len(docs) != len(corpus):
         raise DataError("docs must be parallel to corpus records")
-    tourism = dictionary.tourism_terms
     if not tourism:
         raise DataError("dictionary has no Tourism entries")
     kept = []
-    for record, doc in zip(corpus.records, docs):
+    for record, doc in zip(corpus, docs):
         hits = sum(1 for lem in doc.lemmas if lem in tourism)
         if hits >= min_hits:
             kept.append(record)
-    return Corpus(tuple(kept))
+    return tuple(kept)
 
 
 def merge_results(a: Corpus, b: Corpus, mode: str = "union") -> Corpus:
@@ -142,16 +125,15 @@ def merge_results(a: Corpus, b: Corpus, mode: str = "union") -> Corpus:
     """
     if mode not in ("union", "exclusive"):
         raise DataError(f"unknown merge mode {mode!r}")
-    a_by_id = {r.id: r for r in a.records}
-    for record in b.records:
+    a_by_id = {r.id: r for r in a}
+    for record in b:
         other = a_by_id.get(record.id)
         if other is not None and other.text != record.text:
             raise DataError(f"id {record.id!r} carries different texts in the inputs")
-    b_ids = {r.id for r in b.records}
+    b_ids = {r.id for r in b}
     if mode == "union":
-        merged = list(a.records)
-        merged.extend(r for r in b.records if r.id not in a_by_id)
+        merged = list(a)
     else:
-        merged = [r for r in a.records if r.id not in b_ids]
-        merged.extend(r for r in b.records if r.id not in a_by_id)
-    return Corpus(tuple(merged))
+        merged = [r for r in a if r.id not in b_ids]
+    merged.extend(r for r in b if r.id not in a_by_id)
+    return tuple(merged)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 
-from .categorize import Gazetteer
+from .categorize import Place
 from .storage import _json_text
 from .wordgraph import PlaceGraph, PlaceNode, WordGraph
 
@@ -165,13 +165,13 @@ def place_graph_from_json(text: str) -> PlaceGraph:
     )
 
 
-def export_geojson(place_graph: PlaceGraph, gazetteer: Gazetteer) -> dict:
+def export_geojson(place_graph: PlaceGraph, gazetteer: tuple[Place, ...]) -> dict:
     """Build a FeatureCollection of place Points and co-mention LineStrings.
 
     Places missing coordinates in the gazetteer are skipped with a
     warning, as are edges touching them.
     """
-    coords = {p.name: (p.lon, p.lat) for p in gazetteer.places}
+    coords = {p.name: (p.lon, p.lat) for p in gazetteer}
     features = []
     for name in sorted(place_graph.nodes):
         node = place_graph.nodes[name]

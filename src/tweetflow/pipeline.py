@@ -37,6 +37,7 @@ from . import (
     community,
     domainfilter,
     exports,
+    netmetrics,
     preprocess,
     resources,
     sentiment as sentiment_mod,
@@ -128,7 +129,7 @@ def _lang_docs(
     stopwords = resources.load_stopwords(config.resource(f"stopwords_{lang}"))
     docs = [
         preprocess.pipeline_doc(record.id, record.text, lemmas, stopwords)
-        for record in corpus.records
+        for record in corpus
     ]
     return corpus, docs
 
@@ -192,11 +193,11 @@ def stage_explore(config: PipelineConfig, out: Out) -> dict:
 
 
 def stage_filter(config: PipelineConfig, out: Out) -> dict:
-    dictionary = domainfilter.load_dictionary(config.resource("dictionary"))
+    tourism = domainfilter.load_dictionary(config.resource("dictionary"))
     counts = {}
     for lang in config.languages:
         corpus, docs = _lang_docs(config, lang, f"ingest/corpus_{lang}.jsonl")
-        matched = domainfilter.match_strings(corpus, docs, dictionary, config.filter_min_hits)
+        matched = domainfilter.match_strings(corpus, docs, tourism, config.filter_min_hits)
         save_corpus(matched, out(f"matched_{lang}.jsonl"))
         counts[f"in_{lang}"] = len(corpus)
         counts[f"matched_{lang}"] = len(matched)
@@ -216,7 +217,7 @@ def _refine_corpus(
     config: PipelineConfig,
     corpus: Corpus,
     docs: Sequence[preprocess.TokenizedDoc],
-    dictionary: domainfilter.TermDictionary,
+    tourism: frozenset[str],
     seed: int,
 ) -> topics_mod.RefineResult:
     lda_config = topics_mod.LdaConfig(
@@ -230,7 +231,7 @@ def _refine_corpus(
         selector = _interactive_selector
     else:
         selector = topics_mod.dictionary_selector(
-            dictionary.tourism_terms,
+            tourism,
             top_n=config.lda_top_words,
             threshold=config.overlap_threshold,
         )
@@ -252,12 +253,12 @@ def _topic_report_rows(rounds) -> list[list]:
 
 
 def stage_topics(config: PipelineConfig, out: Out) -> dict:
-    dictionary = domainfilter.load_dictionary(config.resource("dictionary"))
+    tourism = domainfilter.load_dictionary(config.resource("dictionary"))
     counts = {}
     for lang in config.languages:
         corpus, docs = _lang_docs(config, lang, f"filter/matched_{lang}.jsonl")
         seed = config.stage_seed(f"topics:{lang}")
-        result = _refine_corpus(config, corpus, docs, dictionary, seed)
+        result = _refine_corpus(config, corpus, docs, tourism, seed)
         save_corpus(result.corpus, out(f"refined_{lang}.jsonl"))
         write_csv(
             out(f"topic_words_{lang}.csv"),
@@ -272,12 +273,12 @@ def stage_topics(config: PipelineConfig, out: Out) -> dict:
 
 
 def stage_cluster(config: PipelineConfig, out: Out) -> dict:
-    from . import clustering  # loads numpy: imported only by the stages that need it
+    from . import clustering  # loads numpy: imported only by the stage that needs it
 
-    dictionary = domainfilter.load_dictionary(config.resource("dictionary"))
+    tourism = domainfilter.load_dictionary(config.resource("dictionary"))
     # a cluster is on-domain by the topic rule, applied to its 10 most frequent lemmas
     select_tourism = topics_mod.dictionary_selector(
-        dictionary.tourism_terms, top_n=10, threshold=config.overlap_threshold
+        tourism, top_n=10, threshold=config.overlap_threshold
     )
     counts = {}
     for lang in config.languages:
@@ -289,7 +290,8 @@ def stage_cluster(config: PipelineConfig, out: Out) -> dict:
 
         report_rows: list[list] = []
         selected: set[int] = set()
-        route_b = Corpus(())
+        route_b: Corpus = ()
+        route_b_docs: list[preprocess.TokenizedDoc] = []
         if n_distinct < config.cluster_k_min:
             # degenerate corpus: too few rows with any distinguishing terms
             log.warning(
@@ -330,25 +332,23 @@ def stage_cluster(config: PipelineConfig, out: Out) -> dict:
                 })
             best = selection.best
             selected = select_tourism(summaries_by_k[best.k])
-            route_b = Corpus(
-                tuple(
-                    record
-                    for record, assignment in zip(corpus.records, best.assignments)
-                    if assignment in selected
-                )
-            )
+            picked = [
+                (record, doc)
+                for record, doc, cid in zip(corpus, docs, best.assignments)
+                if cid in selected
+            ]
+            route_b = tuple(record for record, _ in picked)
+            route_b_docs = [doc for _, doc in picked]
             counts[f"best_k_{lang}"] = best.k
             counts[f"fits_{lang}"] = fits
         counts[f"clustered_{lang}"] = len(corpus)
         counts[f"tourism_clusters_{lang}"] = len(selected)
         counts[f"route_b_{lang}"] = len(route_b)
 
-        if config.cluster_lda_refine and len(route_b) > 0:
-            docs_by_id = {doc.tweet_id: doc for doc in docs}
-            route_b_docs = [docs_by_id[r.id] for r in route_b.records]
+        if config.cluster_lda_refine and route_b:
             try:
                 result = _refine_corpus(
-                    config, route_b, route_b_docs, dictionary,
+                    config, route_b, route_b_docs, tourism,
                     config.stage_seed(f"cluster:lda:{lang}"),
                 )
                 route_b = result.corpus
@@ -384,13 +384,13 @@ def stage_categorize(config: PipelineConfig, out: Out) -> dict:
         valences = resources.load_valences(config.resource(f"sentiment_{lang}"))
         assignments = {}
         mentions = []
-        for record, doc in zip(corpus.records, docs):
+        for record, doc in zip(corpus, docs):
             assignments[record.id] = categorize_mod.assign_category(doc, rules)
             mentions.append(categorize_mod.extract_entities(record, doc, gazetteer, valences))
         write_csv(
             out(f"categories_{lang}.csv"),
             ["tweet_id", "category"],
-            [[record.id, assignments[record.id]] for record in corpus.records],
+            [[record.id, assignments[record.id]] for record in corpus],
         )
         write_jsonl(out(f"entities_{lang}.jsonl"), [asdict(m) for m in mentions])
         report = categorize_mod.category_report(assignments, docs, rules, mentions)
@@ -424,7 +424,7 @@ def stage_sentiment(config: PipelineConfig, out: Out) -> dict:
         grouping = dict(_read(
             config, categories_rel, lambda path: read_csv(path, ["tweet_id", "category"]),
         ))
-        uncategorized = [record.id for record in corpus.records if record.id not in grouping]
+        uncategorized = [record.id for record in corpus if record.id not in grouping]
         if uncategorized:
             raise DataError(
                 f"{categories_rel} has no category for tweet {uncategorized[0]!r}: "
@@ -439,7 +439,7 @@ def stage_sentiment(config: PipelineConfig, out: Out) -> dict:
             sentiment_mod.score(
                 sentiment_mod.scoring_tokens(record.text), lexicon, record.id
             )
-            for record in corpus.records
+            for record in corpus
         ]
         write_csv(
             out(f"scores_{lang}.csv"),
@@ -470,14 +470,14 @@ def stage_sentiment(config: PipelineConfig, out: Out) -> dict:
 
 def stage_graph(config: PipelineConfig, out: Out) -> dict:
     gazetteer = categorize_mod.load_gazetteer(config.resource("gazetteer"))
-    kinds = {p.name: p.kind for p in gazetteer.places}
+    kinds = {p.name: p.kind for p in gazetteer}
     counts = {}
     stats_rows = []
     for lang in config.languages:
         corpus, docs = _lang_docs(config, lang, f"cluster/tourism_{lang}.jsonl")
         scores_rel = f"sentiment/scores_{lang}.csv"
         scores = _read(config, scores_rel, _load_scores)
-        unscored = [record.id for record in corpus.records if record.id not in scores]
+        unscored = [record.id for record in corpus if record.id not in scores]
         if unscored:
             raise DataError(f"{scores_rel} has no score for tweet {unscored[0]!r}: rerun sentiment")
         mentions = _read(config, f"categorize/entities_{lang}.jsonl", _load_entities)
@@ -485,7 +485,7 @@ def stage_graph(config: PipelineConfig, out: Out) -> dict:
         for polarity in POLARITIES:
             split_docs = [
                 doc
-                for record, doc in zip(corpus.records, docs)
+                for record, doc in zip(corpus, docs)
                 if scores[record.id][1] == polarity
             ]
             graph = build_word_graph(
@@ -528,8 +528,6 @@ MEASURES = ("betweenness", "closeness", "degree", "eigenvector")
 
 
 def stage_metrics(config: PipelineConfig, out: Out) -> dict:
-    from . import netmetrics  # loads numpy: imported only by the stages that need it
-
     counts = {}
     rows: dict[str, list[list]] = {measure: [] for measure in MEASURES}
     for lang, polarity, network, graph in _word_graphs(config):

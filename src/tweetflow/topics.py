@@ -414,15 +414,15 @@ def iterative_refine(
 ) -> RefineResult:
     """Repeatedly fit LDA and keep only tweets in selector-chosen topics.
 
-    `docs` must be parallel to `corpus.records`. Each round fits on the
+    `docs` must be parallel to `corpus`. Each round fits on the
     surviving subset; refinement stops at max_rounds, when the surviving
     set shrinks by less than MIN_CHANGE, or when too few non-empty
     documents remain to fit k topics. Survivor sets are monotonically
     non-increasing.
     """
-    if len(docs) != len(corpus.records):
+    if len(docs) != len(corpus):
         raise DataError("docs must be parallel to corpus records")
-    survivors = list(range(len(corpus.records)))
+    survivors = list(range(len(corpus)))
     rounds: list[RefineRound] = []
     for round_no in range(1, max_rounds + 1):
         live_docs = [docs[i] for i in survivors]
@@ -466,5 +466,4 @@ def iterative_refine(
         survivors = kept
         if change < MIN_CHANGE:
             break
-    refined = Corpus(tuple(corpus.records[i] for i in survivors))
-    return RefineResult(refined, tuple(rounds))
+    return RefineResult(tuple(corpus[i] for i in survivors), tuple(rounds))

@@ -184,7 +184,7 @@ def build_place_graph(
 
 
 def _attach_place_metrics(graph: PlaceGraph) -> None:
-    # local import: netmetrics imports this module, and it loads numpy
+    # local import: netmetrics imports this module
     from .netmetrics import closeness_centrality, degree_centrality
 
     adj = graph.adjacency()

@@ -208,7 +208,7 @@ def test_criterion_3_lda_conservation_and_recovery(fixture_corpus_path):
         corpus = filter_language(load_corpus(fixture_corpus_path), "en")
         lemmas = load_lemma_table(default_path("lemmas_en.tsv"))
         stopwords = load_stopwords(default_path("stopwords_en.txt"))
-        docs = [pipeline_doc(r.id, r.text, lemmas, stopwords) for r in corpus.records]
+        docs = [pipeline_doc(r.id, r.text, lemmas, stopwords) for r in corpus]
         model = fit_lda(
             docs,
             LdaConfig(k=3, alpha=0.5, iterations=30, seed=42),
@@ -277,33 +277,32 @@ def test_criterion_5_filtering_semantics(fixture_corpus_path):
         lemmas_en = load_lemma_table(default_path("lemmas_en.tsv"))
         stopwords_en = load_stopwords(default_path("stopwords_en.txt"))
         docs = [
-            pipeline_doc(r.id, r.text, lemmas_en, stopwords_en) for r in corpus.records
+            pipeline_doc(r.id, r.text, lemmas_en, stopwords_en) for r in corpus
         ]
         from tweetflow.domainfilter import load_dictionary
 
-        dictionary = load_dictionary(default_path("dictionary_default.csv"))
-        kept = match_strings(corpus, docs, dictionary, min_hits=3)
+        tourism = load_dictionary(default_path("dictionary_default.csv"))
+        kept = match_strings(corpus, docs, tourism, min_hits=3)
 
         # exhaustive recount, independently of match_strings internals
-        tourism = dictionary.tourism_terms
         expected_ids = [
             record.id
-            for record, d in zip(corpus.records, docs)
+            for record, d in zip(corpus, docs)
             if sum(1 for lem in d.lemmas if lem in tourism) >= 3
         ]
-        assert kept.ids() == expected_ids
+        assert [record.id for record in kept] == expected_ids
         assert len(expected_ids) > 0
 
         # merge cardinality on randomized id sets
         rng = random.Random(7)
-        from tweetflow.corpus import Corpus, TweetRecord
+        from tweetflow.corpus import TweetRecord
 
         for _ in range(50):
             universe = [str(i) for i in range(rng.randrange(1, 60))]
             ids_a = sorted(rng.sample(universe, rng.randrange(len(universe) + 1)))
             ids_b = sorted(rng.sample(universe, rng.randrange(len(universe) + 1)))
-            a = Corpus(tuple(TweetRecord(i, f"text {i}", "en") for i in ids_a))
-            b = Corpus(tuple(TweetRecord(i, f"text {i}", "en") for i in ids_b))
+            a = tuple(TweetRecord(i, f"text {i}", "en") for i in ids_a)
+            b = tuple(TweetRecord(i, f"text {i}", "en") for i in ids_b)
             merged = merge_results(a, b)
             assert len(merged) == len(set(ids_a) | set(ids_b))
 

@@ -9,7 +9,6 @@ from tweetflow.categorize import (
     CategoryRule,
     CategoryRules,
     EntityMentions,
-    Gazetteer,
     Place,
     assign_category,
     category_report,
@@ -43,15 +42,13 @@ def rules():
 
 @pytest.fixture
 def gazetteer():
-    return Gazetteer(
-        places=(
-            Place("bari", "city", (), 41.1171, 16.8719),
-            Place("otranto", "city", (), 40.1464, 18.4901),
-            Place("polignano_a_mare", "city", ("polignano",), 40.9955, 17.2188),
-            Place("mare_piccolo", "attraction", (), 40.48, 17.27),
-            Place("torre_dell_orso", "attraction", ("Torre dell'Orso",), 40.2758, 18.4310),
-            Place("castello_svevo", "attraction", ("castello svevo di bari",), 41.1292, 16.8675),
-        ),
+    return (
+        Place("bari", "city", (), 41.1171, 16.8719),
+        Place("otranto", "city", (), 40.1464, 18.4901),
+        Place("polignano_a_mare", "city", ("polignano",), 40.9955, 17.2188),
+        Place("mare_piccolo", "attraction", (), 40.48, 17.27),
+        Place("torre_dell_orso", "attraction", ("Torre dell'Orso",), 40.2758, 18.4310),
+        Place("castello_svevo", "attraction", ("castello svevo di bari",), 41.1292, 16.8675),
     )
 
 
@@ -211,8 +208,8 @@ class TestBundledResources:
 
     def test_gazetteer_loads_within_puglia_bounds(self):
         gaz = load_gazetteer(default_path("gazetteer.csv"))
-        assert len(gaz.places) > 20
-        for place in gaz.places:
+        assert len(gaz) > 20
+        for place in gaz:
             assert 39.7 <= place.lat <= 42.3, place
             assert 14.9 <= place.lon <= 18.6, place
             assert place.kind in ("city", "attraction")

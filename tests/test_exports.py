@@ -5,7 +5,7 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
-from tweetflow.categorize import EntityMentions, Gazetteer, Place
+from tweetflow.categorize import EntityMentions, Place
 from tweetflow.exports import (
     export_geojson,
     place_graph_from_json,
@@ -42,14 +42,12 @@ def mention(tweet_id, cities=(), attractions=()):
     return EntityMentions(tweet_id, tuple(cities), tuple(attractions), (), ())
 
 
-GAZ = Gazetteer(
-    places=(
-        Place("bari", "city", (), 41.1171, 16.8719),
-        Place("castello_svevo", "attraction", (), 41.1292, 16.8675),
-        Place("nowhere", "city", (), 40.0, 17.0),
-    ),
+GAZ = (
+    Place("bari", "city", (), 41.1171, 16.8719),
+    Place("castello_svevo", "attraction", (), 41.1292, 16.8675),
+    Place("nowhere", "city", (), 40.0, 17.0),
 )
-KINDS = {p.name: p.kind for p in GAZ.places} | {"ghost_town": "city"}
+KINDS = {p.name: p.kind for p in GAZ} | {"ghost_town": "city"}
 
 
 class TestWordGraphExports:
@@ -155,7 +153,7 @@ class TestGeoJson:
         ]
         graph = build_place_graph(mentions, KINDS)
         geo = export_geojson(graph, GAZ)
-        with_coords = {p.name for p in GAZ.places}
+        with_coords = {p.name for p in GAZ}
         expected_points = sum(1 for n in graph.nodes if n in with_coords)
         expected_lines = sum(
             1 for u, v in graph.edges if u in with_coords and v in with_coords

@@ -21,12 +21,13 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 NUMPY_FREE = (
     "corpus", "preprocess", "resources", "domainfilter", "topics",
-    "sentiment", "categorize", "wordgraph", "exports", "storage", "community",
+    "sentiment", "categorize", "wordgraph", "exports", "storage", "community", "netmetrics",
 )
 NUMPY_FREE_STAGES = (
-    "ingest", "explore", "filter", "topics", "categorize", "sentiment", "communities", "report",
+    "ingest", "explore", "filter", "topics", "categorize", "sentiment", "graph", "communities",
+    "report",
 )
-NUMPY_STAGES = ("cluster", "graph", "metrics")
+NUMPY_STAGES = ("cluster", "metrics")
 
 
 def test_numpy_free_modules_import_with_numpy_and_yaml_blocked():
@@ -50,7 +51,7 @@ def test_blocking_numpy_is_seen():
         "import sys",
         f"sys.path.insert(0, {str(SRC)!r})",
         'sys.modules["numpy"] = None',
-        "import tweetflow.netmetrics",
+        "import tweetflow.clustering",
     ])
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tweetflow import netmetrics
+from tweetflow import _brandes
 from tweetflow.errors import DataError
 from tweetflow.netmetrics import (
     _adjacency,
@@ -302,7 +302,7 @@ class TestOracleEquivalence:
     @over(KERNEL_GRAPHS + REAL_SIZE_GRAPHS + [("clique-union-disconnected", DISCONNECTED)])
     def test_betweenness_identical_at_any_batch_size(self, graph, entries, monkeypatch):
         # one source per batch, and every source in one batch
-        monkeypatch.setattr(netmetrics, "_BATCH_ENTRIES", entries)
+        monkeypatch.setattr(_brandes, "_BATCH_ENTRIES", entries)
         expected = oracles.betweenness_centrality(graph)
         assert repr(betweenness_centrality(graph).values) == repr(expected.values)
 

@@ -7,7 +7,7 @@ import oracles
 import pytest
 
 from tweetflow import topics
-from tweetflow.corpus import Corpus, TweetRecord
+from tweetflow.corpus import TweetRecord
 from tweetflow.errors import DataError
 from tweetflow.preprocess import TokenizedDoc
 from tweetflow.topics import (
@@ -336,7 +336,11 @@ def mixture_corpus(seed, n_tourism=70, n_noise=30):
         lemmas = [rng.choice(vocab) for _ in range(8)]
         records.append(TweetRecord(id=f"t{i}", text=" ".join(lemmas), lang="en"))
         docs.append(doc(f"t{i}", lemmas))
-    return Corpus(tuple(records)), docs
+    return tuple(records), docs
+
+
+def ids(corpus):
+    return [r.id for r in corpus]
 
 
 class TestIterativeRefine:
@@ -346,14 +350,14 @@ class TestIterativeRefine:
         corpus, docs = mixture_corpus(1, n_tourism=40, n_noise=0)
         keep_all = lambda summaries: {s.topic_id for s in summaries}
         result = iterative_refine(corpus, docs, self.config, keep_all, max_rounds=3)
-        assert result.corpus.ids() == corpus.ids()
+        assert ids(result.corpus) == ids(corpus)
         assert len(result.rounds) == 1
 
     def test_mixture_separation(self):
         corpus, docs = mixture_corpus(2)
         selector = dictionary_selector(frozenset(TOURISM_VOCAB), top_n=10, threshold=0.5)
         result = iterative_refine(corpus, docs, self.config, selector, max_rounds=3)
-        survivors = result.corpus.ids()
+        survivors = ids(result.corpus)
         tourism_share = sum(1 for tid in survivors if int(tid[1:]) < 70) / len(survivors)
         assert tourism_share >= 0.95
 
@@ -362,7 +366,7 @@ class TestIterativeRefine:
         result = iterative_refine(
             corpus, docs, self.config, lambda s: {0}, max_rounds=0
         )
-        assert result.corpus.ids() == corpus.ids()
+        assert ids(result.corpus) == ids(corpus)
         assert result.rounds == ()
 
     def test_survivors_monotone_non_increasing(self):
@@ -371,8 +375,8 @@ class TestIterativeRefine:
         result = iterative_refine(corpus, docs, self.config, selector, max_rounds=4)
         sizes = [r.n_docs for r in result.rounds] + [len(result.corpus)]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
-        parent_ids = set(corpus.ids())
-        assert all(tid in parent_ids for tid in result.corpus.ids())
+        parent_ids = set(ids(corpus))
+        assert all(tid in parent_ids for tid in ids(result.corpus))
 
     def test_selector_abort(self):
         corpus, docs = mixture_corpus(5)
