@@ -10,7 +10,6 @@ before its substring "mare".
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import logging
 import re
@@ -174,10 +173,10 @@ def assign_category(doc: TokenizedDoc, rules: CategoryRules) -> str:
     return rules.fallback
 
 
-@functools.lru_cache(maxsize=8)
-def _gazetteer_index(gazetteer: tuple[Place, ...]) -> dict[tuple[str, ...], Place]:
+def gazetteer_index(places: Sequence[Place]) -> dict[tuple[str, ...], Place]:
+    """Every match form of the places -> its place, as extract_entities takes it."""
     index: dict[tuple[str, ...], Place] = {}
-    for place in gazetteer:
+    for place in places:
         for form in place.match_forms():
             existing = index.get(form)
             # deterministic collision rule: lexicographically smaller canonical wins
@@ -189,16 +188,16 @@ def _gazetteer_index(gazetteer: tuple[Place, ...]) -> dict[tuple[str, ...], Plac
 def extract_entities(
     record: TweetRecord,
     doc: TokenizedDoc,
-    gazetteer: tuple[Place, ...],
+    index: Mapping[tuple[str, ...], Place],
     adjective_lexicon: Mapping[str, float],
 ) -> EntityMentions:
     """Scan for place mentions, polarity-tagged adjectives, and hashtags.
 
-    The place scan is greedy longest-match over the normalized raw text,
-    so no reported mention is a token-substring of another mention at the
-    same position. Adjectives are lemmas found in the valence lexicon.
+    The place scan is greedy longest-match of the `gazetteer_index` forms
+    over the normalized raw text, so no reported mention is a
+    token-substring of another mention at the same position. Adjectives
+    are lemmas found in the valence lexicon.
     """
-    index = _gazetteer_index(gazetteer)
     max_len = max((len(form) for form in index), default=0)
     tokens = normalize(record.text).split()
     cities: list[str] = []

@@ -73,11 +73,6 @@ def main(argv: list[str] | None = None) -> int:
             lang_override=args.lang,
             interactive=args.interactive,
         )
-    except ConfigError as exc:
-        logging.error("config error: %s", exc)
-        return EXIT_CONFIG
-
-    try:
         if args.stage == "all":
             run_all(config)
         else:

@@ -161,7 +161,7 @@ def kmeans(
         raise DataError(f"k={k} out of range 2..{n_distinct}")
     if k > n_distinct:
         raise DataError(f"k={k} exceeds the {n_distinct} distinct non-empty rows")
-    v_size = len(matrix.vocabulary.terms)
+    v_size = len(matrix.terms)
     sq = _sq_norms(rows)
     idx, val = _padded(rows)
     filled = np.arange(idx.shape[1]) < np.array([len(row) for row in rows])[:, None]
@@ -183,10 +183,7 @@ def kmeans(
         nearest = d_sq.argmin(axis=1)  # first minimum: ties go to the lowest index
         best_d = d_sq[np.arange(n), nearest].tolist()
         new_assignments = nearest.tolist()
-        wcss = 0.0
-        for d in best_d:
-            wcss += d
-        wcss_history.append(wcss)
+        wcss_history.append(_sum_left(best_d))
         if new_assignments == assignments:
             converged = True
             break
@@ -274,7 +271,7 @@ def silhouette(
         raise DataError("silhouette requires at least 2 clusters")
     rows = _normalized_rows(matrix)
     sq = _sq_norms(rows)
-    block, lines = _shared_columns(rows, len(matrix.vocabulary.terms))
+    block, lines = _shared_columns(rows, len(matrix.terms))
     idx, val = _padded(rows)
     idx = lines[idx]
     label = np.searchsorted(clusters, assignments)
@@ -287,7 +284,7 @@ def silhouette(
         rng = random.Random(seed)
         indices = sorted(rng.sample(indices, sample_size))
 
-    total = 0.0
+    scores: list[float] = []
     for start in range(0, len(indices), SILHOUETTE_BLOCK):
         q = np.array(indices[start : start + SILHOUETTE_BLOCK])
         here = np.arange(len(q))
@@ -306,12 +303,10 @@ def silhouette(
         b = mean_other.min(axis=1)
         denom = np.maximum(a, b)
         # a point in a singleton cluster contributes 0
-        scores = np.divide(
+        scores += np.divide(
             b - a, denom, out=np.zeros(len(q)), where=(sizes[own] > 1) & (denom > 0)
-        )
-        for s in scores.tolist():
-            total += s
-    return total / len(indices)
+        ).tolist()
+    return _sum_left(scores) / len(indices)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .errors import DataError
 from .floats import _sum_left
-from .wordgraph import _adjacency, _int_adjacency
+from .netmetrics import _adjacency, _int_adjacency
 
 log = logging.getLogger(__name__)
 

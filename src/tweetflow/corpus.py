@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import datetime
@@ -23,6 +24,8 @@ from .storage import write_jsonl
 log = logging.getLogger(__name__)
 
 SUPPORTED_LANGUAGES = ("en", "it")
+# the classic retweet form "RT @user: <text>"
+RETWEET_PREFIX_RE = re.compile(r"^\s*RT @\w+:")
 
 
 @dataclass(frozen=True)
@@ -157,13 +160,14 @@ def dedup(corpus: Corpus) -> Corpus:
     """Drop records whose normalized text was already seen, keeping the first.
 
     Duplicate detection keys on the normalized text (URLs, mentions, and
-    punctuation stripped), so retweets that differ only in links or
-    handles collapse together.
+    punctuation stripped) after a leading classic-retweet "RT @handle:",
+    so retweets that differ only in that prefix, links or handles
+    collapse together.
     """
     seen: set[str] = set()
     kept = []
     for record in corpus:
-        key = normalize(record.text)
+        key = normalize(RETWEET_PREFIX_RE.sub("", record.text))
         if key in seen:
             continue
         seen.add(key)

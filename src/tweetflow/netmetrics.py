@@ -20,11 +20,11 @@ for bipartite oscillation.
 from __future__ import annotations
 
 import logging
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .errors import DataError
 from .floats import _sum_left
-from .wordgraph import _adjacency, _int_adjacency
 
 log = logging.getLogger(__name__)
 
@@ -34,6 +34,19 @@ class CentralityScores:
     values: dict[str, float]
     # the measure's own run statistics, for the manifest; not part of the result
     diagnostics: dict | None = field(default=None, compare=False)
+
+
+def _adjacency(graph) -> dict[str, list[str]]:
+    """The sorted adjacency of a graph object or of a node -> neighbours mapping."""
+    if hasattr(graph, "adjacency"):
+        return graph.adjacency()
+    return {node: sorted(neigh) for node, neigh in sorted(graph.items())}
+
+
+def _int_adjacency(adj: Mapping[str, Sequence[str]]) -> list[list[int]]:
+    """Neighbour lists as node indices, numbering nodes in `adj` order."""
+    index = {node: i for i, node in enumerate(adj)}
+    return [[index[w] for w in neigh] for neigh in adj.values()]
 
 
 def degree_centrality(graph) -> CentralityScores:

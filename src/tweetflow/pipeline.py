@@ -170,13 +170,18 @@ def stage_ingest(config: PipelineConfig, out: Out) -> dict:
         "after_dedup": len(deduped),
         "dropped_duplicates": len(raw) - len(deduped),
     }
-    kept_total = 0
-    for lang in config.languages:
-        subset = filter_language(deduped, lang)
+    subsets = {lang: filter_language(deduped, lang) for lang in config.languages}
+    for lang, subset in subsets.items():
+        if not subset:
+            # every later stage needs records in each configured language
+            raise DataError(
+                f"{config.input.name}: 0 of {len(deduped)} deduplicated records are in "
+                f"language {lang!r}; drop it from 'languages:' or restrict the run with --lang"
+            )
+    for lang, subset in subsets.items():
         counts[f"kept_{lang}"] = len(subset)
-        kept_total += len(subset)
         save_corpus(subset, out(f"corpus_{lang}.jsonl"))
-    counts["dropped_other_lang"] = len(deduped) - kept_total
+    counts["dropped_other_lang"] = len(deduped) - sum(map(len, subsets.values()))
     return counts
 
 
@@ -377,7 +382,9 @@ def stage_cluster(config: PipelineConfig, out: Out) -> dict:
 
 def stage_categorize(config: PipelineConfig, out: Out) -> dict:
     rules = categorize_mod.load_category_rules(config.resource("category_rules"))
-    gazetteer = categorize_mod.load_gazetteer(config.resource("gazetteer"))
+    place_index = categorize_mod.gazetteer_index(
+        categorize_mod.load_gazetteer(config.resource("gazetteer"))
+    )
     counts = {}
     for lang in config.languages:
         corpus, docs = _lang_docs(config, lang, f"cluster/tourism_{lang}.jsonl")
@@ -386,7 +393,7 @@ def stage_categorize(config: PipelineConfig, out: Out) -> dict:
         mentions = []
         for record, doc in zip(corpus, docs):
             assignments[record.id] = categorize_mod.assign_category(doc, rules)
-            mentions.append(categorize_mod.extract_entities(record, doc, gazetteer, valences))
+            mentions.append(categorize_mod.extract_entities(record, doc, place_index, valences))
         write_csv(
             out(f"categories_{lang}.csv"),
             ["tweet_id", "category"],

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import DataError
@@ -92,35 +92,14 @@ def pipeline_doc(
 
 
 @dataclass(frozen=True)
-class Vocabulary:
-    """Lexicographically sorted unique terms with document frequencies."""
-
-    terms: tuple[str, ...]
-    doc_freq: tuple[int, ...]
-
-    def index(self) -> dict[str, int]:
-        return {t: i for i, t in enumerate(self.terms)}
-
-
-@dataclass(frozen=True)
 class TfIdfMatrix:
-    """One sparse row per document; entries index into the vocabulary.
+    """One sparse row per document; entries index into the sorted terms.
 
     Zero weights are never materialized.
     """
 
     rows: tuple[dict[int, float], ...]
-    vocabulary: Vocabulary
-
-
-def build_vocabulary(docs: Iterable[TokenizedDoc]) -> Vocabulary:
-    """Collect sorted vocabulary and per-term document frequencies."""
-    df: dict[str, int] = {}
-    for doc in docs:
-        for term in set(doc.lemmas):
-            df[term] = df.get(term, 0) + 1
-    terms = tuple(sorted(df))
-    return Vocabulary(terms, tuple(df[t] for t in terms))
+    terms: tuple[str, ...]
 
 
 def build_tfidf(docs: Sequence[TokenizedDoc]) -> TfIdfMatrix:
@@ -131,10 +110,14 @@ def build_tfidf(docs: Sequence[TokenizedDoc]) -> TfIdfMatrix:
     """
     if not docs:
         raise DataError("cannot build TF-IDF over an empty corpus")
-    vocab = build_vocabulary(docs)
-    index = vocab.index()
+    doc_freq: dict[str, int] = {}
+    for doc in docs:
+        for term in set(doc.lemmas):
+            doc_freq[term] = doc_freq.get(term, 0) + 1
+    terms = tuple(sorted(doc_freq))
+    index = {t: i for i, t in enumerate(terms)}
     n_docs = len(docs)
-    idf = [math.log(n_docs / df) for df in vocab.doc_freq]
+    idf = [math.log(n_docs / doc_freq[t]) for t in terms]
     rows = []
     for doc in docs:
         counts: dict[int, int] = {}
@@ -147,4 +130,4 @@ def build_tfidf(docs: Sequence[TokenizedDoc]) -> TfIdfMatrix:
             if w > 0.0:
                 row[i] = w
         rows.append(row)
-    return TfIdfMatrix(tuple(rows), vocab)
+    return TfIdfMatrix(tuple(rows), terms)

@@ -18,6 +18,7 @@ from itertools import combinations
 from .categorize import EntityMentions
 from .errors import DataError
 from .floats import _sum_left
+from .netmetrics import closeness_centrality, degree_centrality
 from .preprocess import TokenizedDoc, ranked
 
 log = logging.getLogger(__name__)
@@ -78,19 +79,6 @@ def adjacency_from_edges(
         adj[u].add(v)
         adj[v].add(u)
     return {node: sorted(neigh) for node, neigh in sorted(adj.items())}
-
-
-def _adjacency(graph) -> dict[str, list[str]]:
-    """The sorted adjacency of a graph object or of a node -> neighbours mapping."""
-    if hasattr(graph, "adjacency"):
-        return graph.adjacency()
-    return {node: sorted(neigh) for node, neigh in sorted(graph.items())}
-
-
-def _int_adjacency(adj: Mapping[str, Sequence[str]]) -> list[list[int]]:
-    """Neighbour lists as node indices, numbering nodes in `adj` order."""
-    index = {node: i for i, node in enumerate(adj)}
-    return [[index[w] for w in neigh] for neigh in adj.values()]
 
 
 def _capped_lemmas(doc: TokenizedDoc, cap: int) -> list[str]:
@@ -184,9 +172,6 @@ def build_place_graph(
 
 
 def _attach_place_metrics(graph: PlaceGraph) -> None:
-    # local import: netmetrics imports this module
-    from .netmetrics import closeness_centrality, degree_centrality
-
     adj = graph.adjacency()
     n = len(adj)
     if n == 0:

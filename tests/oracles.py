@@ -383,7 +383,7 @@ def kmeans(matrix: TfIdfMatrix, k: int, seed: int, max_iters: int = 100) -> Clus
         raise DataError("cannot cluster an all-zero matrix")
     if not 2 <= k <= n_nonempty:
         raise DataError(f"k={k} out of range 2..{n_nonempty}")
-    v_size = len(matrix.vocabulary.terms)
+    v_size = len(matrix.terms)
     rows = _normalized_rows(matrix)
     rng = random.Random(seed)
     centroids = _kmeanspp_init(rows, k, v_size, rng)

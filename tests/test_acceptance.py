@@ -44,7 +44,7 @@ from tweetflow.netmetrics import (
     eigenvector_centrality,
 )
 from tweetflow.pipeline import run_all
-from tweetflow.preprocess import TfIdfMatrix, TokenizedDoc, Vocabulary, pipeline_doc
+from tweetflow.preprocess import TfIdfMatrix, TokenizedDoc, pipeline_doc
 from tweetflow.resources import default_path, load_lemma_table, load_stopwords
 from tweetflow.sentiment import SentimentLexicon, score
 from tweetflow.storage import sha256_file
@@ -244,8 +244,7 @@ def _blob_matrix(n_blobs, per_blob, seed, spread=0.08):
         for _ in range(per_blob):
             row = {base + j: 1.0 + rng.random() * spread for j in range(dims)}
             rows.append(row)
-    vocab = Vocabulary(tuple(f"w{i}" for i in range(v_size)), tuple([1] * v_size))
-    return TfIdfMatrix(tuple(rows), vocab)
+    return TfIdfMatrix(tuple(rows), tuple(f"w{i}" for i in range(v_size)))
 
 
 def test_criterion_4_clustering_recovery():
@@ -462,6 +461,25 @@ def test_criterion_9_end_to_end_determinism(golden_runs):
             for rel, meta in stage["outputs"].items():
                 assert meta["sha256"] == first[rel]
         assert elapsed < 60.0, f"two runs took {elapsed:.1f}s"
+
+
+def test_classic_retweet_copy_leaves_the_golden_outputs(tmp_path, fixture_config_path):
+    # an "RT @handle:" copy of a fixture tweet is a duplicate, so the run
+    # drops it at ingest and every output keeps its golden bytes
+    lines = (FIXTURES / "corpus200.jsonl").read_text(encoding="utf-8").splitlines()
+    rows = [json.loads(line) for line in lines]
+    original = next(row for row in rows if row["id"] == "t0003")
+    rows.append(dict(original, id="t9999", text="RT @someone: " + original["text"]))
+    corpus = tmp_path / "corpus201.jsonl"
+    corpus.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    config = load_config(
+        fixture_config_path, input_override=str(corpus), out_override=str(tmp_path / "out")
+    )
+    results = run_all(config)
+    golden = json.loads((FIXTURES / "golden_checksums.json").read_text(encoding="utf-8"))
+    assert _checksums(config.out) == golden
+    assert results["ingest"]["loaded"] == 201
+    assert results["ingest"]["dropped_duplicates"] == 4
 
 
 REPORT_SCHEMAS = {

@@ -13,6 +13,7 @@ from tweetflow.categorize import (
     assign_category,
     category_report,
     extract_entities,
+    gazetteer_index,
     load_category_rules,
     load_gazetteer,
 )
@@ -97,7 +98,7 @@ class TestExtractEntities:
     def test_city_and_adjective(self, gazetteer):
         record = TweetRecord(id="1", text="che bello polignano a mare", lang="it")
         d = doc("1", ["bello", "polignano", "mare"])
-        mentions = extract_entities(record, d, gazetteer, LEXICON)
+        mentions = extract_entities(record, d, gazetteer_index(gazetteer), LEXICON)
         assert mentions.cities == ("polignano_a_mare",)
         assert mentions.adjectives == (("bello", "positive"),)
 
@@ -106,56 +107,57 @@ class TestExtractEntities:
             id="1", text="che bello polignano a mare #puglia", lang="it", hashtags=("puglia",)
         )
         d = doc("1", ["bello", "polignano", "mare"])
-        mentions = extract_entities(record, d, gazetteer, LEXICON)
+        mentions = extract_entities(record, d, gazetteer_index(gazetteer), LEXICON)
         assert mentions.hashtags and mentions.adjectives
         row = json.loads(json.dumps(asdict(mentions)))
         assert EntityMentions.from_json_dict(row) == mentions
 
     def test_longest_match_over_substrings(self, gazetteer):
         record = TweetRecord(id="1", text="torre dell'orso e otranto", lang="it")
-        mentions = extract_entities(record, doc("1", []), gazetteer, {})
+        mentions = extract_entities(record, doc("1", []), gazetteer_index(gazetteer), {})
         assert mentions.attractions == ("torre_dell_orso",)
         assert mentions.cities == ("otranto",)
 
     def test_no_hits(self, gazetteer):
         record = TweetRecord(id="1", text="nothing to see", lang="en")
-        mentions = extract_entities(record, doc("1", ["nothing"]), gazetteer, {})
+        mentions = extract_entities(record, doc("1", ["nothing"]), gazetteer_index(gazetteer), {})
         assert mentions.cities == () and mentions.attractions == ()
         assert mentions.adjectives == ()
 
     def test_alias_resolves_to_canonical(self, gazetteer):
         record = TweetRecord(id="1", text="Visiting Polignano today", lang="en")
-        mentions = extract_entities(record, doc("1", []), gazetteer, {})
+        mentions = extract_entities(record, doc("1", []), gazetteer_index(gazetteer), {})
         assert mentions.cities == ("polignano_a_mare",)
 
     def test_no_overlapping_submatch(self, gazetteer):
         # "castello svevo di bari" must consume "bari" inside the alias
         record = TweetRecord(id="1", text="il castello svevo di bari", lang="it")
-        mentions = extract_entities(record, doc("1", []), gazetteer, {})
+        mentions = extract_entities(record, doc("1", []), gazetteer_index(gazetteer), {})
         assert mentions.attractions == ("castello_svevo",)
         assert mentions.cities == ()
 
     def test_separate_mentions_both_found(self, gazetteer):
         record = TweetRecord(id="1", text="castello svevo a bari stasera", lang="it")
-        mentions = extract_entities(record, doc("1", []), gazetteer, {})
+        mentions = extract_entities(record, doc("1", []), gazetteer_index(gazetteer), {})
         assert mentions.attractions == ("castello_svevo",)
         assert mentions.cities == ("bari",)
 
     def test_zero_valence_not_an_adjective(self, gazetteer):
         record = TweetRecord(id="1", text="x", lang="en")
-        mentions = extract_entities(record, doc("1", ["neutralword", "dirty"]), gazetteer, LEXICON)
+        d = doc("1", ["neutralword", "dirty"])
+        mentions = extract_entities(record, d, gazetteer_index(gazetteer), LEXICON)
         assert mentions.adjectives == (("dirty", "negative"),)
 
     def test_hashtags_carried_through(self, gazetteer):
         record = TweetRecord(id="1", text="x", lang="en", hashtags=("puglia",))
-        mentions = extract_entities(record, doc("1", []), gazetteer, {})
+        mentions = extract_entities(record, doc("1", []), gazetteer_index(gazetteer), {})
         assert mentions.hashtags == ("puglia",)
 
     def test_idempotent(self, gazetteer):
         record = TweetRecord(id="1", text="bari e otranto al mare", lang="it")
         d = doc("1", ["bello"])
-        first = extract_entities(record, d, gazetteer, LEXICON)
-        second = extract_entities(record, d, gazetteer, LEXICON)
+        first = extract_entities(record, d, gazetteer_index(gazetteer), LEXICON)
+        second = extract_entities(record, d, gazetteer_index(gazetteer), LEXICON)
         assert first == second
 
 

@@ -189,6 +189,22 @@ class TestExitCodes:
         config_path = make_config(tmp_path, fixture_corpus_path)
         assert main(["ingest", "--config", str(config_path)]) == 0
 
+    @pytest.mark.parametrize("present, missing", [("en", "it"), ("it", "en")])
+    def test_configured_language_without_records_is_2(
+        self, tmp_path, fixture_corpus_path, caplog, present, missing
+    ):
+        lines = fixture_corpus_path.read_text(encoding="utf-8").splitlines()
+        corpus = tmp_path / f"corpus_{present}.jsonl"
+        corpus.write_text(
+            "".join(line + "\n" for line in lines if json.loads(line)["lang"] == present),
+            encoding="utf-8",
+        )
+        config_path = make_config(tmp_path, corpus)
+        assert main(["ingest", "--config", str(config_path)]) == 2
+        assert f"in language {missing!r}" in caplog.text
+        assert not (tmp_path / "out" / "ingest").exists()
+        assert main(["ingest", "--config", str(config_path), "--lang", present]) == 0
+
     def test_unknown_stage_rejected_by_parser(self, tmp_path, fixture_corpus_path):
         config_path = make_config(tmp_path, fixture_corpus_path)
         with pytest.raises(SystemExit) as exit_info:

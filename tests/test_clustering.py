@@ -8,12 +8,11 @@ import pytest
 import oracles
 from tweetflow.clustering import distinct_rows, kmeans, select_k, silhouette
 from tweetflow.errors import DataError
-from tweetflow.preprocess import TfIdfMatrix, Vocabulary
+from tweetflow.preprocess import TfIdfMatrix
 
 
 def matrix_from_rows(rows, v_size):
-    vocab = Vocabulary(tuple(f"w{i}" for i in range(v_size)), tuple([1] * v_size))
-    return TfIdfMatrix(tuple(dict(r) for r in rows), vocab)
+    return TfIdfMatrix(tuple(dict(r) for r in rows), tuple(f"w{i}" for i in range(v_size)))
 
 
 def blob_matrix(n_blobs, per_blob, seed, spread=0.08, dims_per_blob=3):

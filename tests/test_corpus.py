@@ -139,6 +139,18 @@ class TestDedup:
         corpus = tuple(record(str(i), f"text {i % 4}") for i in range(12))
         assert len(dedup(corpus)) <= len(corpus)
 
+    def test_classic_retweet_collapses_with_its_original(self):
+        corpus = (
+            record("1", "Lovely dinner in Lecce"),
+            record("2", "RT @someone: Lovely dinner in Lecce"),
+            record("3", "RT @someone: another text"),
+        )
+        assert ids(dedup(corpus)) == ["1", "3"]
+
+    def test_rt_inside_the_text_is_kept(self):
+        corpus = (record("1", "great beach"), record("2", "great beach RT @someone:"))
+        assert ids(dedup(corpus)) == ["1", "2"]
+
     def test_fixture_has_three_duplicates(self, fixture_corpus_path):
         corpus = load_corpus(fixture_corpus_path)
         assert len(corpus) == 200

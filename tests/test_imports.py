@@ -60,6 +60,21 @@ def test_blocking_numpy_is_seen():
     assert "ImportError" in result.stderr or "ModuleNotFoundError" in result.stderr
 
 
+def test_graph_kernels_import_without_wordgraph():
+    # the centrality and community kernels take any adjacency mapping;
+    # wordgraph depends on them, not the other way round
+    code = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(SRC)!r})",
+        "import tweetflow.netmetrics, tweetflow.community",
+        'assert "tweetflow.wordgraph" not in sys.modules, "wordgraph was imported"',
+    ])
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def _main_with_numpy_blocked(stages, config_path: Path) -> tuple[dict, str]:
     """Run each stage through the CLI's main, in one process where `import
     numpy` fails; returns the exit codes by stage and the process's stderr."""

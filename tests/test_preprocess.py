@@ -9,7 +9,6 @@ from tweetflow.errors import DataError
 from tweetflow.preprocess import (
     TokenizedDoc,
     build_tfidf,
-    build_vocabulary,
     extract_hashtags,
     lemmatize,
     normalize,
@@ -112,14 +111,14 @@ class TestTfIdf:
     def test_hand_computed_example(self):
         docs = [doc("1", ["sea", "sea"]), doc("2", ["sun"])]
         matrix = build_tfidf(docs)
-        index = matrix.vocabulary.index()
+        index = {t: i for i, t in enumerate(matrix.terms)}
         assert matrix.rows[0][index["sea"]] == pytest.approx(2 * math.log(2))
         assert matrix.rows[1][index["sun"]] == pytest.approx(math.log(2))
 
     def test_term_in_every_doc_weight_zero(self):
         docs = [doc("1", ["sea", "sun"]), doc("2", ["sea"])]
         matrix = build_tfidf(docs)
-        index = matrix.vocabulary.index()
+        index = {t: i for i, t in enumerate(matrix.terms)}
         # df == N means idf == 0: the weight is not materialized
         assert index["sea"] not in matrix.rows[0]
         assert index["sun"] in matrix.rows[0]
@@ -152,17 +151,18 @@ class TestTfIdf:
             [["sea", "sun", "sand"], ["sun", "sand"], ["sand"]]
         )]
         matrix = build_tfidf(docs)
-        index = matrix.vocabulary.index()
         n = len(docs)
         for d_i, document in enumerate(docs):
-            for term, df in zip(matrix.vocabulary.terms, matrix.vocabulary.doc_freq):
-                stored = index[term] in matrix.rows[d_i]
+            for i, term in enumerate(matrix.terms):
+                df = sum(term in other.lemmas for other in docs)
+                stored = i in matrix.rows[d_i]
                 assert stored == (term in document.lemmas and df < n)
 
 
 class TestVocabulary:
     def test_sorted_and_doc_freqs(self):
         docs = [doc("1", ["sun", "sea", "sun"]), doc("2", ["sea"])]
-        vocab = build_vocabulary(docs)
-        assert vocab.terms == ("sea", "sun")
-        assert vocab.doc_freq == (2, 1)
+        matrix = build_tfidf(docs)
+        assert matrix.terms == ("sea", "sun")
+        # df(sea) = 2 = N gives weight 0; df(sun) = 1 gives count 2 times ln 2
+        assert matrix.rows == ({1: 2 * math.log(2)}, {})
