@@ -173,22 +173,26 @@ def assign_category(doc: TokenizedDoc, rules: CategoryRules) -> str:
     return rules.fallback
 
 
-def gazetteer_index(places: Sequence[Place]) -> dict[tuple[str, ...], Place]:
-    """Every match form of the places -> its place, as extract_entities takes it."""
-    index: dict[tuple[str, ...], Place] = {}
+def gazetteer_index(places: Sequence[Place]) -> dict[int, dict[tuple[str, ...], Place]]:
+    """Form length -> {match form -> its place}, longest forms first, as
+    extract_entities takes it. An empty form can match nothing and is left out."""
+    index: dict[int, dict[tuple[str, ...], Place]] = {}
     for place in places:
         for form in place.match_forms():
-            existing = index.get(form)
+            if not form:
+                continue
+            forms = index.setdefault(len(form), {})
+            existing = forms.get(form)
             # deterministic collision rule: lexicographically smaller canonical wins
             if existing is None or place.name < existing.name:
-                index[form] = place
-    return index
+                forms[form] = place
+    return {length: index[length] for length in sorted(index, reverse=True)}
 
 
 def extract_entities(
     record: TweetRecord,
     doc: TokenizedDoc,
-    index: Mapping[tuple[str, ...], Place],
+    index: Mapping[int, Mapping[tuple[str, ...], Place]],
     adjective_lexicon: Mapping[str, float],
 ) -> EntityMentions:
     """Scan for place mentions, polarity-tagged adjectives, and hashtags.
@@ -198,25 +202,20 @@ def extract_entities(
     token-substring of another mention at the same position. Adjectives
     are lemmas found in the valence lexicon.
     """
-    max_len = max((len(form) for form in index), default=0)
     tokens = normalize(record.text).split()
     cities: list[str] = []
     attractions: list[str] = []
     pos = 0
     while pos < len(tokens):
-        matched = None
-        for length in range(min(max_len, len(tokens) - pos), 0, -1):
-            window = tuple(tokens[pos:pos + length])
-            place = index.get(window)
+        for length, forms in index.items():
+            # a window cut short by the text's end is shorter than every form here
+            place = forms.get(tuple(tokens[pos:pos + length]))
             if place is not None:
-                matched = (place, length)
+                (cities if place.kind == CITY else attractions).append(place.name)
+                pos += length
                 break
-        if matched is None:
+        else:
             pos += 1
-            continue
-        place, length = matched
-        (cities if place.kind == CITY else attractions).append(place.name)
-        pos += length
 
     adjectives = []
     for lemma in doc.lemmas:

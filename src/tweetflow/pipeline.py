@@ -3,7 +3,8 @@ the output directory, writes its own atomically, and records counts and
 checksums in the run manifest.
 
 A stage is `stage_<name>(config, out) -> counts`; it writes each file to
-`out(filename)`, a path under <name>/ that the runner lists in the manifest.
+`out(rel)`, where `rel` is the run-relative path that the manifest, the
+goldens and the readers use. Its first part is the stage that writes it.
 
 Stage map:
     ingest      load, dedup, split per language
@@ -67,6 +68,20 @@ POLARITIES = ("positive", "negative")
 Out = Callable[[str], Path]
 T = TypeVar("T")
 
+# The stage files that a later stage reads, each spelled once: the writer and
+# every reader format the same template, whose first part names the writer.
+CORPUS = "ingest/corpus_{lang}.jsonl"
+MATCHED = "filter/matched_{lang}.jsonl"
+REFINED = "topics/refined_{lang}.jsonl"
+TOURISM = "cluster/tourism_{lang}.jsonl"
+CATEGORIES = "categorize/categories_{lang}.csv"
+ENTITIES = "categorize/entities_{lang}.jsonl"
+SCORES = "sentiment/scores_{lang}.csv"
+WORDGRAPH = "graph/wordgraph_{lang}_{polarity}.json"
+PLACEGRAPH = "graph/placegraph_{lang}.json"
+CATEGORIES_HEADER = ("tweet_id", "category")
+SCORES_HEADER = ("tweet_id", "compound", "label")
+
 
 # ---------------------------------------------------------------------------
 # manifest
@@ -121,10 +136,10 @@ def _read_corpus(config: PipelineConfig, rel: str) -> Corpus:
 
 
 def _lang_docs(
-    config: PipelineConfig, lang: str, rel: str
+    config: PipelineConfig, lang: str, template: str
 ) -> tuple[Corpus, list[preprocess.TokenizedDoc]]:
-    """The stage corpus at `rel` and its tokenized docs, in record order."""
-    corpus = _read_corpus(config, rel)
+    """The language's stage corpus at `template` and its tokenized docs, in record order."""
+    corpus = _read_corpus(config, template.format(lang=lang))
     lemmas = resources.load_lemma_table(config.resource(f"lemmas_{lang}"))
     stopwords = resources.load_stopwords(config.resource(f"stopwords_{lang}"))
     docs = [
@@ -140,15 +155,27 @@ def _word_graphs(config: PipelineConfig) -> Iterator[tuple[str, str, str, WordGr
         for polarity in POLARITIES:
             graph = _read(
                 config,
-                f"graph/wordgraph_{lang}_{polarity}.json",
+                WORDGRAPH.format(lang=lang, polarity=polarity),
                 lambda path: exports.word_graph_from_json(path.read_text(encoding="utf-8")),
             )
             yield lang, polarity, f"{lang}_{polarity}", graph
 
 
+def _per_tweet(
+    config: PipelineConfig, rel: str, reader: Callable[[Path], dict[str, T]],
+    corpus: Corpus, what: str,
+) -> dict[str, T]:
+    """reader's {tweet id: value} map of `rel`; a tweet of `corpus` it lacks is a DataError."""
+    values = _read(config, rel, reader)
+    missing = [record.id for record in corpus if record.id not in values]
+    if missing:
+        raise DataError(f"{rel} has no {what} for tweet {missing[0]!r}: rerun {rel.split('/')[0]}")
+    return values
+
+
 def _load_scores(path: Path) -> dict[str, tuple[float, str]]:
     scores = {}
-    for tweet_id, compound, label in read_csv(path, ["tweet_id", "compound", "label"]):
+    for tweet_id, compound, label in read_csv(path, SCORES_HEADER):
         if label not in POLARITIES:
             raise ValueError(f"tweet {tweet_id!r}: label {label!r} is not one of {POLARITIES}")
         scores[tweet_id] = (float(compound), label)
@@ -180,7 +207,7 @@ def stage_ingest(config: PipelineConfig, out: Out) -> dict:
             )
     for lang, subset in subsets.items():
         counts[f"kept_{lang}"] = len(subset)
-        save_corpus(subset, out(f"corpus_{lang}.jsonl"))
+        save_corpus(subset, out(CORPUS.format(lang=lang)))
     counts["dropped_other_lang"] = len(deduped) - sum(map(len, subsets.values()))
     return counts
 
@@ -188,10 +215,10 @@ def stage_ingest(config: PipelineConfig, out: Out) -> dict:
 def stage_explore(config: PipelineConfig, out: Out) -> dict:
     counts = {}
     for lang in config.languages:
-        corpus, docs = _lang_docs(config, lang, f"ingest/corpus_{lang}.jsonl")
+        corpus, docs = _lang_docs(config, lang, CORPUS)
         report = domainfilter.explore(corpus, docs, config.explore_top_n)
-        domainfilter.write_label_file(out(f"words_{lang}.csv"), report.top_words)
-        domainfilter.write_label_file(out(f"hashtags_{lang}.csv"), report.top_hashtags)
+        domainfilter.write_label_file(out(f"explore/words_{lang}.csv"), report.top_words)
+        domainfilter.write_label_file(out(f"explore/hashtags_{lang}.csv"), report.top_hashtags)
         counts[f"words_{lang}"] = len(report.top_words)
         counts[f"hashtags_{lang}"] = len(report.top_hashtags)
     return counts
@@ -201,9 +228,9 @@ def stage_filter(config: PipelineConfig, out: Out) -> dict:
     tourism = domainfilter.load_dictionary(config.resource("dictionary"))
     counts = {}
     for lang in config.languages:
-        corpus, docs = _lang_docs(config, lang, f"ingest/corpus_{lang}.jsonl")
+        corpus, docs = _lang_docs(config, lang, CORPUS)
         matched = domainfilter.match_strings(corpus, docs, tourism, config.filter_min_hits)
-        save_corpus(matched, out(f"matched_{lang}.jsonl"))
+        save_corpus(matched, out(MATCHED.format(lang=lang)))
         counts[f"in_{lang}"] = len(corpus)
         counts[f"matched_{lang}"] = len(matched)
     return counts
@@ -261,12 +288,12 @@ def stage_topics(config: PipelineConfig, out: Out) -> dict:
     tourism = domainfilter.load_dictionary(config.resource("dictionary"))
     counts = {}
     for lang in config.languages:
-        corpus, docs = _lang_docs(config, lang, f"filter/matched_{lang}.jsonl")
+        corpus, docs = _lang_docs(config, lang, MATCHED)
         seed = config.stage_seed(f"topics:{lang}")
         result = _refine_corpus(config, corpus, docs, tourism, seed)
-        save_corpus(result.corpus, out(f"refined_{lang}.jsonl"))
+        save_corpus(result.corpus, out(REFINED.format(lang=lang)))
         write_csv(
-            out(f"topic_words_{lang}.csv"),
+            out(f"topics/topic_words_{lang}.csv"),
             ["round", "topic_id", "rank", "word", "probability"],
             _topic_report_rows(result.rounds),
         )
@@ -287,8 +314,8 @@ def stage_cluster(config: PipelineConfig, out: Out) -> dict:
     )
     counts = {}
     for lang in config.languages:
-        corpus, docs = _lang_docs(config, lang, f"ingest/corpus_{lang}.jsonl")
-        route_a = _read_corpus(config, f"topics/refined_{lang}.jsonl")
+        corpus, docs = _lang_docs(config, lang, CORPUS)
+        route_a = _read_corpus(config, REFINED.format(lang=lang))
         matrix = preprocess.build_tfidf(docs)
         # select_k caps k at the distinct rows: k-means cannot keep more apart
         n_distinct = clustering.distinct_rows(matrix)
@@ -370,13 +397,19 @@ def stage_cluster(config: PipelineConfig, out: Out) -> dict:
             counts[f"route_b_refined_{lang}"] = len(route_b)
 
         merged = domainfilter.merge_results(route_a, route_b, config.merge_mode)
+        if not merged:
+            raise DataError(
+                f"cluster: 0 of the {len(corpus)} clustered {lang!r} tweets are on-domain "
+                f"({config.merge_mode} of {len(route_a)} topic-route and {len(route_b)} "
+                "cluster-route tweets); later stages would have nothing to report"
+            )
         counts[f"merged_{lang}"] = len(merged)
         write_csv(
-            out(f"clusters_{lang}.csv"),
+            out(f"cluster/clusters_{lang}.csv"),
             ["k", "silhouette", "cluster_id", "size", "top_words"],
             report_rows,
         )
-        save_corpus(merged, out(f"tourism_{lang}.jsonl"))
+        save_corpus(merged, out(TOURISM.format(lang=lang)))
     return counts
 
 
@@ -387,7 +420,7 @@ def stage_categorize(config: PipelineConfig, out: Out) -> dict:
     )
     counts = {}
     for lang in config.languages:
-        corpus, docs = _lang_docs(config, lang, f"cluster/tourism_{lang}.jsonl")
+        corpus, docs = _lang_docs(config, lang, TOURISM)
         valences = resources.load_valences(config.resource(f"sentiment_{lang}"))
         assignments = {}
         mentions = []
@@ -395,14 +428,14 @@ def stage_categorize(config: PipelineConfig, out: Out) -> dict:
             assignments[record.id] = categorize_mod.assign_category(doc, rules)
             mentions.append(categorize_mod.extract_entities(record, doc, place_index, valences))
         write_csv(
-            out(f"categories_{lang}.csv"),
-            ["tweet_id", "category"],
+            out(CATEGORIES.format(lang=lang)),
+            CATEGORIES_HEADER,
             [[record.id, assignments[record.id]] for record in corpus],
         )
-        write_jsonl(out(f"entities_{lang}.jsonl"), [asdict(m) for m in mentions])
+        write_jsonl(out(ENTITIES.format(lang=lang)), [asdict(m) for m in mentions])
         report = categorize_mod.category_report(assignments, docs, rules, mentions)
         write_csv(
-            out(f"category_distribution_{lang}.csv"),
+            out(f"categorize/category_distribution_{lang}.csv"),
             ["category", "count", "percent"],
             [[name, count, f"{pct:.2f}"] for name, count, pct in report.distribution],
         )
@@ -411,7 +444,7 @@ def stage_categorize(config: PipelineConfig, out: Out) -> dict:
             ("attractions", "attraction", "mentions", report.top_attractions),
         ):
             write_csv(
-                out(f"category_top_{table}_{lang}.csv"),
+                out(f"categorize/category_top_{table}_{lang}.csv"),
                 ["category", "rank", column, measure],
                 [
                     [name, rank, item, n]
@@ -426,45 +459,32 @@ def stage_categorize(config: PipelineConfig, out: Out) -> dict:
 def stage_sentiment(config: PipelineConfig, out: Out) -> dict:
     counts = {}
     for lang in config.languages:
-        corpus = _read_corpus(config, f"cluster/tourism_{lang}.jsonl")
-        categories_rel = f"categorize/categories_{lang}.csv"
-        grouping = dict(_read(
-            config, categories_rel, lambda path: read_csv(path, ["tweet_id", "category"]),
-        ))
-        uncategorized = [record.id for record in corpus if record.id not in grouping]
-        if uncategorized:
-            raise DataError(
-                f"{categories_rel} has no category for tweet {uncategorized[0]!r}: "
-                "rerun categorize"
-            )
+        corpus = _read_corpus(config, TOURISM.format(lang=lang))
+        grouping = _per_tweet(
+            config, CATEGORIES.format(lang=lang),
+            lambda path: dict(read_csv(path, CATEGORIES_HEADER)), corpus, "category",
+        )
         lexicon = resources.load_sentiment_lexicon(
             config.resource(f"sentiment_{lang}"),
             config.resource(f"boosters_{lang}"),
             config.resource(f"negators_{lang}"),
         )
         results = [
-            sentiment_mod.score(
-                sentiment_mod.scoring_tokens(record.text), lexicon, record.id
-            )
+            sentiment_mod.score(sentiment_mod.scoring_tokens(record.text), lexicon, record.id)
             for record in corpus
         ]
         write_csv(
-            out(f"scores_{lang}.csv"),
-            ["tweet_id", "compound", "label"],
+            out(SCORES.format(lang=lang)),
+            SCORES_HEADER,
             [[r.tweet_id, f"{r.compound:.4f}", r.label] for r in results],
         )
         aggregated = sentiment_mod.aggregate(results, grouping) if results else {}
         write_csv(
-            out(f"by_category_{lang}.csv"),
+            out(f"sentiment/by_category_{lang}.csv"),
             ["group", "count", "mean_compound", "pct_positive", "pct_negative"],
             [
-                [
-                    g.group,
-                    g.count,
-                    f"{g.mean_compound:.4f}",
-                    f"{g.pct_positive:.2f}",
-                    f"{g.pct_negative:.2f}",
-                ]
+                [g.group, g.count, f"{g.mean_compound:.4f}", f"{g.pct_positive:.2f}",
+                 f"{g.pct_negative:.2f}"]
                 for g in aggregated.values()
             ],
         )
@@ -481,50 +501,38 @@ def stage_graph(config: PipelineConfig, out: Out) -> dict:
     counts = {}
     stats_rows = []
     for lang in config.languages:
-        corpus, docs = _lang_docs(config, lang, f"cluster/tourism_{lang}.jsonl")
-        scores_rel = f"sentiment/scores_{lang}.csv"
-        scores = _read(config, scores_rel, _load_scores)
-        unscored = [record.id for record in corpus if record.id not in scores]
-        if unscored:
-            raise DataError(f"{scores_rel} has no score for tweet {unscored[0]!r}: rerun sentiment")
-        mentions = _read(config, f"categorize/entities_{lang}.jsonl", _load_entities)
+        corpus, docs = _lang_docs(config, lang, TOURISM)
+        scores = _per_tweet(config, SCORES.format(lang=lang), _load_scores, corpus, "score")
+        mentions = _read(config, ENTITIES.format(lang=lang), _load_entities)
 
         for polarity in POLARITIES:
             split_docs = [
-                doc
-                for record, doc in zip(corpus, docs)
-                if scores[record.id][1] == polarity
+                doc for record, doc in zip(corpus, docs) if scores[record.id][1] == polarity
             ]
-            graph = build_word_graph(
-                split_docs, (lang, polarity), config.graph_clique_cap
-            )
+            graph = build_word_graph(split_docs, (lang, polarity), config.graph_clique_cap)
             stats = graph_stats(graph)
-            stats_rows.append(
-                [
-                    f"{lang}_{polarity}",
-                    stats.nodes,
-                    stats.edges,
-                    f"{stats.density:.4f}",
-                    stats.max_degree,
-                    f"{stats.avg_degree:.2f}",
-                ]
-            )
-            name = f"wordgraph_{lang}_{polarity}"
-            atomic_write_text(out(f"{name}.graphml"), exports.word_graph_to_graphml(graph))
-            atomic_write_text(out(f"{name}.json"), exports.word_graph_to_json(graph))
+            stats_rows.append([
+                f"{lang}_{polarity}", stats.nodes, stats.edges, f"{stats.density:.4f}",
+                stats.max_degree, f"{stats.avg_degree:.2f}",
+            ])
+            rel = WORDGRAPH.format(lang=lang, polarity=polarity)
+            atomic_write_text(out(rel), exports.word_graph_to_json(graph))
+            graphml = out(rel.removesuffix(".json") + ".graphml")
+            atomic_write_text(graphml, exports.word_graph_to_graphml(graph))
             counts[f"nodes_{lang}_{polarity}"] = stats.nodes
             counts[f"edges_{lang}_{polarity}"] = stats.edges
             counts[f"clique_capped_{lang}_{polarity}"] = graph.capped_tweets
 
         sentiments = {tid: compound for tid, (compound, _) in scores.items()}
         place_graph = build_place_graph(mentions, kinds, sentiments)
-        name = f"placegraph_{lang}"
-        atomic_write_text(out(f"{name}.graphml"), exports.place_graph_to_graphml(place_graph))
-        atomic_write_text(out(f"{name}.json"), exports.place_graph_to_json(place_graph))
+        rel = PLACEGRAPH.format(lang=lang)
+        atomic_write_text(out(rel), exports.place_graph_to_json(place_graph))
+        graphml = out(rel.removesuffix(".json") + ".graphml")
+        atomic_write_text(graphml, exports.place_graph_to_graphml(place_graph))
         counts[f"places_{lang}"] = len(place_graph.nodes)
 
     write_csv(
-        out("graph_stats.csv"),
+        out("graph/graph_stats.csv"),
         ["Network", "Nodes", "Edges", "Density", "Max Degree", "Avg Degree"],
         stats_rows,
     )
@@ -562,7 +570,7 @@ def stage_metrics(config: PipelineConfig, out: Out) -> dict:
         counts[f"ranked_{network}"] = min(config.metrics_top_k, len(graph.nodes))
     for measure in MEASURES:
         write_csv(
-            out(f"centrality_{measure}.csv"),
+            out(f"metrics/centrality_{measure}.csv"),
             ["network", "polarity", "language", "rank", "word", "score"],
             rows[measure],
         )
@@ -589,13 +597,7 @@ def stage_communities(config: PipelineConfig, out: Out) -> dict:
         ):
             threshold, chosen = community.choose_communities(partition)
             community_rows.append(
-                [
-                    network,
-                    algorithm,
-                    len(partition.sizes),
-                    len(chosen),
-                    f"{threshold:.4f}",
-                ]
+                [network, algorithm, len(partition.sizes), len(chosen), f"{threshold:.4f}"]
             )
             membership[algorithm] = {
                 "communities": partition.communities(),
@@ -611,18 +613,19 @@ def stage_communities(config: PipelineConfig, out: Out) -> dict:
         for group_no, cid in enumerate(greedy_choice["chosen"], start=1):
             hub = community.hub_dominant(adj, greedy_choice["communities"][cid])
             hub_rows.append([network, f"Group-{group_no}", hub])
-        write_json(out(f"membership_{lang}_{polarity}.json"), membership)
+        write_json(out(f"communities/membership_{lang}_{polarity}.json"), membership)
     write_csv(
-        out("communities.csv"),
+        out("communities/communities.csv"),
         ["network", "algorithm", "community_count", "chosen_count", "threshold"],
         community_rows,
     )
-    write_csv(out("hubs.csv"), ["network", "community", "hub"], hub_rows)
+    write_csv(out("communities/hubs.csv"), ["network", "community", "hub"], hub_rows)
     return counts
 
 
 # Written by hand, not derived from the manifest: the report's bytes must
-# not depend on which files an earlier stage happened to list.
+# not depend on which files an earlier stage happened to list. A path
+# without {lang} is copied once.
 REPORT_COPIES = [
     "topics/topic_words_{lang}.csv",
     "cluster/clusters_{lang}.csv",
@@ -630,8 +633,6 @@ REPORT_COPIES = [
     "categorize/category_top_words_{lang}.csv",
     "categorize/category_top_attractions_{lang}.csv",
     "sentiment/by_category_{lang}.csv",
-]
-REPORT_COPIES_GLOBAL = [
     "graph/graph_stats.csv",
     "metrics/centrality_betweenness.csv",
     "metrics/centrality_closeness.csv",
@@ -645,26 +646,24 @@ REPORT_COPIES_GLOBAL = [
 def stage_report(config: PipelineConfig, out: Out) -> dict:
     gazetteer = categorize_mod.load_gazetteer(config.resource("gazetteer"))
     counts = {}
-    to_copy = list(REPORT_COPIES_GLOBAL)
-    for lang in config.languages:
-        to_copy.extend(rel.format(lang=lang) for rel in REPORT_COPIES)
-    for rel in to_copy:
+    copies = (rel.format(lang=lang) for lang in config.languages for rel in REPORT_COPIES)
+    for rel in dict.fromkeys(copies):
         text = _read(config, rel, lambda path: _csv_table(path)[0])
-        atomic_write_text(out(Path(rel).name), text)
+        atomic_write_text(out(f"report/{Path(rel).name}"), text)
 
     for lang in config.languages:
-        _, docs = _lang_docs(config, lang, f"cluster/tourism_{lang}.jsonl")
+        _, docs = _lang_docs(config, lang, TOURISM)
         freq = Counter(lemma for doc in docs for lemma in doc.lemmas)
-        write_csv(out(f"word_frequencies_{lang}.csv"), ["word", "frequency"], ranked(freq))
+        write_csv(out(f"report/word_frequencies_{lang}.csv"), ["word", "frequency"], ranked(freq))
         counts[f"vocabulary_{lang}"] = len(freq)
 
         place_graph = _read(
             config,
-            f"graph/placegraph_{lang}.json",
+            PLACEGRAPH.format(lang=lang),
             lambda path: exports.place_graph_from_json(path.read_text(encoding="utf-8")),
         )
         geojson = exports.export_geojson(place_graph, gazetteer)
-        write_json(out(f"places_{lang}.geojson"), geojson)
+        write_json(out(f"report/places_{lang}.geojson"), geojson)
         counts[f"geo_features_{lang}"] = len(geojson["features"])
     return counts
 
@@ -679,8 +678,10 @@ def run_stage(name: str, config: PipelineConfig) -> dict:
         raise StageError(f"unknown stage {name!r}; expected one of {', '.join(STAGES)}")
     outputs: list[Path] = []
 
-    def out(filename: str) -> Path:
-        path = config.out / name / filename
+    def out(rel: str) -> Path:
+        if rel.split("/")[0] != name:
+            raise StageError(f"stage {name} cannot write {rel}: outside {name}/")
+        path = config.out / rel
         outputs.append(path)
         return path
 

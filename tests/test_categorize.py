@@ -160,6 +160,22 @@ class TestExtractEntities:
         second = extract_entities(record, d, gazetteer_index(gazetteer), LEXICON)
         assert first == second
 
+    def test_index_groups_forms_longest_first(self, gazetteer):
+        index = gazetteer_index(gazetteer)
+        assert list(index) == sorted(index, reverse=True) and min(index) >= 1
+        assert all(len(form) == length for length, forms in index.items() for form in forms)
+        assert sum(map(len, index.values())) == len(
+            {form for place in gazetteer for form in place.match_forms()}
+        )
+
+    def test_place_that_normalizes_to_nothing_matches_nothing(self, gazetteer):
+        # "@someone" normalizes to no token: its empty form would match at every position
+        mute = Place(name="@someone", kind="city", aliases=(), lat=0.0, lon=0.0)
+        index = gazetteer_index((*gazetteer, mute))
+        record = TweetRecord(id="1", text="bari e otranto", lang="it")
+        mentions = extract_entities(record, doc("1", []), index, {})
+        assert mentions.cities == ("bari", "otranto")
+
 
 class TestCategoryReport:
     def test_single_category_is_100_percent(self, rules):

@@ -18,7 +18,7 @@ from tweetflow import exports, wordgraph
 from tweetflow.cli import main
 from tweetflow.config import STAGES, PipelineConfig, load_config
 from tweetflow.errors import ConfigError
-from tweetflow.pipeline import REPORT_COPIES, REPORT_COPIES_GLOBAL, run_all, run_stage
+from tweetflow.pipeline import REPORT_COPIES, run_all, run_stage
 from tweetflow.resources import default_path
 
 
@@ -205,6 +205,25 @@ class TestExitCodes:
         assert not (tmp_path / "out" / "ingest").exists()
         assert main(["ingest", "--config", str(config_path), "--lang", present]) == 0
 
+    def test_empty_on_domain_set_is_2_at_cluster(self, tmp_path, caplog):
+        # stopword-only texts: no route finds a tweet on-domain in either language
+        texts = {
+            "en": ["the and for", "are the so", "some such same"],
+            "it": ["là cosa fa", "fare fatto ne", "può ce ne"],
+        }
+        rows = [
+            {"id": f"{lang}{i}", "lang": lang, "text": text}
+            for lang, lang_texts in texts.items()
+            for i, text in enumerate(lang_texts)
+        ]
+        corpus = tmp_path / "stopwords.jsonl"
+        corpus.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        config_path = make_config(tmp_path, corpus)
+        assert main(["all", "--config", str(config_path)]) == 2
+        assert "cluster: 0 of the 3 clustered 'en' tweets are on-domain" in caplog.text
+        assert not (tmp_path / "out" / "cluster" / "tourism_en.jsonl").exists()
+        assert not (tmp_path / "out" / "categorize").exists()
+
     def test_unknown_stage_rejected_by_parser(self, tmp_path, fixture_corpus_path):
         config_path = make_config(tmp_path, fixture_corpus_path)
         with pytest.raises(SystemExit) as exit_info:
@@ -258,6 +277,20 @@ class TestExitCodes:
         config_path = make_config(tmp_path, fixture_corpus_path)
         assert main(["explore", "--config", str(config_path)]) == 3
         assert "stage explore failed: RuntimeError: boom" in caplog.text
+
+    def test_write_outside_the_stage_directory_is_stage_error_3(
+        self, tmp_path, fixture_corpus_path, monkeypatch, caplog
+    ):
+        from tweetflow import pipeline
+
+        def misplaced(config, out):
+            out("ingest/corpus_en.jsonl")
+            return {}
+
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, "explore", misplaced)
+        config_path = make_config(tmp_path, fixture_corpus_path)
+        assert main(["explore", "--config", str(config_path)]) == 3
+        assert "stage explore cannot write ingest/corpus_en.jsonl" in caplog.text
 
 
 def _cut_first_line(text: str) -> str:
@@ -338,9 +371,9 @@ class TestCorruptUpstream:
     ):
         shutil.copytree(pipeline_out.out, tmp_path / "out")
         config_path = make_config(tmp_path, fixture_corpus_path)
-        copied = list(REPORT_COPIES_GLOBAL) + [
+        copied = list(dict.fromkeys(
             rel.format(lang=lang) for lang in ("en", "it") for rel in REPORT_COPIES
-        ]
+        ))
         assert len(copied) == 19
         for rel in copied:
             path = tmp_path / "out" / rel
@@ -395,6 +428,32 @@ class TestCorruptUpstream:
             f"categorize/categories_en.csv has no category for tweet {tweet_id!r}: "
             "rerun categorize"
         ) in caplog.text
+
+
+class TestStageFiles:
+    def test_every_read_is_an_earlier_stage_output(
+        self, tmp_path, fixture_corpus_path, monkeypatch
+    ):
+        from tweetflow import pipeline
+
+        reads: list[tuple[str, str]] = []
+        read = pipeline._read
+
+        def recording_read(config, rel, reader):
+            reads.append((stage, rel))
+            return read(config, rel, reader)
+
+        monkeypatch.setattr(pipeline, "_read", recording_read)
+        config = load_config(make_config(tmp_path, fixture_corpus_path))
+        for stage in STAGES:
+            run_stage(stage, config)
+        manifest = json.loads((config.out / "manifest.json").read_text())["stages"]
+        assert {reader for reader, _ in reads} == set(STAGES[1:])
+        for reader, rel in reads:
+            producer = rel.split("/")[0]
+            assert STAGES.index(producer) < STAGES.index(reader), (reader, rel)
+            assert rel in manifest[producer]["outputs"], (reader, rel)
+        assert (len(reads), len({rel for _, rel in reads})) == (53, 39)
 
 
 RULES_TEXT = default_path("category_rules.json").read_text(encoding="utf-8")

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from tweetflow import resources
 from tweetflow.errors import DataError
 from tweetflow.preprocess import (
     TokenizedDoc,
@@ -105,6 +106,22 @@ class TestPipelineDoc:
     def test_lemmas_after_stopwords(self):
         d = pipeline_doc("1", "The beaches are beautiful", {"beaches": "beach"}, {"the", "are"})
         assert d.lemmas == ("beach", "beautiful")
+
+    @pytest.mark.parametrize(
+        "lang, text, lemmas",
+        [
+            ("en", "RT @someone: great beach", ("great", "beach")),
+            ("it", "RT @qualcuno: bella spiaggia", ("bello", "spiaggia")),
+        ],
+    )
+    def test_bundled_stoplists_drop_the_retweet_marker(self, lang, text, lemmas):
+        doc = pipeline_doc(
+            "1",
+            text,
+            resources.load_lemma_table(resources.default_path(f"lemmas_{lang}.tsv")),
+            resources.load_stopwords(resources.default_path(f"stopwords_{lang}.txt")),
+        )
+        assert doc.lemmas == lemmas
 
 
 class TestTfIdf:
