@@ -9,7 +9,6 @@ before its substring "mare".
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import re
@@ -21,6 +20,7 @@ from pathlib import Path
 from .corpus import TweetRecord
 from .errors import DataError
 from .preprocess import TokenizedDoc, normalize, ranked
+from .storage import _csv_records
 
 log = logging.getLogger(__name__)
 
@@ -133,31 +133,27 @@ def load_category_rules(path: str | Path) -> CategoryRules:
 def load_gazetteer(path: str | Path) -> tuple[Place, ...]:
     """Read the name,kind,aliases,lat,lon gazetteer CSV."""
     path = Path(path)
-    if not path.is_file():
-        raise DataError(f"gazetteer file not found: {path}")
     places = []
     seen = set()
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for line_no, row in enumerate(reader, start=2):
-            name = (row.get("name") or "").strip()
-            kind = (row.get("kind") or "").strip()
-            if not name:
-                continue
-            if name in seen:
-                raise DataError(f"{path.name} line {line_no}: duplicate place {name!r}")
-            if kind not in (CITY, ATTRACTION):
-                raise DataError(f"{path.name} line {line_no}: bad kind {kind!r}")
-            seen.add(name)
-            aliases = tuple(a for a in (row.get("aliases") or "").split("|") if a)
-            try:
-                lat, lon = float(row["lat"]), float(row["lon"])
-            except (KeyError, TypeError, ValueError):
-                raise DataError(
-                    f"{path.name} line {line_no}: bad lat/lon "
-                    f"{row.get('lat')!r}, {row.get('lon')!r}"
-                ) from None
-            places.append(Place(name=name, kind=kind, aliases=aliases, lat=lat, lon=lon))
+    for line_no, row in _csv_records(path, "gazetteer"):
+        name = (row.get("name") or "").strip()
+        kind = (row.get("kind") or "").strip()
+        if not name:
+            continue
+        if name in seen:
+            raise DataError(f"{path.name} line {line_no}: duplicate place {name!r}")
+        if kind not in (CITY, ATTRACTION):
+            raise DataError(f"{path.name} line {line_no}: bad kind {kind!r}")
+        seen.add(name)
+        aliases = tuple(a for a in (row.get("aliases") or "").split("|") if a)
+        try:
+            lat, lon = float(row["lat"]), float(row["lon"])
+        except (KeyError, TypeError, ValueError):
+            raise DataError(
+                f"{path.name} line {line_no}: bad lat/lon "
+                f"{row.get('lat')!r}, {row.get('lon')!r}"
+            ) from None
+        places.append(Place(name=name, kind=kind, aliases=aliases, lat=lat, lon=lon))
     return tuple(places)
 
 

@@ -1,31 +1,32 @@
 """Tweet corpus loading, validation, deduplication, and language filtering.
 
 A Corpus is a tuple of TweetRecords, so it is immutable after load and
-safe to share read-only. Input order is the canonical tiebreak
+safe to share read-only. Record order is the canonical tiebreak
 everywhere: the first occurrence of a duplicate wins, and filters
-preserve order.
+preserve order. The pipeline puts the loaded records in_time_order
+first, so its outputs do not depend on the input file's row order.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import DataError
 from .preprocess import extract_hashtags, normalize
-from .storage import write_jsonl
+from .storage import _csv_records, _jsonl_records, write_jsonl
 
 log = logging.getLogger(__name__)
 
 SUPPORTED_LANGUAGES = ("en", "it")
 # the classic retweet form "RT @user: <text>"
 RETWEET_PREFIX_RE = re.compile(r"^\s*RT @\w+:")
+# stands in for a missing created_at, which in_time_order sorts last anyway
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 @dataclass(frozen=True)
@@ -93,33 +94,6 @@ def _make_record(row: dict, line_no: int) -> TweetRecord:
     )
 
 
-def _iter_jsonl(path: Path):
-    """(line number, row) pairs; a line that is no JSON object comes as its DataError."""
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                row = DataError(f"line {line_no}: invalid JSON ({exc.msg})")
-            if not isinstance(row, (dict, DataError)):
-                row = DataError(f"line {line_no}: row is not an object")
-            yield line_no, row
-
-
-def _iter_csv(path: Path):
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for line_no, row in enumerate(reader, start=2):
-            parsed = dict(row)
-            tags = parsed.get("hashtags")
-            if tags is not None:
-                parsed["hashtags"] = [t for t in tags.split("|") if t] if tags else []
-            yield line_no, parsed
-
-
 def load_corpus(path: str | Path, format: str = "jsonl", strict: bool = False) -> Corpus:
     """Load a corpus from a JSONL or CSV file, preserving input order.
 
@@ -128,11 +102,9 @@ def load_corpus(path: str | Path, format: str = "jsonl", strict: bool = False) -
     tag are kept with lang='und' and fall out at filter_language.
     """
     path = Path(path)
-    if not path.is_file():
-        raise DataError(f"corpus file not found: {path}")
     if format not in ("jsonl", "csv"):
         raise DataError(f"unsupported corpus format: {format!r}")
-    rows = _iter_jsonl(path) if format == "jsonl" else _iter_csv(path)
+    rows = (_jsonl_records if format == "jsonl" else _csv_records)(path, "corpus")
     records: list[TweetRecord] = []
     seen_ids: set[str] = set()
     skipped = 0
@@ -140,6 +112,8 @@ def load_corpus(path: str | Path, format: str = "jsonl", strict: bool = False) -
         try:
             if isinstance(row, DataError):
                 raise row
+            if format == "csv" and row.get("hashtags") is not None:
+                row["hashtags"] = [tag for tag in row["hashtags"].split("|") if tag]
             record = _make_record(row, line_no)
             if record.id in seen_ids:
                 raise DataError(f"line {line_no}: duplicate id {record.id!r}")
@@ -154,6 +128,19 @@ def load_corpus(path: str | Path, format: str = "jsonl", strict: bool = False) -
     if skipped:
         log.warning("%s: skipped %d malformed rows", path.name, skipped)
     return tuple(records)
+
+
+def in_time_order(corpus: Corpus) -> Corpus:
+    """The records by created_at in UTC (a naive time read as UTC, a missing
+    one last), then by id compared as a string."""
+
+    def key(record: TweetRecord) -> tuple:
+        when = record.created_at
+        if when is not None and when.tzinfo is None:
+            when = when.replace(tzinfo=timezone.utc)
+        return (when is None, when or _EPOCH, record.id)
+
+    return tuple(sorted(corpus, key=key))
 
 
 def dedup(corpus: Corpus) -> Corpus:

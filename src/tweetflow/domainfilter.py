@@ -9,7 +9,6 @@ topic/cluster selectors.
 
 from __future__ import annotations
 
-import csv
 import logging
 from collections import Counter
 from collections.abc import Sequence
@@ -19,7 +18,7 @@ from pathlib import Path
 from .corpus import Corpus
 from .errors import DataError
 from .preprocess import TokenizedDoc, ranked
-from .storage import write_csv
+from .storage import _csv_records, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -64,30 +63,26 @@ def load_dictionary(path: str | Path) -> frozenset[str]:
     and frequencies that are not integers.
     """
     path = Path(path)
-    if not path.is_file():
-        raise DataError(f"dictionary file not found: {path}")
     labels: dict[str, str] = {}
     blank = 0
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for line_no, row in enumerate(reader, start=2):
-            term = (row.get("term") or "").strip().casefold()
-            label = (row.get("label") or "").strip()
-            if not term:
-                continue
-            if not label:
-                blank += 1
-                continue
-            if label not in (TOURISM, NOT_TOURISM):
-                raise DataError(f"{path.name} line {line_no}: unknown label {label!r}")
-            try:
-                int(row.get("frequency") or 0)  # checked, though no caller reads it
-            except ValueError:
-                raise DataError(
-                    f"{path.name} line {line_no}: bad frequency {row['frequency']!r}"
-                ) from None
-            if labels.setdefault(term, label) != label:
-                raise DataError(f"{path.name} line {line_no}: term {term!r} labeled twice")
+    for line_no, row in _csv_records(path, "dictionary"):
+        term = (row.get("term") or "").strip().casefold()
+        label = (row.get("label") or "").strip()
+        if not term:
+            continue
+        if not label:
+            blank += 1
+            continue
+        if label not in (TOURISM, NOT_TOURISM):
+            raise DataError(f"{path.name} line {line_no}: unknown label {label!r}")
+        try:
+            int(row.get("frequency") or 0)  # checked, though no caller reads it
+        except ValueError:
+            raise DataError(
+                f"{path.name} line {line_no}: bad frequency {row['frequency']!r}"
+            ) from None
+        if labels.setdefault(term, label) != label:
+            raise DataError(f"{path.name} line {line_no}: term {term!r} labeled twice")
     if blank:
         log.warning("%s: ignored %d unlabeled rows", path.name, blank)
     return frozenset(term for term, label in labels.items() if label == TOURISM)

@@ -45,7 +45,7 @@ from . import (
     topics as topics_mod,
 )
 from .config import STAGES, PipelineConfig
-from .corpus import Corpus, dedup, filter_language, load_corpus, save_corpus
+from .corpus import Corpus, dedup, filter_language, in_time_order, load_corpus, save_corpus
 from .errors import DataError, StageError, TweetflowError
 from .preprocess import ranked
 from .storage import (
@@ -191,7 +191,7 @@ def _load_entities(path: Path) -> list[categorize_mod.EntityMentions]:
 
 def stage_ingest(config: PipelineConfig, out: Out) -> dict:
     raw = load_corpus(config.input, config.format, strict=config.strict)
-    deduped = dedup(raw)
+    deduped = dedup(in_time_order(raw))
     counts = {
         "loaded": len(raw),
         "after_dedup": len(deduped),

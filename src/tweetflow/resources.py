@@ -21,25 +21,29 @@ def default_path(name: str) -> Path:
     return Path(str(path))
 
 
-def _lines(path: str | Path) -> list[str]:
+def _lines(path: str | Path):
+    """(physical line number, line) of each line that is not blank or a comment."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"resource file not found: {path}")
-    out = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            out.append(line)
-    return out
+    with path.open("r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                yield line_no, line
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    return frozenset(tok.casefold() for tok in _lines(path))
+    return frozenset(tok.casefold() for _, tok in _lines(path))
+
+
+# negators are one token per line, as stopwords are
+load_negators = load_stopwords
 
 
 def load_lemma_table(path: str | Path) -> dict[str, str]:
     table = {}
-    for line_no, line in enumerate(_lines(path), start=1):
+    for line_no, line in _lines(path):
         parts = line.split("\t")
         if len(parts) != 2:
             raise ConfigError(f"{Path(path).name}: bad lemma row {line_no}: {line!r}")
@@ -51,7 +55,7 @@ def load_lemma_table(path: str | Path) -> dict[str, str]:
 
 def load_valences(path: str | Path) -> dict[str, float]:
     valences = {}
-    for line_no, line in enumerate(_lines(path), start=1):
+    for line_no, line in _lines(path):
         parts = line.split("\t")
         if len(parts) != 2:
             raise ConfigError(f"{Path(path).name}: bad valence row {line_no}: {line!r}")
@@ -72,16 +76,12 @@ def load_boosters(path: str | Path) -> dict[str, float]:
     """Boosters are one token per line, '+' or '-' prefixed; the sign sets
     whether the increment intensifies or dampens."""
     boosters = {}
-    for line_no, line in enumerate(_lines(path), start=1):
+    for line_no, line in _lines(path):
         sign, token = line[0], line[1:].casefold().strip()
         if sign not in "+-" or not token:
             raise ConfigError(f"{Path(path).name}: bad booster row {line_no}: {line!r}")
         boosters[token] = BOOSTER_INCREMENT if sign == "+" else -BOOSTER_INCREMENT
     return boosters
-
-
-def load_negators(path: str | Path) -> frozenset[str]:
-    return frozenset(tok.casefold() for tok in _lines(path))
 
 
 def load_sentiment_lexicon(

@@ -1,4 +1,4 @@
-"""Atomic file writes, checksums, CSV/JSON emit helpers and their strict readers.
+"""Atomic file writes, checksums, and every CSV/JSON(L) writer and reader.
 
 Every stage output goes through write-to-temp-then-rename so a crashed
 run never leaves a truncated file behind. CSVs are UTF-8, comma
@@ -16,6 +16,8 @@ import os
 import tempfile
 from collections.abc import Iterable, Sequence
 from pathlib import Path
+
+from .errors import DataError
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -88,10 +90,46 @@ def read_csv(path: str | Path, header: Sequence[str]) -> list[list[str]]:
     return rows[1:]
 
 
-def read_jsonl(path: str | Path) -> list:
-    """The rows of a JSONL file, skipping blank lines."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return [json.loads(line) for line in lines if line.strip()]
+def _existing(path: str | Path, what: str) -> Path:
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"{what} file not found: {path}")
+    return path
+
+
+def _csv_records(path: str | Path, what: str):
+    """(line number, row dict) of each data row of a headed CSV input, numbered
+    by the physical line it ends on, so quoted line breaks do not shift it."""
+    with _existing(path, what).open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            yield reader.line_num, row
+
+
+def _jsonl_records(path: str | Path, what: str):
+    """(line number, row) for each non-blank line of a JSONL input; a line
+    that is no JSON object comes as its DataError, for the caller to raise
+    or skip."""
+    with _existing(path, what).open("r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                row = DataError(f"line {line_no}: invalid JSON ({exc.msg})")
+            if not isinstance(row, (dict, DataError)):
+                row = DataError(f"line {line_no}: row is not an object")
+            yield line_no, row
+
+
+def read_jsonl(path: str | Path) -> list[dict]:
+    """The rows of a JSONL file; DataError at the first line that is no JSON object."""
+    rows = [row for _, row in _jsonl_records(path, "JSONL")]
+    for row in rows:
+        if isinstance(row, DataError):
+            raise row
+    return rows
 
 
 def sha256_file(path: str | Path) -> str:

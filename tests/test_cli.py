@@ -337,6 +337,21 @@ class TestCorruptUpstream:
         assert main([stage, "--config", str(config_path)]) == 2
         assert f"malformed upstream output {rel}" in caplog.text
 
+    def test_corrupt_entities_line_is_named(
+        self, tmp_path, fixture_corpus_path, pipeline_out, caplog
+    ):
+        shutil.copytree(pipeline_out.out, tmp_path / "out")
+        path = tmp_path / "out" / "categorize" / "entities_en.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = lines[2][: len(lines[2]) // 2] + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        config_path = make_config(tmp_path, fixture_corpus_path)
+        assert main(["graph", "--config", str(config_path), "--lang", "en"]) == 2
+        assert (
+            "malformed upstream output categorize/entities_en.jsonl: "
+            "DataError: line 3: invalid JSON"
+        ) in caplog.text
+
     @pytest.mark.parametrize("lang", ["en", "it"])
     @pytest.mark.parametrize(
         "rel, stage",
