@@ -13,7 +13,9 @@ filter, fit_lda at k = 3 and 8, sentiment, category assignment, entity
 extraction, the word and place graphs as GraphML and JSON, GeoJSON, label
 propagation, greedy modularity, modularity, and closeness, degree and
 eigenvector centrality, per language. They import neither numpy nor PyYAML,
-so the other interpreters need only the standard library and src/.
+so the other interpreters need only the standard library, src/ and, for the
+Gibbs kernel that fit_lda builds and loads through ctypes, the C compiler cc
+(or the library it built before, in the kernel cache).
 
 Not checked, so unverified on any interpreter but the one that froze the
 goldens: k-means, silhouette, Brandes betweenness and the end-to-end run.

@@ -2,7 +2,7 @@
 
 A Corpus is a tuple of TweetRecords, so it is immutable after load and
 safe to share read-only. Record order is the canonical tiebreak
-everywhere: the first occurrence of a duplicate wins, and filters
+everywhere: the first occurrence of a duplicate text wins, and filters
 preserve order. The pipeline puts the loaded records in_time_order
 first, so its outputs do not depend on the input file's row order.
 """
@@ -98,15 +98,17 @@ def load_corpus(path: str | Path, format: str = "jsonl", strict: bool = False) -
     """Load a corpus from a JSONL or CSV file, preserving input order.
 
     Malformed rows are skipped with a warning unless strict is set, in
-    which case the first bad row aborts the load. Rows without a language
-    tag are kept with lang='und' and fall out at filter_language.
+    which case the first bad row aborts the load. An id that several rows
+    carry is dropped with all of its rows (strict mode raises at the
+    second), so no text of it wins by its place in the file. Rows without
+    a language tag are kept with lang='und' and fall out at filter_language.
     """
     path = Path(path)
     if format not in ("jsonl", "csv"):
         raise DataError(f"unsupported corpus format: {format!r}")
     rows = (_jsonl_records if format == "jsonl" else _csv_records)(path, "corpus")
     records: list[TweetRecord] = []
-    seen_ids: set[str] = set()
+    lines_by_id: dict[str, list[int]] = {}
     skipped = 0
     for line_no, row in rows:
         try:
@@ -115,7 +117,7 @@ def load_corpus(path: str | Path, format: str = "jsonl", strict: bool = False) -
             if format == "csv" and row.get("hashtags") is not None:
                 row["hashtags"] = [tag for tag in row["hashtags"].split("|") if tag]
             record = _make_record(row, line_no)
-            if record.id in seen_ids:
+            if strict and record.id in lines_by_id:
                 raise DataError(f"line {line_no}: duplicate id {record.id!r}")
         except DataError:
             if strict:
@@ -123,11 +125,15 @@ def load_corpus(path: str | Path, format: str = "jsonl", strict: bool = False) -
             skipped += 1
             log.warning("%s: skipping malformed row at line %d", path.name, line_no)
             continue
-        seen_ids.add(record.id)
+        lines_by_id.setdefault(record.id, []).append(line_no)
         records.append(record)
     if skipped:
         log.warning("%s: skipped %d malformed rows", path.name, skipped)
-    return tuple(records)
+    repeated = {tweet_id: lines for tweet_id, lines in lines_by_id.items() if len(lines) > 1}
+    for tweet_id, lines in repeated.items():
+        log.warning("%s: skipping every row of the repeated id %r, at lines %s",
+                    path.name, tweet_id, ", ".join(map(str, lines)))
+    return tuple(r for r in records if r.id not in repeated)
 
 
 def in_time_order(corpus: Corpus) -> Corpus:

@@ -290,7 +290,14 @@ def stage_topics(config: PipelineConfig, out: Out) -> dict:
     for lang in config.languages:
         corpus, docs = _lang_docs(config, lang, MATCHED)
         seed = config.stage_seed(f"topics:{lang}")
-        result = _refine_corpus(config, corpus, docs, tourism, seed)
+        try:
+            result = _refine_corpus(config, corpus, docs, tourism, seed)
+        except topics_mod.SelectorAbort as abort:
+            raise DataError(
+                f"topics: no topic of refinement round {len(abort.rounds) + 1} on the "
+                f"{lang!r} tweets passes the topic selector; lower topics.overlap_threshold, "
+                "drop the language from 'languages:' or restrict the run with --lang"
+            ) from abort
         save_corpus(result.corpus, out(REFINED.format(lang=lang)))
         write_csv(
             out(f"topics/topic_words_{lang}.csv"),

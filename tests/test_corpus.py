@@ -84,6 +84,17 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match="duplicate id"):
             load_corpus(path, strict=True)
 
+    @pytest.mark.parametrize("order", [1, -1], ids=["as-written", "reversed"])
+    def test_repeated_id_drops_every_row_in_either_order(self, tmp_path, caplog, order):
+        rows = [{"id": "1", "text": "first beach"}, {"id": "2", "text": "other"},
+                {"id": "1", "text": "second sea"}][::order]
+        path = tmp_path / "dup.jsonl"
+        write_jsonl(path, rows)
+        assert ids(load_corpus(path)) == ["2"]
+        assert caplog.text.count("dup.jsonl: skipping every row of the repeated id '1', "
+                                 "at lines 1, 3") == 1
+        assert "malformed" not in caplog.text
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_corpus(tmp_path / "nope.jsonl")

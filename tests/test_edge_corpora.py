@@ -60,6 +60,14 @@ EDGE_CORPORA = {
         retexted(per_language(3), lambda i, row: STOPWORD_TEXTS[row["lang"]][i % 3]), 2, "en"
     ),
     "identical-texts": (retexted(per_language(5), lambda i, row: "a day at the sea"), 2, "it"),
+    # the topic selector keeps no topic of the Italian tweets
+    "no-on-domain-topic": (
+        per_language(7) + [{
+            "id": "g0", "lang": "it", "created_at": "2020-06-01T08:00:30Z",
+            "text": "Dinner at a lovely restaurant in Lecce: fresh seafood, pasta and primitivo wine",
+        }],
+        2, "it",
+    ),
     "ten-per-language": (per_language(10), 0, None),
     "no-common-tourism-words": (
         [row for row in ROWS if not set(row["text"].casefold().split()) & COMMON_TOURISM_WORDS],

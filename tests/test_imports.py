@@ -75,9 +75,10 @@ def test_graph_kernels_import_without_wordgraph():
     assert result.returncode == 0, result.stderr
 
 
-def _main_with_numpy_blocked(stages, config_path: Path) -> tuple[dict, str]:
+def _main_with_numpy_blocked(stages, config_path: Path, after: str = "") -> tuple[dict, str]:
     """Run each stage through the CLI's main, in one process where `import
-    numpy` fails; returns the exit codes by stage and the process's stderr."""
+    numpy` fails, then the code `after`; returns the exit codes by stage and
+    the process's stderr."""
     code = "\n".join([
         "import json, sys",
         f"sys.path.insert(0, {str(SRC)!r})",
@@ -85,6 +86,7 @@ def _main_with_numpy_blocked(stages, config_path: Path) -> tuple[dict, str]:
         "from tweetflow.cli import main",
         f"stages = {tuple(stages)!r}",
         f"codes = [main([stage, '--config', {str(config_path)!r}]) for stage in stages]",
+        after,
         "print(json.dumps(dict(zip(stages, codes))))",
     ])
     result = subprocess.run(
@@ -109,6 +111,15 @@ def test_numpy_free_stage_commands_rerun_with_numpy_blocked(tmp_path, fixture_co
     codes, _ = _main_with_numpy_blocked(NUMPY_FREE_STAGES, config_path)
     assert codes == dict.fromkeys(NUMPY_FREE_STAGES, 0)
     assert {rel: sha256_file(config.out / rel) for rel in golden} == golden
+
+    # the graph command fits no LDA model, so it needs no C kernel
+    codes, _ = _main_with_numpy_blocked(
+        ("graph",), config_path,
+        after='assert "ctypes" not in sys.modules, "ctypes was imported"\n'
+              "from tweetflow.topics import _gibbs_kernel\n"
+              'assert _gibbs_kernel.cache_info().currsize == 0, "the Gibbs kernel was loaded"',
+    )
+    assert codes == {"graph": 0}
 
     codes, stderr = _main_with_numpy_blocked(NUMPY_STAGES, config_path)
     assert codes == dict.fromkeys(NUMPY_STAGES, 3)
