@@ -11,14 +11,15 @@ interpreter and exits 1 naming the first step that differs (or the
 interpreter that failed to run). The steps are dedup, tokenise, dictionary
 filter, fit_lda at k = 3 and 8, sentiment, category assignment, entity
 extraction, the word and place graphs as GraphML and JSON, GeoJSON, label
-propagation, greedy modularity, modularity, and closeness, degree and
-eigenvector centrality, per language. They import neither numpy nor PyYAML,
-so the other interpreters need only the standard library, src/ and, for the
-Gibbs kernel that fit_lda builds and loads through ctypes, the C compiler cc
-(or the library it built before, in the kernel cache).
+propagation, greedy modularity, modularity, closeness, degree and
+eigenvector centrality, and normalized betweenness, per language. They
+import neither numpy nor PyYAML, so the other interpreters need only the
+standard library, src/ and, for the C kernels that fit_lda and betweenness
+build and load through ctypes, the C compiler cc (or the library it built
+before, in the kernel cache).
 
 Not checked, so unverified on any interpreter but the one that froze the
-goldens: k-means, silhouette, Brandes betweenness and the end-to-end run.
+goldens: k-means, silhouette and the end-to-end run.
 """
 
 from __future__ import annotations
@@ -112,6 +113,8 @@ def step_digests() -> dict[str, str]:
         for name in ("closeness", "degree", "eigenvector"):
             scores = getattr(netmetrics, f"{name}_centrality")(adj)
             digests[f"{name} centrality {lang}"] = _sha(scores)
+        betweenness = netmetrics.betweenness_centrality(adj, normalized=True)
+        digests[f"betweenness centrality {lang}"] = _sha(betweenness)
     return digests
 
 

@@ -11,8 +11,8 @@ where r is the number of nodes v can reach (itself included), which
 degrades gracefully to 0 for isolated nodes. Betweenness follows
 Brandes' dependency accumulation. Both BFS-based measures number the
 nodes in adjacency order: closeness runs every source's BFS at once over
-bit sets, betweenness expands whole BFS levels of a batch of sources over
-CSR arrays in numpy, each level top-down or bottom-up.
+bit sets, betweenness runs Brandes' queue loop over CSR arrays in C
+(_brandes.c, built and loaded by `_kernels`).
 Eigenvector centrality is power iteration with a self-damping fallback
 for bipartite oscillation.
 """
@@ -20,9 +20,13 @@ for bipartite oscillation.
 from __future__ import annotations
 
 import logging
+from array import array
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
+from . import _kernels
 from .errors import DataError
 from .floats import _sum_left
 
@@ -108,21 +112,26 @@ def betweenness_centrality(graph, normalized: bool = False) -> CentralityScores:
     """Brandes' algorithm over unweighted shortest paths.
 
     Raw scores count each unordered node pair once; the normalized option
-    divides by (N-1)(N-2)/2. The dependencies come from batched numpy
-    searches (``_brandes``), with the float bits of the queue loop in
-    tests/oracles.py.
+    divides by (N-1)(N-2)/2. The dependencies come from the queue loop of
+    _brandes.c over CSR arrays, with the float bits of the loop over
+    per-node dicts in tests/oracles.py.
     """
-    from . import _brandes  # loads numpy: imported only when betweenness runs
-
     adj = _adjacency(graph)
-    nodes = list(adj)
-    n = len(nodes)
-    centrality = _brandes._dependency_totals(_int_adjacency(adj))
-    # each unordered pair was accumulated from both endpoints
-    centrality /= 2.0
-    if normalized and n > 2:
-        centrality *= 2.0 / ((n - 1) * (n - 2))
-    return CentralityScores(dict(sorted(zip(nodes, centrality.tolist()))))
+    n = len(adj)
+    neighbors = _int_adjacency(adj)
+    arc_start = array("q", accumulate(map(len, neighbors), initial=0))
+    heads = array("i", chain.from_iterable(neighbors))
+    in_degree = Counter(heads)
+    pred_start = array("q", accumulate((in_degree[v] for v in range(n)), initial=0))
+    totals = array("d", [0.0]) * n
+    # named, so that each array outlives the call that writes into it
+    buffers = (arc_start, heads, pred_start, array("i", [0]) * n, array("i", [0]) * n,
+               array("q", [0]) * n, array("i", [0]) * len(heads), array("d", [0.0]) * n,
+               array("d", [0.0]) * n, totals)
+    _kernels._library().tf_brandes(n, *(a.buffer_info()[0] for a in buffers))
+    # each unordered pair was accumulated from both endpoints; x * 1.0 is x
+    scale = 2.0 / ((n - 1) * (n - 2)) if normalized and n > 2 else 1.0
+    return CentralityScores(dict(sorted(zip(adj, (total / 2.0 * scale for total in totals)))))
 
 
 class NonConvergenceError(DataError):

@@ -37,10 +37,6 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     return frozenset(tok.casefold() for _, tok in _lines(path))
 
 
-# negators are one token per line, as stopwords are
-load_negators = load_stopwords
-
-
 def load_lemma_table(path: str | Path) -> dict[str, str]:
     table = {}
     for line_no, line in _lines(path):
@@ -92,5 +88,5 @@ def load_sentiment_lexicon(
     return SentimentLexicon(
         valences=load_valences(valences_path),
         boosters=load_boosters(boosters_path),
-        negators=load_negators(negators_path),
+        negators=load_stopwords(negators_path),  # one token per line, as stopwords are
     )

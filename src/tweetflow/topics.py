@@ -18,9 +18,8 @@ same expressions in the same order and draws the same uniforms: it runs
 CPython's MT19937 `random()` on the state of the seeded `random.Random`,
 which goes back into that generator after the last sweep.
 
-The kernel is built with the system C compiler `cc` on first use in a
-process, once per source and compiler command (see `_gibbs_kernel`), and
-loaded through ctypes, so this module needs no numpy.
+The kernel is built with the system C compiler `cc` and loaded through
+ctypes (see `_kernels`), so this module needs no numpy.
 
 On top of the sampler sits the iterative refinement loop that repeatedly
 fits a model, keeps only documents whose dominant topic a selector marks
@@ -29,19 +28,15 @@ as on-domain, and refits on the survivors.
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import logging
 import math
-import os
 import random
-import tempfile
 from array import array
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
-from pathlib import Path
 
+from . import _kernels
 from .corpus import Corpus
 from .errors import DataError, StageError
 from .floats import _sum_left
@@ -105,76 +100,6 @@ class TopicSummary:
     top_words: tuple[tuple[str, float], ...]
 
 
-_KERNEL_SOURCE = Path(__file__).with_name("_gibbs.c")
-# no -ffast-math or -march, and no contraction into fused multiply-adds:
-# each float operation rounds as the same operation does in Python
-_COMPILE = ("cc", "-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
-
-
-def _compile(library: Path) -> None:
-    """Build _gibbs.c into the shared library `library`; StageError if cc cannot."""
-    import shlex
-    import subprocess
-
-    argv = [*_COMPILE, "-o", str(library), str(_KERNEL_SOURCE)]
-    try:
-        result = subprocess.run(argv, capture_output=True, text=True)
-    except OSError as exc:
-        raise StageError(f"cannot build the Gibbs kernel with `{shlex.join(argv)}`: {exc}") from exc
-    if result.returncode != 0:
-        raise StageError(
-            f"cannot build the Gibbs kernel: `{shlex.join(argv)}` exited {result.returncode}: "
-            f"{result.stderr.strip()}"
-        )
-
-
-def _load(library: Path) -> Callable[..., None]:
-    """tf_gibbs_sweeps of the shared library `library`, its C signature declared."""
-    import ctypes
-
-    lib = ctypes.CDLL(str(library))
-    i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-    lib.tf_gibbs_sweeps.argtypes = (
-        i64, ptr, ptr, ptr, ptr, ptr, ptr, ctypes.c_int32, f64, f64, f64, i64, ptr, ptr
-    )
-    lib.tf_gibbs_sweeps.restype = None
-    return lib.tf_gibbs_sweeps
-
-
-@functools.lru_cache(maxsize=None)
-def _gibbs_kernel() -> Callable[..., None]:
-    """tf_gibbs_sweeps of _gibbs.c, built at most once per source and command.
-
-    The library is kept in $XDG_CACHE_HOME/tweetflow (~/.cache/tweetflow by
-    default) under the sha256 of the source and the compiler command. It is
-    compiled to a temporary name there and renamed into place, so a process
-    never loads a half-written library. When that directory cannot be
-    written, the library is built in a temporary directory of this process.
-    """
-    source = _KERNEL_SOURCE.read_bytes()
-    digest = hashlib.sha256(source + "\0".join(_COMPILE).encode()).hexdigest()
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "tweetflow"
-    library = cache / f"gibbs-{digest}.so"
-    if library.exists():
-        return _load(library)
-    try:
-        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
-        fd, partial = tempfile.mkstemp(dir=cache, prefix=".gibbs-", suffix=".so")
-    except OSError:
-        with tempfile.TemporaryDirectory(prefix="tweetflow-") as directory:
-            private = Path(directory) / "gibbs.so"
-            _compile(private)
-            return _load(private)  # mapped, so its directory may go
-    os.close(fd)
-    try:
-        _compile(Path(partial))
-        os.replace(partial, library)
-    finally:
-        if os.path.exists(partial):
-            os.unlink(partial)
-    return _load(library)
-
-
 def fit_lda(
     docs: Sequence[TokenizedDoc],
     config: LdaConfig,
@@ -225,7 +150,7 @@ def fit_lda(
     version, state, gauss_next = rng.getstate()
     mt = array("I", state)
     cumulative = array("d", [0.0]) * k
-    kernel = _gibbs_kernel()
+    kernel = _kernels._library().tf_gibbs_sweeps
     beta = config.beta
     buffers = [a.buffer_info()[0] for a in (doc_start, words, topic, doc_topic, word_topic,
                                             topic_total)]

@@ -43,7 +43,7 @@ def test_digests_need_neither_numpy_nor_yaml():
     steps = load_script().step_digests()
     assert result.stdout.strip() == json.dumps(steps)
     for step in ("dedup", "fit_lda k=8 it", "GeoJSON en", "greedy modularity it",
-                 "eigenvector centrality en"):
+                 "eigenvector centrality en", "betweenness centrality it"):
         assert step in steps
 
 

@@ -295,17 +295,19 @@ class TestExitCodes:
     def test_missing_compiler_is_3_naming_the_command(
         self, tmp_path, fixture_corpus_path, pipeline_out
     ):
-        # an empty kernel cache, and no cc on the PATH to build it with
+        # an empty kernel cache, and no cc on the PATH to build it with:
+        # topics needs the Gibbs kernel, metrics the betweenness kernel
         shutil.copytree(pipeline_out.out, tmp_path / "out")
         config_path = make_config(tmp_path, fixture_corpus_path)
-        result = subprocess.run(
-            [sys.executable, "-m", "tweetflow.cli", "topics", "--config", str(config_path)],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(Path(tweetflow.__file__).parents[1]),
-                 "PATH": str(tmp_path / "no-cc"), "XDG_CACHE_HOME": str(tmp_path / "cache")},
-        )
-        assert result.returncode == 3, result.stderr
-        assert "stage failure: cannot build the Gibbs kernel with `cc -O2 -std=c99" in result.stderr
+        for stage in ("topics", "metrics"):
+            result = subprocess.run(
+                [sys.executable, "-m", "tweetflow.cli", stage, "--config", str(config_path)],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(Path(tweetflow.__file__).parents[1]),
+                     "PATH": str(tmp_path / "no-cc"), "XDG_CACHE_HOME": str(tmp_path / "cache")},
+            )
+            assert result.returncode == 3, result.stderr
+            assert "stage failure: cannot build the C kernels with `cc -O2 -std=c99" in result.stderr
 
 
 def _cut_first_line(text: str) -> str:

@@ -24,10 +24,10 @@ NUMPY_FREE = (
     "sentiment", "categorize", "wordgraph", "exports", "storage", "community", "netmetrics",
 )
 NUMPY_FREE_STAGES = (
-    "ingest", "explore", "filter", "topics", "categorize", "sentiment", "graph", "communities",
-    "report",
+    "ingest", "explore", "filter", "topics", "categorize", "sentiment", "graph", "metrics",
+    "communities", "report",
 )
-NUMPY_STAGES = ("cluster", "metrics")
+NUMPY_STAGES = ("cluster",)
 
 
 def test_numpy_free_modules_import_with_numpy_and_yaml_blocked():
@@ -112,12 +112,13 @@ def test_numpy_free_stage_commands_rerun_with_numpy_blocked(tmp_path, fixture_co
     assert codes == dict.fromkeys(NUMPY_FREE_STAGES, 0)
     assert {rel: sha256_file(config.out / rel) for rel in golden} == golden
 
-    # the graph command fits no LDA model, so it needs no C kernel
+    # the graph command fits no LDA model and computes no betweenness, so it
+    # needs no C kernel
     codes, _ = _main_with_numpy_blocked(
         ("graph",), config_path,
         after='assert "ctypes" not in sys.modules, "ctypes was imported"\n'
-              "from tweetflow.topics import _gibbs_kernel\n"
-              'assert _gibbs_kernel.cache_info().currsize == 0, "the Gibbs kernel was loaded"',
+              "from tweetflow._kernels import _library\n"
+              'assert _library.cache_info().currsize == 0, "the C kernels were loaded"',
     )
     assert codes == {"graph": 0}
 

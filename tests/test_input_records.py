@@ -14,7 +14,7 @@ from tweetflow.resources import (
     default_path,
     load_boosters,
     load_lemma_table,
-    load_negators,
+    load_stopwords,
     load_valences,
 )
 from tweetflow.storage import read_jsonl
@@ -117,4 +117,4 @@ class TestResourceLines:
 
     def test_missing_resource_is_a_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="resource file not found"):
-            load_negators(tmp_path / "absent.txt")
+            load_stopwords(tmp_path / "absent.txt")

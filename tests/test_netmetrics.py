@@ -6,7 +6,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tweetflow import _brandes
 from tweetflow.errors import DataError
 from tweetflow.netmetrics import (
     _adjacency,
@@ -298,11 +297,21 @@ class TestOracleEquivalence:
             assert got == expected
             assert repr(got.values) == repr(expected.values)
 
-    @pytest.mark.parametrize("entries", [1, 1 << 40], ids=["one-source", "all-sources"])
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
     @over(KERNEL_GRAPHS + REAL_SIZE_GRAPHS + [("clique-union-disconnected", DISCONNECTED)])
-    def test_betweenness_identical_at_any_batch_size(self, graph, entries, monkeypatch):
-        # one source per batch, and every source in one batch
-        monkeypatch.setattr(_brandes, "_BATCH_ENTRIES", entries)
+    def test_betweenness_identical_in_any_node_order(self, graph, order):
+        # a new node order renumbers the sources and a new neighbour order
+        # changes the queue order, so sigma sums and predecessor slots run in
+        # another order; the kernel must still add what the oracle adds
+        adj = _adjacency(graph)
+        nodes = list(adj)
+        if order == "reversed":
+            permuted = {v: adj[v][::-1] for v in reversed(nodes)}
+        else:
+            rng = random.Random(len(nodes))
+            rng.shuffle(nodes)
+            permuted = {v: rng.sample(adj[v], len(adj[v])) for v in nodes}
+        graph = oracles.AdjacencyView(permuted)
         expected = oracles.betweenness_centrality(graph)
         assert repr(betweenness_centrality(graph).values) == repr(expected.values)
 
@@ -314,8 +323,7 @@ class TestOracleEquivalence:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_betweenness_identical_on_random_graphs(self, n, p, shuffled, seed):
-        # sparse graphs expand every level top-down, dense ones switch to
-        # bottom-up; a shuffled node order gives neighbour lists in any order
+        # a shuffled node order gives neighbour lists in any order
         adj = random_graph(n, p, seed)
         graph = adj
         if shuffled:
@@ -341,7 +349,8 @@ class TestOracleEquivalence:
             assert all(value == 0.0 for node, value in got.values.items() if node != "b")
 
     def test_betweenness_of_arcs_without_twins(self):
-        # a mapping that is not symmetric is searched top-down only, along its arcs
+        # a mapping that is not symmetric: d has two predecessors but one
+        # successor, so its slots must follow its in-degree
         adj = {"a": ["b", "c"], "b": ["d"], "c": ["d"], "d": ["e"], "e": []}
         expected = oracles.betweenness_centrality(adj)
         assert repr(betweenness_centrality(adj).values) == repr(expected.values)

@@ -10,8 +10,8 @@ from tweetflow.errors import ConfigError, DataError
 from tweetflow.resources import (
     default_path,
     load_boosters,
-    load_negators,
     load_sentiment_lexicon,
+    load_stopwords,
     load_valences,
 )
 from tweetflow.sentiment import (
@@ -195,4 +195,4 @@ class TestLexiconFiles:
     def test_negators_comments_skipped(self, tmp_path):
         path = tmp_path / "neg.txt"
         path.write_text("# comment\nnot\n\nno\n", encoding="utf-8")
-        assert load_negators(path) == frozenset({"not", "no"})
+        assert load_stopwords(path) == frozenset({"not", "no"})

@@ -11,7 +11,7 @@ from pathlib import Path
 import oracles
 import pytest
 
-from tweetflow import topics
+from tweetflow import _kernels, topics
 from tweetflow.corpus import TweetRecord
 from tweetflow.errors import DataError, StageError
 from tweetflow.preprocess import TokenizedDoc
@@ -224,6 +224,7 @@ class TestOracleEquivalence:
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 KERNEL_SOURCE = SRC / "tweetflow" / "_gibbs.c"
+BRANDES_SOURCE = SRC / "tweetflow" / "_brandes.c"
 STRICT_C = ("-std=c99", "-Wall", "-Wextra", "-Werror", "-pedantic")
 
 # reads the 625 words of random.Random.getstate()[1] and a count n from
@@ -254,25 +255,25 @@ int main(void)
 
 
 class TestGibbsKernel:
-    """The compiled sweep of src/tweetflow/_gibbs.c and its loader."""
+    """The compiled sweep of src/tweetflow/_gibbs.c and the kernels' loader."""
 
     @pytest.fixture
     def fresh_kernel(self, monkeypatch, tmp_path):
         """An empty library cache under tmp_path, with the kernel unloaded
         before and after the test."""
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        topics._gibbs_kernel.cache_clear()
+        _kernels._library.cache_clear()
         yield tmp_path / "cache" / "tweetflow"
-        topics._gibbs_kernel.cache_clear()
+        _kernels._library.cache_clear()
 
     def test_draws_cpython_random_stream(self, tmp_path):
         # 1,000 draws take 2,000 state words: four refills of 624 words. The
-        # harness includes _gibbs.c, so this also builds the kernel source
-        # under -Wall -Wextra -Werror -pedantic.
+        # harness includes _gibbs.c and is linked with _brandes.c, so this
+        # also builds both kernel sources under -Wall -Wextra -Werror -pedantic.
         harness = tmp_path / "stream.c"
         harness.write_text(STREAM_HARNESS.replace("SOURCE", str(KERNEL_SOURCE)), encoding="utf-8")
         program = tmp_path / "stream"
-        subprocess.run(["cc", *STRICT_C, "-o", str(program), str(harness)],
+        subprocess.run(["cc", *STRICT_C, "-o", str(program), str(harness), str(BRANDES_SOURCE)],
                        check=True, capture_output=True, timeout=120)
         n = 1000
         for seed in (0, 1, 42, 2**40, 123456789):
@@ -312,7 +313,7 @@ class TestGibbsKernel:
         config = LdaConfig(k=3, iterations=20, seed=4)
         first = fit_lda(docs, config)
         (library,) = fresh_kernel.iterdir()
-        assert library.name.startswith("gibbs-") and library.suffix == ".so"
+        assert library.name.startswith("kernels-") and library.suffix == ".so"
         assert stat.S_IMODE(fresh_kernel.stat().st_mode) == 0o700
         # from here on no cc can be found: a second fit, and a new process
         # with the library in the cache, must not need one
@@ -343,13 +344,13 @@ class TestGibbsKernel:
 
     def test_missing_compiler_is_stage_error(self, fresh_kernel, monkeypatch, tmp_path):
         monkeypatch.setenv("PATH", str(tmp_path / "no-cc"))
-        with pytest.raises(StageError, match=r"cannot build the Gibbs kernel with `cc -O2 "):
+        with pytest.raises(StageError, match=r"cannot build the C kernels with `cc -O2 "):
             fit_lda(planted_corpus(0, docs_per_side=5), LdaConfig(k=2, iterations=1))
 
     def test_failed_compile_names_command_and_stderr(self, fresh_kernel, monkeypatch, tmp_path):
         broken = tmp_path / "broken.c"
         broken.write_text("this is not C\n", encoding="utf-8")
-        monkeypatch.setattr(topics, "_KERNEL_SOURCE", broken)
+        monkeypatch.setattr(_kernels, "_SOURCES", (broken,))
         with pytest.raises(StageError) as raised:
             fit_lda(planted_corpus(0, docs_per_side=5), LdaConfig(k=2, iterations=1))
         message = str(raised.value)
