@@ -1,8 +1,9 @@
-"""The C kernels, _gibbs.c for ``topics.fit_lda`` and _brandes.c for
-``netmetrics.betweenness_centrality``, built into one library with `cc` and
-loaded through ctypes when a kernel first runs in a process. All names are
-private: perfbench/layertrace.py wraps public functions only, so it times
-the kernels' work as the calls that run them."""
+"""The C kernels, _gibbs.c for ``topics.fit_lda``, _brandes.c for
+``netmetrics.betweenness_centrality`` and _cluster.c for ``clustering``'s
+k-means and silhouette, built into one library with `cc` and loaded
+through ctypes when a kernel first runs in a process; `_call` runs one.
+All names are private: perfbench/layertrace.py wraps public functions
+only, so it times the kernels' work as the calls that run them."""
 
 from __future__ import annotations
 
@@ -14,10 +15,13 @@ from pathlib import Path
 
 from .errors import StageError
 
-_SOURCES = (Path(__file__).with_name("_gibbs.c"), Path(__file__).with_name("_brandes.c"))
+_SOURCES = tuple(
+    Path(__file__).with_name(name) for name in ("_gibbs.c", "_brandes.c", "_cluster.c")
+)
 # no -ffast-math or -march, and no contraction into fused multiply-adds:
 # each float operation rounds as the same operation does in Python
 _COMPILE = ("cc", "-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
+_LINK = ("-lm",)
 
 
 def _compile(library: Path) -> None:
@@ -25,7 +29,7 @@ def _compile(library: Path) -> None:
     import shlex
     import subprocess
 
-    argv = [*_COMPILE, "-o", str(library), *map(str, _SOURCES)]
+    argv = [*_COMPILE, "-o", str(library), *map(str, _SOURCES), *_LINK]
     try:
         result = subprocess.run(argv, capture_output=True, text=True)
     except OSError as exc:
@@ -43,11 +47,30 @@ def _load(library: Path):
 
     lib = ctypes.CDLL(str(library))
     i32, i64, ptr, f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-    lib.tf_gibbs_sweeps.argtypes = (i64, *[ptr] * 6, i32, f64, f64, f64, i64, ptr, ptr)
-    lib.tf_gibbs_sweeps.restype = None
-    lib.tf_brandes.argtypes = (i32, *[ptr] * 10)
-    lib.tf_brandes.restype = None
+    for name, argtypes in (
+        ("tf_gibbs_sweeps", (i64, *[ptr] * 6, i32, f64, f64, f64, i64, ptr, ptr)),
+        ("tf_brandes", (i32, *[ptr] * 10)),
+        ("tf_normalize", (i64, ptr, ptr, ptr)),
+        ("tf_row_distances", (i64, *[ptr] * 4, i64, ptr, ptr)),
+        ("tf_assign", (i64, i32, i64, *[ptr] * 8)),
+        ("tf_centroids", (i64, i32, i64, *[ptr] * 6)),
+        ("tf_silhouette", (i64, i64, *[ptr] * 4, i32, ptr, ptr, i64, *[ptr] * 7)),
+    ):
+        kernel = getattr(lib, name)
+        kernel.argtypes, kernel.restype = argtypes, None
     return lib
+
+
+def _prune(cache: Path, library: Path) -> None:
+    """Remove the libraries of other sources or commands from the cache,
+    and those of the loaders before this one; a library another process
+    has mapped outlives its name."""
+    for stale in [*cache.glob("kernels-*.so"), *cache.glob("gibbs-*.so")]:
+        if stale != library:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
 
 
 @functools.lru_cache(maxsize=None)
@@ -58,10 +81,11 @@ def _library():
     under the sha256 of the sources and the compiler command, compiled to a
     temporary name there and renamed into place, so a process never loads a
     half-written library; or, when that directory cannot be written, built
-    in a temporary directory of this process.
+    in a temporary directory of this process. A build into the cache
+    removes the libraries of other digests.
     """
     digest = hashlib.sha256(b"\0".join([*(source.read_bytes() for source in _SOURCES),
-                                         " ".join(_COMPILE).encode()])).hexdigest()
+                                         " ".join((*_COMPILE, *_LINK)).encode()])).hexdigest()
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "tweetflow"
     library = cache / f"kernels-{digest}.so"
     if library.exists():
@@ -81,4 +105,23 @@ def _library():
     finally:
         if os.path.exists(partial):
             os.unlink(partial)
+    _prune(cache, library)
     return _load(library)
+
+
+def _address(buffer) -> int:
+    """The address of the data of an array.array or a C-contiguous numpy array."""
+    if hasattr(buffer, "buffer_info"):
+        return buffer.buffer_info()[0]
+    if not buffer.flags.c_contiguous:
+        raise ValueError("a C kernel needs a C-contiguous array")
+    return buffer.ctypes.data
+
+
+def _call(name: str, *args) -> None:
+    """Run kernel `name` on args: each int or float by value, each buffer
+    (see `_address`) by the address of its data. `args` holds every buffer
+    until the kernel returns, so none can be freed while the kernel reads
+    or writes it."""
+    getattr(_library(), name)(*(arg if isinstance(arg, (int, float)) else _address(arg)
+                                for arg in args))

@@ -6,12 +6,17 @@ k-means++; Lloyd iterations run to an assignment fixpoint, re-seeding any
 empty cluster to the farthest point. All tie-breaks are by lowest index,
 making a fit a pure function of (matrix, k, seed).
 
-Both kernels are numpy array code over the normalized rows, without
-BLAS: dot products add each row's terms in the row's own order, exactly
-as a loop over the sparse row would, so k-means fits match that loop bit
-for bit on any machine. Silhouette takes its pairwise distances from Gram
-products over blocks of rows, so its working memory is one block of rows
-by n, not n by n.
+Both kernels run in C (_cluster.c, built and loaded by `_kernels`) over
+one CSR of the L2-normalized rows, which each public call builds once:
+int64 row starts, int32 terms, float64 weights and each row's squared
+norm. Every dot product adds a row's products in the row's own order and
+every sum over rows is a left fold in row-index order, so fits and scores
+have the bits of the loops over row dicts in tests/oracles.py. The one
+sum in an order that numpy picks, and so the one whose bits can follow
+the CPU, is each centroid's squared norm (np.dot, ROADMAP item 1).
+Silhouette takes each query row's dot products from postings lists (each
+term's rows and weights), so its working memory is O(nnz + n + V) for
+nnz stored weights and V terms.
 """
 
 from __future__ import annotations
@@ -19,12 +24,15 @@ from __future__ import annotations
 import logging
 import math
 import random
+from array import array
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
+from typing import NamedTuple
 
 import numpy as np
 
+from . import _kernels
 from .errors import DataError
 from .floats import _sum_left
 from .preprocess import TfIdfMatrix
@@ -43,77 +51,56 @@ class ClusterModel:
     diagnostics: dict | None = field(default=None, compare=False)
 
 
-def _normalized(row: dict[int, float]) -> dict[int, float]:
-    norm = math.sqrt(_sum_left(w * w for w in row.values()))
-    return {i: w / norm for i, w in row.items()} if norm > 0 else {}
+class _Rows(NamedTuple):
+    """A matrix's L2-normalized rows as CSR. Row i's terms and weights are
+    terms and weights[starts[i]:starts[i + 1]], in the row's own order, and
+    sq[i] is its squared norm. A row whose norm is 0 keeps its terms, with
+    weights 0.0 and sq 0.0: it adds nothing to any product or sum."""
+
+    starts: array
+    terms: array
+    weights: array
+    sq: array
+    v_size: int
 
 
-def _normalized_rows(matrix: TfIdfMatrix) -> list[dict[int, float]]:
-    return [_normalized(row) for row in matrix.rows]
+def _normalized_rows(matrix: TfIdfMatrix) -> _Rows:
+    rows, v_size = matrix.rows, len(matrix.terms)
+    terms = array("i", chain.from_iterable(rows))
+    if terms and not 0 <= min(terms) <= max(terms) < v_size:
+        raise DataError(f"a row holds a term index outside 0..{v_size - 1}")
+    starts = array("q", accumulate(map(len, rows), initial=0))
+    weights = array("d", chain.from_iterable(row.values() for row in rows))
+    sq = array("d", [0.0]) * len(rows)
+    _kernels._call("tf_normalize", len(rows), starts, weights, sq)
+    return _Rows(starts, terms, weights, sq, v_size)
 
 
-def _n_distinct(rows: Iterable[dict[int, float]]) -> int:
-    return len({tuple(sorted(row.items())) for row in rows if row})
+def _n_distinct(rows: _Rows) -> int:
+    starts, terms, weights = rows.starts, rows.terms, rows.weights
+    return len({frozenset(zip(terms[a:b], weights[a:b]))
+                for a, b, sq in zip(starts, starts[1:], rows.sq) if sq > 0.0})
 
 
 def distinct_rows(matrix: TfIdfMatrix) -> int:
     """Distinct non-empty rows once L2-normalized: the most clusters k-means
     can keep apart. With more, a tied centroid empties a cluster on every
     iteration and the fit never settles."""
-    return _n_distinct(map(_normalized, matrix.rows))
+    return _n_distinct(_normalized_rows(matrix))
 
 
-def _sq_norms(rows: list[dict[int, float]]) -> np.ndarray:
-    return np.array([_sum_left(w * w for w in row.values()) for row in rows], dtype=float)
+def _kmeanspp_init(rows: _Rows, k: int, rng: random.Random) -> np.ndarray:
+    n = len(rows.sq)
+    dense, dist = array("d", [0.0]) * rows.v_size, array("d", [0.0]) * n
 
+    def sq_dists_to(j: int) -> list[float]:
+        _kernels._call("tf_row_distances", n, rows.starts, rows.terms, rows.weights, rows.sq,
+                       j, dense, dist)
+        return [d ** 2 for d in dist]
 
-def _padded(rows: list[dict[int, float]]) -> tuple[np.ndarray, np.ndarray]:
-    """Rows as n x L term-index and weight arrays, zero-padded to the longest row.
-
-    Column p holds each row's p-th entry in the row's own order.
-    """
-    width = max(len(row) for row in rows)
-    idx = np.zeros((len(rows), width), dtype=np.intp)
-    val = np.zeros((len(rows), width))
-    for i, row in enumerate(rows):
-        idx[i, : len(row)] = list(row)
-        val[i, : len(row)] = list(row.values())
-    return idx, val
-
-
-def _dots(idx: np.ndarray, val: np.ndarray, dense: np.ndarray) -> np.ndarray:
-    """Dot products of the padded rows with each column of dense (V x m).
-
-    Accumulates one padded column at a time, so each row's products are
-    added in the row's own order, as a loop over the row dict adds them.
-    """
-    out = np.zeros((idx.shape[0], dense.shape[1]))
-    for p in range(idx.shape[1]):
-        out += val[:, p, None] * dense[idx[:, p]]
-    return out
-
-
-def _sq_dists_to_row(
-    rows: list[dict[int, float]], sq: np.ndarray, idx: np.ndarray, val: np.ndarray,
-    v_size: int, j: int,
-) -> list[float]:
-    """Squared Euclidean distance from every row to row j."""
-    target = np.zeros((v_size, 1))
-    for t, w in rows[j].items():
-        target[t, 0] = w
-    dist = np.sqrt(np.maximum(0.0, sq + sq[j] - 2.0 * _dots(idx, val, target)[:, 0]))
-    return [d ** 2 for d in dist.tolist()]
-
-
-def _kmeanspp_init(
-    rows: list[dict[int, float]], sq: np.ndarray, idx: np.ndarray, val: np.ndarray,
-    k: int, v_size: int, rng: random.Random,
-) -> np.ndarray:
-    n = len(rows)
-    centroids = np.zeros((k, v_size))
     first = rng.randrange(n)
     chosen = [first]
-    d_sq = _sq_dists_to_row(rows, sq, idx, val, v_size, first)
+    d_sq = sq_dists_to(first)
     for c in range(1, k):
         total = _sum_left(d_sq)
         if total <= 0.0:
@@ -133,9 +120,11 @@ def _kmeanspp_init(
                     pick = i
                     break
             chosen.append(pick)
-        d_sq = list(map(min, d_sq, _sq_dists_to_row(rows, sq, idx, val, v_size, chosen[-1])))
+        d_sq = list(map(min, d_sq, sq_dists_to(chosen[-1])))
+    centroids = np.zeros((k, rows.v_size))
     for c, i in enumerate(chosen):
-        for t, w in rows[i].items():
+        a, b = rows.starts[i], rows.starts[i + 1]
+        for t, w in zip(rows.terms[a:b], rows.weights[a:b]):
             centroids[c, t] = w
     return centroids
 
@@ -152,8 +141,8 @@ def kmeans(
     centroids, repeated an earlier iteration's, so the rest of the run
     would only replay the cycle and the fit stops there.
     """
-    n = len(matrix.rows)
     rows = _normalized_rows(matrix)
+    n = len(rows.sq)
     n_distinct = _n_distinct(rows)
     if n_distinct == 0:
         raise DataError("cannot cluster an all-zero matrix")
@@ -161,15 +150,10 @@ def kmeans(
         raise DataError(f"k={k} out of range 2..{n_distinct}")
     if k > n_distinct:
         raise DataError(f"k={k} exceeds the {n_distinct} distinct non-empty rows")
-    v_size = len(matrix.terms)
-    sq = _sq_norms(rows)
-    idx, val = _padded(rows)
-    filled = np.arange(idx.shape[1]) < np.array([len(row) for row in rows])[:, None]
-    # every stored entry as (row, term, weight), rows in index order
-    entry_row = np.nonzero(filled)[0]
-    entry_term, entry_weight = idx[filled], val[filled]
+    csr = rows.starts, rows.terms, rows.weights
     rng = random.Random(seed)
-    centroids = _kmeanspp_init(rows, sq, idx, val, k, v_size, rng)
+    centroids = _kmeanspp_init(rows, k, rng)
+    nearest, best = array("i", [0]) * n, array("d", [0.0]) * n
 
     assignments = [-1] * n
     wcss_history: list[float] = []
@@ -178,10 +162,11 @@ def kmeans(
     seen: set[tuple[int, ...]] = set()  # post-re-seed assignments of every iteration
     for _ in range(max_iters):
         n_iters += 1
-        c_sq = np.array([float(np.dot(centroids[c], centroids[c])) for c in range(k)])
-        d_sq = np.maximum(0.0, sq[:, None] - 2.0 * _dots(idx, val, centroids.T) + c_sq)
-        nearest = d_sq.argmin(axis=1)  # first minimum: ties go to the lowest index
-        best_d = d_sq[np.arange(n), nearest].tolist()
+        c_sq = array("d", [float(np.dot(centroids[c], centroids[c])) for c in range(k)])
+        # ties go to the lowest index
+        _kernels._call("tf_assign", n, k, rows.v_size, *csr, rows.sq, centroids, c_sq,
+                       nearest, best)
+        best_d = best.tolist()
         new_assignments = nearest.tolist()
         wcss_history.append(_sum_left(best_d))
         if new_assignments == assignments:
@@ -210,12 +195,8 @@ def kmeans(
             assignments[far_i] = c
             counts[c] += 1
 
-        # add.at is unbuffered: each centroid sums its rows in index order
-        centroids = np.zeros((k, v_size))
-        np.add.at(centroids, (np.array(assignments)[entry_row], entry_term), entry_weight)
-        for c in range(k):
-            if counts[c] > 0:
-                centroids[c] /= counts[c]
+        _kernels._call("tf_centroids", n, k, rows.v_size, *csr, array("i", assignments),
+                       array("q", counts), centroids)
         state = tuple(assignments)
         if state in seen:
             cycled = True
@@ -226,28 +207,6 @@ def kmeans(
     if cycled:
         diagnostics["cycled"] = True
     return ClusterModel(k, centroids, assignments, n_iters, wcss_history, diagnostics)
-
-
-SILHOUETTE_BLOCK = 64  # query rows per Gram block
-
-
-def _shared_columns(rows: list[dict[int, float]], v_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Term-major dense block over the m terms found in at least two rows.
-
-    Only those terms can add to the dot product of two different rows.
-    Returns the (m + 1) x n block, whose last line is zeros, and each
-    vocabulary term's line in it (m for the other terms).
-    """
-    df = Counter(t for row in rows for t in row)
-    shared = sorted(t for t, c in df.items() if c >= 2)
-    lines = np.full(v_size, len(shared), dtype=np.intp)
-    lines[shared] = np.arange(len(shared))
-    block = np.zeros((len(shared) + 1, len(rows)))
-    for i, row in enumerate(rows):
-        for t, w in row.items():
-            block[lines[t], i] = w
-    block[-1] = 0.0  # the terms of one row only were written there
-    return block, lines
 
 
 def silhouette(
@@ -261,7 +220,8 @@ def silhouette(
     A point in a singleton cluster contributes 0. With sample_size set,
     the score is computed over a seeded sample of points against the full
     set of points (useful beyond ~50k rows). Pair distances come from
-    sqrt(|x|^2 + |y|^2 - 2 x.y), SILHOUETTE_BLOCK points at a time.
+    sqrt(|x|^2 + |y|^2 - 2 x.y), and each cluster's distances are summed
+    in row order.
     """
     n = len(matrix.rows)
     if n != len(assignments):
@@ -270,42 +230,22 @@ def silhouette(
     if len(clusters) < 2:
         raise DataError("silhouette requires at least 2 clusters")
     rows = _normalized_rows(matrix)
-    sq = _sq_norms(rows)
-    block, lines = _shared_columns(rows, len(matrix.terms))
-    idx, val = _padded(rows)
-    idx = lines[idx]
-    label = np.searchsorted(clusters, assignments)
-    sizes = np.bincount(label)
-    by_cluster = np.argsort(label, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    label = array("i", map({c: i for i, c in enumerate(clusters)}.__getitem__, assignments))
+    sizes = Counter(label)
 
     indices = list(range(n))
     if sample_size is not None and sample_size < n:
         rng = random.Random(seed)
         indices = sorted(rng.sample(indices, sample_size))
 
-    scores: list[float] = []
-    for start in range(0, len(indices), SILHOUETTE_BLOCK):
-        q = np.array(indices[start : start + SILHOUETTE_BLOCK])
-        here = np.arange(len(q))
-        gram = _dots(idx[q], val[q], block)
-        gram *= 2.0
-        dist = sq[q, None] + sq
-        dist -= gram
-        np.maximum(dist, 0.0, out=dist)
-        np.sqrt(dist, out=dist)
-        dist[here, q] = 0.0  # the block leaves out terms of one row only
-        sums = np.add.reduceat(dist[:, by_cluster], starts, axis=1)  # per cluster
-        own = label[q]
-        a = sums[here, own] / np.maximum(sizes[own] - 1, 1)
-        mean_other = sums / sizes
-        mean_other[here, own] = np.inf
-        b = mean_other.min(axis=1)
-        denom = np.maximum(a, b)
-        # a point in a singleton cluster contributes 0
-        scores += np.divide(
-            b - a, denom, out=np.zeros(len(q)), where=(sizes[own] > 1) & (denom > 0)
-        ).tolist()
+    nnz, n_labels = len(rows.terms), len(clusters)
+    scores = array("d", [0.0]) * len(indices)
+    _kernels._call(
+        "tf_silhouette", n, rows.v_size, rows.starts, rows.terms, rows.weights, rows.sq,
+        n_labels, label, array("q", map(sizes.__getitem__, range(n_labels))), len(indices),
+        array("q", indices), array("q", [0]) * (rows.v_size + 1), array("i", [0]) * nnz,
+        array("d", [0.0]) * nnz, array("d", [0.0]) * n, array("d", [0.0]) * n_labels, scores,
+    )
     return _sum_left(scores) / len(indices)
 
 

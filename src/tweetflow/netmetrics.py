@@ -41,10 +41,18 @@ class CentralityScores:
 
 
 def _adjacency(graph) -> dict[str, list[str]]:
-    """The sorted adjacency of a graph object or of a node -> neighbours mapping."""
+    """The sorted adjacency of a graph object or of a node -> neighbours mapping.
+
+    DataError if a mapping lists a neighbour that is not one of its nodes.
+    """
     if hasattr(graph, "adjacency"):
         return graph.adjacency()
-    return {node: sorted(neigh) for node, neigh in sorted(graph.items())}
+    adj = {node: sorted(neigh) for node, neigh in sorted(graph.items())}
+    if not adj.keys() >= set(chain.from_iterable(adj.values())):
+        node, neighbour = next((node, w) for node, neigh in adj.items() for w in neigh
+                               if w not in adj)
+        raise DataError(f"node {node!r} lists neighbour {neighbour!r}, which is not a node")
+    return adj
 
 
 def _int_adjacency(adj: Mapping[str, Sequence[str]]) -> list[list[int]]:
@@ -124,11 +132,9 @@ def betweenness_centrality(graph, normalized: bool = False) -> CentralityScores:
     in_degree = Counter(heads)
     pred_start = array("q", accumulate((in_degree[v] for v in range(n)), initial=0))
     totals = array("d", [0.0]) * n
-    # named, so that each array outlives the call that writes into it
-    buffers = (arc_start, heads, pred_start, array("i", [0]) * n, array("i", [0]) * n,
-               array("q", [0]) * n, array("i", [0]) * len(heads), array("d", [0.0]) * n,
-               array("d", [0.0]) * n, totals)
-    _kernels._library().tf_brandes(n, *(a.buffer_info()[0] for a in buffers))
+    _kernels._call("tf_brandes", n, arc_start, heads, pred_start, array("i", [0]) * n,
+                   array("i", [0]) * n, array("q", [0]) * n, array("i", [0]) * len(heads),
+                   array("d", [0.0]) * n, array("d", [0.0]) * n, totals)
     # each unordered pair was accumulated from both endpoints; x * 1.0 is x
     scale = 2.0 / ((n - 1) * (n - 2)) if normalized and n > 2 else 1.0
     return CentralityScores(dict(sorted(zip(adj, (total / 2.0 * scale for total in totals)))))

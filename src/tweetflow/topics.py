@@ -150,14 +150,12 @@ def fit_lda(
     version, state, gauss_next = rng.getstate()
     mt = array("I", state)
     cumulative = array("d", [0.0]) * k
-    kernel = _kernels._library().tf_gibbs_sweeps
     beta = config.beta
-    buffers = [a.buffer_info()[0] for a in (doc_start, words, topic, doc_topic, word_topic,
-                                            topic_total)]
     per_call = 1 if check_invariants else config.iterations
     for _ in range(config.iterations // per_call):
-        kernel(len(docs), *buffers, k, config.effective_alpha, beta, v_size * beta, per_call,
-               mt.buffer_info()[0], cumulative.buffer_info()[0])
+        _kernels._call("tf_gibbs_sweeps", len(docs), doc_start, words, topic, doc_topic,
+                       word_topic, topic_total, k, config.effective_alpha, beta, v_size * beta,
+                       per_call, mt, cumulative)
         if check_invariants:
             to_model().check_invariants()
     rng.setstate((version, tuple(mt), gauss_next))

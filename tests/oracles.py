@@ -489,6 +489,58 @@ def silhouette(
     return total / len(indices)
 
 
+def _left_fold(values) -> float:
+    acc = 0.0
+    for v in values:
+        acc += v
+    return acc
+
+
+def silhouette_exact_order(
+    matrix: TfIdfMatrix,
+    assignments: list,
+    sample_size: int | None = None,
+    seed: int = 0,
+) -> float:
+    """Mean silhouette with every float operation in the order the package
+    takes it, one pair at a time: norms and dot products add a row's terms
+    in the row's own order (the query row's, for a pair), each cluster's
+    distances are added left to right in row order, and every float sum is
+    a left fold from 0.0."""
+    n = len(matrix.rows)
+    if n != len(assignments):
+        raise DataError("assignments must be parallel to matrix rows")
+    clusters = sorted(set(assignments))
+    if len(clusters) < 2:
+        raise DataError("silhouette requires at least 2 clusters")
+    rows = []
+    for row in matrix.rows:
+        norm = math.sqrt(_left_fold(w * w for w in row.values()))
+        rows.append({t: w / norm for t, w in row.items()} if norm > 0 else {})
+    sq = [_left_fold(w * w for w in row.values()) for row in rows]
+    sizes = Counter(assignments)
+
+    indices = list(range(n))
+    if sample_size is not None and sample_size < n:
+        indices = sorted(random.Random(seed).sample(indices, sample_size))
+
+    scores = []
+    for i in indices:
+        sums = dict.fromkeys(clusters, 0.0)
+        for j in range(n):
+            d = 0.0
+            if j != i:
+                dot = _left_fold(w * rows[j][t] for t, w in rows[i].items() if t in rows[j])
+                d = math.sqrt(max(0.0, (sq[i] + sq[j]) - 2.0 * dot))
+            sums[assignments[j]] += d
+        own = assignments[i]
+        a = sums[own] / max(sizes[own] - 1, 1)
+        b = min(sums[c] / sizes[c] for c in clusters if c != own)
+        denom = max(a, b)
+        scores.append((b - a) / denom if sizes[own] > 1 and denom > 0 else 0.0)
+    return _left_fold(scores) / len(indices)
+
+
 # ---------------------------------------------------------------------------
 # betweenness, closeness, greedy modularity and label propagation over
 # per-node dicts

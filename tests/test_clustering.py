@@ -4,11 +4,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from tweetflow import pipeline
 from tweetflow.clustering import distinct_rows, kmeans, select_k, silhouette
+from tweetflow.config import load_config
 from tweetflow.errors import DataError
-from tweetflow.preprocess import TfIdfMatrix
+from tweetflow.preprocess import TfIdfMatrix, build_tfidf
 
 
 def matrix_from_rows(rows, v_size):
@@ -111,6 +114,81 @@ class TestOracleEquivalence:
             assert silhouette(matrix, assignments) == pytest.approx(expected, rel=0, abs=1e-12)
         all_empty = matrix_from_rows([{}, {}, {}], 2)
         assert silhouette(all_empty, [0, 1, 1]) == oracles.silhouette(all_empty, [0, 1, 1])
+
+
+@pytest.fixture(scope="module")
+def fixture_matrices(tmp_path_factory, fixture_config_path):
+    """The TF-IDF matrix the cluster stage builds for each language of the
+    bundled fixture, with the stage's seed for that language."""
+    config = load_config(fixture_config_path,
+                         out_override=str(tmp_path_factory.mktemp("run") / "out"))
+    pipeline.run_stage("ingest", config)
+    return {
+        lang: (build_tfidf(pipeline._lang_docs(config, lang, pipeline.CORPUS)[1]),
+               config.stage_seed(f"cluster:{lang}"))
+        for lang in config.languages
+    }
+
+
+@st.composite
+def labelled_matrices(draw):
+    """Sparse rows with empty rows, copies of earlier rows, terms in any
+    order, and labels from a non-contiguous set: (matrix, labels, sample_size)."""
+    v_size = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(2, 14))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "fresh", "empty", "copy"]))
+        if kind == "copy" and rows:
+            rows.append(dict(draw(st.sampled_from(rows))))
+        elif kind == "empty":
+            rows.append({})
+        else:
+            terms = draw(st.permutations(range(v_size)))[: draw(st.integers(1, v_size))]
+            rows.append({t: draw(st.floats(0.01, 5.0)) for t in terms})
+    labels = draw(st.lists(st.sampled_from([7, 3, 9, 0, 12]), min_size=len(rows),
+                           max_size=len(rows)).filter(lambda ls: len(set(ls)) >= 2))
+    sample_size = draw(st.one_of(st.none(), st.integers(1, len(rows) + 2)))
+    return matrix_from_rows(rows, v_size), labels, sample_size
+
+
+class TestExactOrderOracle:
+    """silhouette against the pair loop in tests/oracles.py that adds each
+    dot product in the query row's term order and each cluster's distances
+    in row order: the same float operations in the same order, so repr-equal."""
+
+    @pytest.mark.parametrize("lang", ["en", "it"])
+    def test_fixture_fits_repr_equal(self, fixture_matrices, lang):
+        matrix, seed = fixture_matrices[lang]
+        assert len(matrix.rows) > 50
+        for k in (2, 3, 4):
+            assignments = kmeans(matrix, k, seed).assignments
+            for sample_size in (None, 30):
+                expected = oracles.silhouette_exact_order(matrix, assignments, sample_size, seed)
+                got = silhouette(matrix, assignments, sample_size, seed)
+                assert repr(got) == repr(expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(labelled_matrices(), st.integers(0, 2**32))
+    def test_generated_matrices_repr_equal(self, case, seed):
+        matrix, labels, sample_size = case
+        expected = oracles.silhouette_exact_order(matrix, labels, sample_size, seed)
+        assert repr(silhouette(matrix, labels, sample_size, seed)) == repr(expected)
+
+    def test_non_contiguous_labels_singletons_duplicates_and_empty_rows(self):
+        rows = [{2: 1.0, 0: 2.0}, {0: 2.0, 2: 1.0}, {}, {1: 0.5, 2: 3.0}, {1: 1.0}, {}]
+        matrix = matrix_from_rows(rows, 3)
+        for labels in ([7, 3, 7, 9, 3, 7], [7, 7, 3, 7, 7, 7], [9, 3, 3, 3, 12, 12]):
+            expected = oracles.silhouette_exact_order(matrix, labels)
+            assert repr(silhouette(matrix, labels)) == repr(expected)
+            assert silhouette(matrix, labels) == pytest.approx(
+                oracles.silhouette(matrix, labels), rel=0, abs=1e-12)
+
+    def test_term_index_outside_the_vocabulary_rejected(self):
+        matrix = matrix_from_rows([{0: 1.0}, {3: 1.0}], 2)
+        with pytest.raises(DataError, match=r"term index outside 0\.\.1"):
+            silhouette(matrix, [0, 1])
+        with pytest.raises(DataError, match=r"term index outside 0\.\.1"):
+            kmeans(matrix, 2, seed=0)
 
 
 class TestKmeans:

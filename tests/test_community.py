@@ -36,6 +36,15 @@ def over(graphs):
     )
 
 
+@pytest.mark.parametrize("kernel", [
+    label_propagation, greedy_modularity, lambda graph: modularity(graph, [["a", "c"]]),
+], ids=["label_propagation", "greedy_modularity", "modularity"])
+def test_neighbour_that_is_not_a_node_rejected(kernel):
+    # 'b' is a neighbour of 'a' but not a node
+    with pytest.raises(DataError, match="node 'a' lists neighbour 'b', which is not a node"):
+        kernel({"a": ["b"], "c": ["a"]})
+
+
 class TestLabelPropagation:
     def test_single_clique_one_community(self, k4):
         partition = label_propagation(k4, seed=0)

@@ -43,6 +43,18 @@ def over(graphs):
 over_kernel_graphs = over(KERNEL_GRAPHS)
 
 
+# 'b' is a neighbour of 'a' but not a node
+OPEN_MAPPING = {"a": ["b"], "c": ["a"]}
+
+
+@pytest.mark.parametrize("kernel", [
+    degree_centrality, closeness_centrality, betweenness_centrality, eigenvector_centrality,
+])
+def test_neighbour_that_is_not_a_node_rejected(kernel):
+    with pytest.raises(DataError, match="node 'a' lists neighbour 'b', which is not a node"):
+        kernel(OPEN_MAPPING)
+
+
 class TestDegreeCentrality:
     def test_path(self, path3):
         values = degree_centrality(path3).values

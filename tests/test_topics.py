@@ -224,7 +224,6 @@ class TestOracleEquivalence:
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 KERNEL_SOURCE = SRC / "tweetflow" / "_gibbs.c"
-BRANDES_SOURCE = SRC / "tweetflow" / "_brandes.c"
 STRICT_C = ("-std=c99", "-Wall", "-Wextra", "-Werror", "-pedantic")
 
 # reads the 625 words of random.Random.getstate()[1] and a count n from
@@ -268,13 +267,15 @@ class TestGibbsKernel:
 
     def test_draws_cpython_random_stream(self, tmp_path):
         # 1,000 draws take 2,000 state words: four refills of 624 words. The
-        # harness includes _gibbs.c and is linked with _brandes.c, so this
-        # also builds both kernel sources under -Wall -Wextra -Werror -pedantic.
+        # harness includes _gibbs.c and is linked with the other kernel
+        # sources, so this also builds every one under -Wall -Wextra -Werror
+        # -pedantic.
         harness = tmp_path / "stream.c"
         harness.write_text(STREAM_HARNESS.replace("SOURCE", str(KERNEL_SOURCE)), encoding="utf-8")
         program = tmp_path / "stream"
-        subprocess.run(["cc", *STRICT_C, "-o", str(program), str(harness), str(BRANDES_SOURCE)],
-                       check=True, capture_output=True, timeout=120)
+        others = [str(source) for source in _kernels._SOURCES if source.name != KERNEL_SOURCE.name]
+        subprocess.run(["cc", *STRICT_C, "-o", str(program), str(harness), *others,
+                        *_kernels._LINK], check=True, capture_output=True, timeout=120)
         n = 1000
         for seed in (0, 1, 42, 2**40, 123456789):
             rng = random.Random(seed)
@@ -355,7 +356,7 @@ class TestGibbsKernel:
             fit_lda(planted_corpus(0, docs_per_side=5), LdaConfig(k=2, iterations=1))
         message = str(raised.value)
         assert "`cc -O2 -std=c99 -fPIC -shared -ffp-contract=off -o " in message
-        assert f"{broken}` exited 1: " in message and "error" in message
+        assert f"{broken} -lm` exited 1: " in message and "error" in message
         assert list(fresh_kernel.iterdir()) == []
 
 
