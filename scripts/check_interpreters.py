@@ -14,9 +14,10 @@ extraction, the word and place graphs as GraphML and JSON, GeoJSON, label
 propagation, greedy modularity, modularity, closeness, degree and
 eigenvector centrality, and normalized betweenness, per language. They
 import neither numpy nor PyYAML, so the other interpreters need only the
-standard library, src/ and, for the C kernels that fit_lda and betweenness
-build and load through ctypes, the C compiler cc (or the library it built
-before, in the kernel cache).
+standard library, src/ and, for the C kernels that fit_lda, greedy
+modularity, eigenvector centrality and betweenness build and load through
+ctypes, the C compiler cc (or the library it built before, in the kernel
+cache).
 
 Not checked, so unverified on any interpreter but the one that froze the
 goldens: k-means, silhouette and the end-to-end run.

@@ -1,6 +1,8 @@
 """The C kernels, _gibbs.c for ``topics.fit_lda``, _brandes.c for
-``netmetrics.betweenness_centrality`` and _cluster.c for ``clustering``'s
-k-means and silhouette, built into one library with `cc` and loaded
+``netmetrics.betweenness_centrality``, _cluster.c for ``clustering``'s
+k-means and silhouette, and _graph.c for the power iteration of
+``netmetrics.eigenvector_centrality`` and the merge loop of
+``community.greedy_modularity``, built into one library with `cc` and loaded
 through ctypes when a kernel first runs in a process; `_call` runs one.
 All names are private: perfbench/layertrace.py wraps public functions
 only, so it times the kernels' work as the calls that run them."""
@@ -16,7 +18,8 @@ from pathlib import Path
 from .errors import StageError
 
 _SOURCES = tuple(
-    Path(__file__).with_name(name) for name in ("_gibbs.c", "_brandes.c", "_cluster.c")
+    Path(__file__).with_name(name)
+    for name in ("_gibbs.c", "_brandes.c", "_cluster.c", "_graph.c")
 )
 # no -ffast-math or -march, and no contraction into fused multiply-adds:
 # each float operation rounds as the same operation does in Python
@@ -55,6 +58,8 @@ def _load(library: Path):
         ("tf_assign", (i64, i32, i64, *[ptr] * 8)),
         ("tf_centroids", (i64, i32, i64, *[ptr] * 6)),
         ("tf_silhouette", (i64, i64, *[ptr] * 4, i32, ptr, ptr, i64, *[ptr] * 7)),
+        ("tf_power_iteration", (i32, ptr, ptr, f64, f64, i64, ptr, ptr, ptr)),
+        ("tf_greedy_modularity", (i32, *[ptr] * 3, i64, f64, *[ptr] * 4)),
     ):
         kernel = getattr(lib, name)
         kernel.argtypes, kernel.restype = argtypes, None

@@ -226,6 +226,8 @@ def silhouette(
     n = len(matrix.rows)
     if n != len(assignments):
         raise DataError("assignments must be parallel to matrix rows")
+    if sample_size is not None and sample_size < 1:
+        raise DataError(f"silhouette sample_size must be at least 1, got {sample_size}")
     clusters = sorted(set(assignments))
     if len(clusters) < 2:
         raise DataError("silhouette requires at least 2 clusters")

@@ -2,21 +2,24 @@
 
 Two detectors are provided: asynchronous label propagation (seeded) and
 greedy modularity agglomeration (merge the pair with the best modularity
-gain, return the partition at peak modularity). Community ids are always
+gain, return the partition at peak modularity), whose merge loop is a C
+kernel built and loaded by `_kernels`. Community ids are always
 canonical: dense 0..C-1, ordered by descending size with ties going to
 the community whose lexicographically smallest member is smaller.
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 import random
+from array import array
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
+from . import _kernels
 from .errors import DataError
 from .floats import _sum_left
 from .netmetrics import _adjacency, _int_adjacency
@@ -156,6 +159,12 @@ def greedy_modularity(graph) -> Partition:
     is the largest gain with the smallest pair, the same merge the
     all-pairs rescan in tests/oracles.py picks.
 
+    Python numbers the nodes, counts their links and the singletons' Q, and
+    replays the merge log to the peak; the merge loop runs in C (_graph.c)
+    over sorted rows of link counts, a merge making row u the union of rows
+    u and v. It does the float operations of the loop over dict rows in
+    tests/oracles.py in the same order, so every gain and Q has its bits.
+
     The diagnostics count the merges, the merges up to the peak, the peak Q
     and the heap entries popped, live or stale.
     """
@@ -163,90 +172,35 @@ def greedy_modularity(graph) -> Partition:
     m2 = sum(len(neigh) for neigh in adj.values())
     if m2 == 0:
         raise DataError("greedy modularity needs at least one edge")
-    m = m2 / 2.0
 
     names = sorted(adj)
     index = {node: i for i, node in enumerate(names)}
-    degree = [len(adj[node]) for node in names]
-    links: list[dict[int, int]] = [{} for _ in names]
-    for v, neigh in adj.items():
-        iv = index[v]
-        for w in neigh:
-            if v < w:
-                iw = index[w]
-                links[iv][iw] = links[iv].get(iw, 0) + 1
-                links[iw][iv] = links[iw].get(iv, 0) + 1
-    alive = [True] * len(names)
-    best_gain = [0.0] * len(names)
-    best_to = [-1] * len(names)  # -1: the row holds no pair
-    heap: list[tuple[float, int, int]] = []
-
-    def gain(u: int, v: int) -> float:
-        return links[u][v] / m - 2.0 * (degree[u] / m2) * (degree[v] / m2)
-
-    def settle(r: int, g: float, c: int) -> None:
-        best_gain[r], best_to[r] = g, c
-        heapq.heappush(heap, (-g, r, c))
-
-    def rescan(r: int) -> None:
-        # gain(r, c) inlined, same float operations in the same order
-        links_r, scale = links[r], 2.0 * (degree[r] / m2)
-        top = max(
-            ((links_r[c] / m - scale * (degree[c] / m2), -c) for c in links_r if c > r),
-            default=None,
-        )
-        if top is None:
-            best_to[r] = -1
-        else:
-            settle(r, top[0], -top[1])
-
-    for r in range(len(names)):
-        rescan(r)
+    # each listing of w by v < w links them once more; a self-loop never
+    upper = [[index[w] for w in adj[v] if v < w] for v in names]
+    n = len(names)
     # singletons: no intra edges; summed in the graph's node order
-    best_q = current_q = _sum_left(0.0 - (len(neigh) / m2) ** 2 for neigh in adj.values())
-    merge_log: list[tuple[int, int]] = []
-    best_merges = pops = 0
-    while heap:
-        neg_gain, u, v = heapq.heappop(heap)
-        pops += 1
-        if not alive[u] or best_to[u] != v or best_gain[u] != -neg_gain:
-            continue  # stale: row u's best moved since this entry was pushed
-        current_q += best_gain[u]
-        # merge v into u; u < v, so u stays the representative
-        alive[v] = False
-        merge_log.append((u, v))
-        links_u, links_v = links[u], links[v]
-        del links_u[v], links_v[u]
-        for other, count in links_v.items():
-            del links[other][v]
-            links_u[other] = links_u.get(other, 0) + count
-        degree[u] += degree[v]
-        rescan(u)
-        for other, count in links_u.items():
-            links[other][u] = count
-            if other > u:
-                if best_to[other] == v:
-                    rescan(other)
-            elif best_to[other] in (u, v):
-                rescan(other)
-            else:  # row `other` holds (other, u), so it has a best
-                g = gain(other, u)
-                if g > best_gain[other] or (g == best_gain[other] and u < best_to[other]):
-                    settle(other, g, u)
-        if current_q > best_q:
-            best_q = current_q
-            best_merges = len(merge_log)
+    q = _sum_left(0.0 - (len(neigh) / m2) ** 2 for neigh in adj.values())
+    log_u, log_v = array("i", [0]) * n, array("i", [0]) * n
+    result, peak_q = array("q", [0]) * 4, array("d", [0.0])
+    _kernels._call(
+        "tf_greedy_modularity", n, array("q", accumulate(map(len, upper), initial=0)),
+        array("i", chain.from_iterable(upper)), array("q", (len(adj[v]) for v in names)),
+        m2, q, log_u, log_v, result, peak_q,
+    )
+    merges, best_merges, pops, failed = result
+    if failed:
+        raise MemoryError("greedy modularity: the merge loop ran out of memory")
 
     groups = {i: [name] for i, name in enumerate(names)}
-    for u, v in merge_log[:best_merges]:
+    for u, v in zip(log_u[:best_merges], log_v[:best_merges]):
         groups[u].extend(groups.pop(v))
     diagnostics = {
-        "merges": len(merge_log),
+        "merges": merges,
         "merges_to_peak": best_merges,
-        "peak_q": best_q,
+        "peak_q": peak_q[0],
         "heap_pops": pops,
     }
-    return _canonical_partition(groups.values(), best_q, diagnostics)
+    return _canonical_partition(groups.values(), peak_q[0], diagnostics)
 
 
 def choose_communities(partition: Partition) -> tuple[float, tuple[int, ...]]:

@@ -14,7 +14,8 @@ nodes in adjacency order: closeness runs every source's BFS at once over
 bit sets, betweenness runs Brandes' queue loop over CSR arrays in C
 (_brandes.c, built and loaded by `_kernels`).
 Eigenvector centrality is power iteration with a self-damping fallback
-for bipartite oscillation.
+for bipartite oscillation, each iteration run over the same CSR arrays
+in C (_graph.c).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from itertools import accumulate, chain
 
 from . import _kernels
 from .errors import DataError
-from .floats import _sum_left
 
 log = logging.getLogger(__name__)
 
@@ -59,6 +59,14 @@ def _int_adjacency(adj: Mapping[str, Sequence[str]]) -> list[list[int]]:
     """Neighbour lists as node indices, numbering nodes in `adj` order."""
     index = {node: i for i, node in enumerate(adj)}
     return [[index[w] for w in neigh] for neigh in adj.values()]
+
+
+def _csr(adj: Mapping[str, Sequence[str]]) -> tuple[array, array]:
+    """The arc starts and heads of `adj` numbered as by `_int_adjacency`:
+    node i's neighbours are heads[arc_start[i] .. arc_start[i + 1])."""
+    neighbors = _int_adjacency(adj)
+    return (array("q", accumulate(map(len, neighbors), initial=0)),
+            array("i", chain.from_iterable(neighbors)))
 
 
 def degree_centrality(graph) -> CentralityScores:
@@ -126,9 +134,7 @@ def betweenness_centrality(graph, normalized: bool = False) -> CentralityScores:
     """
     adj = _adjacency(graph)
     n = len(adj)
-    neighbors = _int_adjacency(adj)
-    arc_start = array("q", accumulate(map(len, neighbors), initial=0))
-    heads = array("i", chain.from_iterable(neighbors))
+    arc_start, heads = _csr(adj)
     in_degree = Counter(heads)
     pred_start = array("q", accumulate((in_degree[v] for v in range(n)), initial=0))
     totals = array("d", [0.0]) * n
@@ -144,32 +150,6 @@ class NonConvergenceError(DataError):
     """Power iteration failed to converge even with damping."""
 
 
-def _power_iteration(
-    neighbor_ids: list[list[int]],
-    tol: float,
-    max_iters: int,
-    damping: float,
-) -> tuple[list[float] | None, int]:
-    """The converged vector (None if it never converged) and the iterations run."""
-    n = len(neighbor_ids)
-    x = [1.0 / n ** 0.5] * n
-    for iteration in range(1, max_iters + 1):
-        nxt = [damping * xi for xi in x]
-        for i, neigh in enumerate(neighbor_ids):
-            acc = nxt[i]
-            for j in neigh:
-                acc += x[j]
-            nxt[i] = acc
-        norm = _sum_left(v * v for v in nxt) ** 0.5
-        if norm == 0.0:
-            return None, iteration
-        nxt = [v / norm for v in nxt]
-        if max(abs(a - b) for a, b in zip(nxt, x)) < tol:
-            return nxt, iteration
-        x = nxt
-    return None, max_iters
-
-
 def eigenvector_centrality(
     graph, tol: float = 1e-10, max_iters: int = 1000
 ) -> CentralityScores:
@@ -177,24 +157,28 @@ def eigenvector_centrality(
 
     Starts from the uniform positive vector; if plain power iteration
     oscillates (bipartite spectrum), a 0.5 self-damping term is added,
-    which shifts the spectrum without changing eigenvectors. The
-    diagnostics give the iterations of the run that converged and whether
-    it was the damped one.
+    which shifts the spectrum without changing eigenvectors. Each power
+    iteration runs in _graph.c over CSR arrays, with the float bits of the
+    loop over neighbour lists in tests/oracles.py. The diagnostics give the
+    iterations of the run that converged and whether it was the damped one.
     """
     adj = _adjacency(graph)
     if not any(adj.values()):
         raise DataError("eigenvector centrality needs at least one edge")
-    neighbor_ids = _int_adjacency(adj)
-    damped = False
-    vector, iterations = _power_iteration(neighbor_ids, tol, max_iters, damping=0.0)
-    if vector is None:
-        log.debug("eigenvector: undamped iteration did not converge, damping")
-        damped = True
-        vector, iterations = _power_iteration(neighbor_ids, tol, max_iters, damping=0.5)
-    if vector is None:
+    n = len(adj)
+    arc_start, heads = _csr(adj)
+    vector, scratch = array("d", [0.0]) * n, array("d", [0.0]) * n
+    status = array("q", [0, 0])  # iterations run, converged
+    for damping in (0.0, 0.5):
+        _kernels._call("tf_power_iteration", n, arc_start, heads, damping, tol, max_iters,
+                       vector, scratch, status)
+        if status[1]:
+            break
+        log.debug("eigenvector: power iteration with damping %s did not converge", damping)
+    else:
         raise NonConvergenceError(
             f"power iteration did not converge in {max_iters} iterations"
         )
     return CentralityScores(
-        dict(zip(adj, vector)), diagnostics={"iterations": iterations, "damped": damped}
+        dict(zip(adj, vector)), diagnostics={"iterations": status[0], "damped": damping > 0.0}
     )

@@ -6,7 +6,9 @@ modularity by the pairwise double sum, the dominant eigenvector from a
 dense eigendecomposition, exhaustive set-partition search, k-means and
 silhouette as plain loops over sparse dict rows, and Brandes betweenness,
 closeness and greedy modularity over per-node dicts with an all-pairs
-rescan on every merge, label propagation over node names, the collapsed
+rescan on every merge, greedy modularity's row-best merge loop over dict
+rows and a heapq heap, eigenvector power iteration over neighbour lists,
+label propagation over node names, the collapsed
 Gibbs LDA sampler over int topic-major tables that decrements and
 re-increments every token, and the GraphML writers as an
 xml.etree.ElementTree tree.
@@ -14,6 +16,7 @@ xml.etree.ElementTree tree.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from collections import Counter, deque
@@ -27,7 +30,12 @@ import numpy as np
 from tweetflow.clustering import ClusterModel
 from tweetflow.community import MAX_LPA_SWEEPS, Partition, _canonical_partition, modularity
 from tweetflow.errors import DataError
-from tweetflow.netmetrics import CentralityScores, _adjacency
+from tweetflow.netmetrics import (
+    CentralityScores,
+    NonConvergenceError,
+    _adjacency,
+    _int_adjacency,
+)
 from tweetflow.preprocess import TfIdfMatrix, TokenizedDoc
 from tweetflow.topics import LdaConfig, LdaModel
 from tweetflow.wordgraph import PlaceGraph, WordGraph
@@ -543,7 +551,7 @@ def silhouette_exact_order(
 
 # ---------------------------------------------------------------------------
 # betweenness, closeness, greedy modularity and label propagation over
-# per-node dicts
+# per-node dicts, and greedy modularity's row-best loop over dict rows
 
 def _bfs_distances(adj, source: str) -> dict[str, int]:
     dist = {source: 0}
@@ -679,6 +687,101 @@ def greedy_modularity(graph) -> Partition:
     return _canonical_partition(best_groups, best_q)
 
 
+def greedy_modularity_row_best(graph) -> Partition:
+    """The row-best merge loop over dict rows and a heapq heap (see
+    community.greedy_modularity's docstring), with its diagnostics: the
+    merges, the merges up to the peak, the peak Q and the heap entries
+    popped, live or stale."""
+    adj = _adjacency(graph)
+    m2 = sum(len(neigh) for neigh in adj.values())
+    if m2 == 0:
+        raise DataError("greedy modularity needs at least one edge")
+    m = m2 / 2.0
+
+    names = sorted(adj)
+    index = {node: i for i, node in enumerate(names)}
+    degree = [len(adj[node]) for node in names]
+    links: list[dict[int, int]] = [{} for _ in names]
+    for v, neigh in adj.items():
+        iv = index[v]
+        for w in neigh:
+            if v < w:
+                iw = index[w]
+                links[iv][iw] = links[iv].get(iw, 0) + 1
+                links[iw][iv] = links[iw].get(iv, 0) + 1
+    alive = [True] * len(names)
+    best_gain = [0.0] * len(names)
+    best_to = [-1] * len(names)  # -1: the row holds no pair
+    heap: list[tuple[float, int, int]] = []
+
+    def gain(u: int, v: int) -> float:
+        return links[u][v] / m - 2.0 * (degree[u] / m2) * (degree[v] / m2)
+
+    def settle(r: int, g: float, c: int) -> None:
+        best_gain[r], best_to[r] = g, c
+        heapq.heappush(heap, (-g, r, c))
+
+    def rescan(r: int) -> None:
+        # gain(r, c) inlined, same float operations in the same order
+        links_r, scale = links[r], 2.0 * (degree[r] / m2)
+        top = max(
+            ((links_r[c] / m - scale * (degree[c] / m2), -c) for c in links_r if c > r),
+            default=None,
+        )
+        if top is None:
+            best_to[r] = -1
+        else:
+            settle(r, top[0], -top[1])
+
+    for r in range(len(names)):
+        rescan(r)
+    # singletons: no intra edges; summed in the graph's node order
+    best_q = current_q = _left_fold(0.0 - (len(neigh) / m2) ** 2 for neigh in adj.values())
+    merge_log: list[tuple[int, int]] = []
+    best_merges = pops = 0
+    while heap:
+        neg_gain, u, v = heapq.heappop(heap)
+        pops += 1
+        if not alive[u] or best_to[u] != v or best_gain[u] != -neg_gain:
+            continue  # stale: row u's best moved since this entry was pushed
+        current_q += best_gain[u]
+        # merge v into u; u < v, so u stays the representative
+        alive[v] = False
+        merge_log.append((u, v))
+        links_u, links_v = links[u], links[v]
+        del links_u[v], links_v[u]
+        for other, count in links_v.items():
+            del links[other][v]
+            links_u[other] = links_u.get(other, 0) + count
+        degree[u] += degree[v]
+        rescan(u)
+        for other, count in links_u.items():
+            links[other][u] = count
+            if other > u:
+                if best_to[other] == v:
+                    rescan(other)
+            elif best_to[other] in (u, v):
+                rescan(other)
+            else:  # row `other` holds (other, u), so it has a best
+                g = gain(other, u)
+                if g > best_gain[other] or (g == best_gain[other] and u < best_to[other]):
+                    settle(other, g, u)
+        if current_q > best_q:
+            best_q = current_q
+            best_merges = len(merge_log)
+
+    groups = {i: [name] for i, name in enumerate(names)}
+    for u, v in merge_log[:best_merges]:
+        groups[u].extend(groups.pop(v))
+    diagnostics = {
+        "merges": len(merge_log),
+        "merges_to_peak": best_merges,
+        "peak_q": best_q,
+        "heap_pops": pops,
+    }
+    return _canonical_partition(groups.values(), best_q, diagnostics)
+
+
 def label_propagation(graph, seed: int = 0) -> Partition:
     """Seeded asynchronous label propagation over node names and a label dict."""
     adj = _adjacency(graph)
@@ -712,6 +815,59 @@ def label_propagation(graph, seed: int = 0) -> Partition:
         "largest_share": max(map(len, groups.values())) / len(nodes) if nodes else 0.0,
     }
     return _canonical_partition(groups.values(), q, diagnostics)
+
+
+# ---------------------------------------------------------------------------
+# eigenvector power iteration over neighbour lists
+
+def power_iteration(
+    neighbor_ids: list[list[int]],
+    tol: float,
+    max_iters: int,
+    damping: float,
+) -> tuple[list[float] | None, int]:
+    """The converged vector (None if it never converged) and the iterations run."""
+    n = len(neighbor_ids)
+    x = [1.0 / n ** 0.5] * n
+    for iteration in range(1, max_iters + 1):
+        nxt = [damping * xi for xi in x]
+        for i, neigh in enumerate(neighbor_ids):
+            acc = nxt[i]
+            for j in neigh:
+                acc += x[j]
+            nxt[i] = acc
+        norm = _left_fold(v * v for v in nxt) ** 0.5
+        if norm == 0.0:
+            return None, iteration
+        nxt = [v / norm for v in nxt]
+        if max(abs(a - b) for a, b in zip(nxt, x)) < tol:
+            return nxt, iteration
+        x = nxt
+    return None, max_iters
+
+
+def eigenvector_centrality(
+    graph, tol: float = 1e-10, max_iters: int = 1000
+) -> CentralityScores:
+    """Power iteration over neighbour lists, undamped and then damped by
+    0.5, with the iterations of the run that converged and whether it was
+    the damped one."""
+    adj = _adjacency(graph)
+    if not any(adj.values()):
+        raise DataError("eigenvector centrality needs at least one edge")
+    neighbor_ids = _int_adjacency(adj)
+    damped = False
+    vector, iterations = power_iteration(neighbor_ids, tol, max_iters, damping=0.0)
+    if vector is None:
+        damped = True
+        vector, iterations = power_iteration(neighbor_ids, tol, max_iters, damping=0.5)
+    if vector is None:
+        raise NonConvergenceError(
+            f"power iteration did not converge in {max_iters} iterations"
+        )
+    return CentralityScores(
+        dict(zip(adj, vector)), diagnostics={"iterations": iterations, "damped": damped}
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -296,10 +296,11 @@ class TestExitCodes:
         self, tmp_path, fixture_corpus_path, pipeline_out
     ):
         # an empty kernel cache, and no cc on the PATH to build it with:
-        # topics needs the Gibbs kernel, metrics the betweenness kernel
+        # topics needs the Gibbs kernel, metrics the betweenness and power
+        # iteration kernels, communities the greedy modularity kernel
         shutil.copytree(pipeline_out.out, tmp_path / "out")
         config_path = make_config(tmp_path, fixture_corpus_path)
-        for stage in ("topics", "metrics"):
+        for stage in ("topics", "metrics", "communities"):
             result = subprocess.run(
                 [sys.executable, "-m", "tweetflow.cli", stage, "--config", str(config_path)],
                 capture_output=True, text=True, timeout=120,

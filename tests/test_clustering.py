@@ -320,6 +320,12 @@ class TestSilhouette:
         b = silhouette(matrix, model.assignments, sample_size=20, seed=7)
         assert a == b
 
+    @pytest.mark.parametrize("sample_size", [0, -1])
+    def test_sample_size_below_one_rejected(self, sample_size):
+        matrix = matrix_from_rows([{0: 1.0}, {1: 1.0}, {0: 0.5, 1: 0.1}], 2)
+        with pytest.raises(DataError, match=f"sample_size must be at least 1, got {sample_size}"):
+            silhouette(matrix, [0, 1, 0], sample_size=sample_size)
+
 
 class TestSelectK:
     def test_three_planted_blobs(self):
@@ -352,6 +358,12 @@ class TestSelectK:
         assert [model.k for model, _ in selection.fits] == [2, 3]
         with pytest.raises(DataError, match="3 distinct non-empty rows"):
             select_k(matrix, (4, 6), seed=0)
+
+    @pytest.mark.parametrize("sample_size", [0, -1])
+    def test_sample_size_below_one_rejected(self, sample_size):
+        matrix = blob_matrix(2, 10, seed=9)
+        with pytest.raises(DataError, match=f"sample_size must be at least 1, got {sample_size}"):
+            select_k(matrix, (2, 3), seed=0, sample_size=sample_size)
 
     def test_reproducible(self):
         matrix = blob_matrix(3, 10, seed=11)

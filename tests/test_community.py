@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tweetflow import community
 from tweetflow.community import (
@@ -20,6 +21,7 @@ from tweetflow.netmetrics import _adjacency
 import oracles
 from oracles import (
     best_partition_exhaustive,
+    disconnected_word_graph,
     kernel_graphs,
     pairwise_modularity,
     random_graph,
@@ -28,6 +30,7 @@ from oracles import (
 
 KERNEL_GRAPHS = kernel_graphs()
 REAL_SIZE_GRAPHS = real_size_graphs()
+DISCONNECTED = [("clique-union-disconnected", disconnected_word_graph())]
 
 
 def over(graphs):
@@ -323,10 +326,19 @@ class TestPartitionCanonicalOrder:
         assert groups[0][0] == "a" and groups[1][0] == "x" and groups[2] == ["m", "n"]
 
 
+def assert_same_greedy(got: Partition, expected: Partition) -> None:
+    assert got == expected
+    assert list(got.assignment.items()) == list(expected.assignment.items())
+    assert repr(got.modularity) == repr(expected.modularity)
+    assert repr(got.diagnostics) == repr(expected.diagnostics)
+
+
 class TestOracleEquivalence:
-    """The row-best greedy modularity against the all-pairs rescan, and label
-    propagation over node indices against the loop over node names, in
-    tests/oracles.py: the same partition, in the same order, with the same Q."""
+    """Greedy modularity against the all-pairs rescan and against the
+    row-best loop over dict rows, and label propagation over node indices
+    against the loop over node names, in tests/oracles.py: the same
+    partition, in the same order, with the same Q (and, against the row-best
+    loop, the same diagnostics)."""
 
     @over(KERNEL_GRAPHS + REAL_SIZE_GRAPHS)
     def test_greedy_identical(self, graph):
@@ -340,6 +352,45 @@ class TestOracleEquivalence:
         assert got == expected
         assert list(got.assignment.items()) == list(expected.assignment.items())
         assert repr(got.modularity) == repr(expected.modularity)
+
+    @over(KERNEL_GRAPHS + REAL_SIZE_GRAPHS + DISCONNECTED)
+    def test_greedy_identical_to_the_row_best_loop(self, graph):
+        # the C merge loop against the same loop over dict rows and heapq:
+        # every merge, gain and heap pop, so the diagnostics match too
+        if not any(_adjacency(graph).values()):
+            for greedy in (oracles.greedy_modularity_row_best, greedy_modularity):
+                with pytest.raises(DataError, match="at least one edge"):
+                    greedy(graph)
+            return
+        assert_same_greedy(greedy_modularity(graph), oracles.greedy_modularity_row_best(graph))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 70),
+        p=st.floats(0.01, 0.3),
+        shuffled=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_greedy_identical_on_random_graphs(self, n, p, shuffled, seed):
+        adj = random_graph(n, p, seed)
+        if not any(adj.values()):
+            return
+        graph = adj
+        if shuffled:
+            order = list(adj)
+            random.Random(seed).shuffle(order)
+            graph = oracles.AdjacencyView({v: adj[v] for v in order})
+        assert_same_greedy(greedy_modularity(graph), oracles.greedy_modularity_row_best(graph))
+
+    @pytest.mark.parametrize("adj", [
+        {"a": ["a", "b"], "b": ["a", "c"], "c": ["b", "c", "c"]},
+        {"a": ["b", "b", "c"], "b": ["a", "a", "c"], "c": ["a", "b"], "d": ["d"]},
+        {"a": ["b", "b"], "b": ["a", "a", "b"], "c": ["d"], "d": ["c", "c"]},
+        {"a": ["a"], "b": []},
+    ], ids=["self-loops", "repeated-neighbours", "both-and-one-sided", "self-loop-only"])
+    def test_greedy_identical_on_self_loops_and_repeated_neighbours(self, adj):
+        # a self-loop counts in the degree only; a repeated neighbour adds a link
+        assert_same_greedy(greedy_modularity(adj), oracles.greedy_modularity_row_best(adj))
 
     @over(KERNEL_GRAPHS + REAL_SIZE_GRAPHS)
     def test_label_propagation_identical(self, graph):

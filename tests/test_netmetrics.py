@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from tweetflow.errors import DataError
 from tweetflow.netmetrics import (
+    NonConvergenceError,
     _adjacency,
     betweenness_centrality,
     closeness_centrality,
@@ -291,15 +292,42 @@ class TestRankedScores:
 
 class TestNonConvergence:
     def test_exhausted_budget_raises(self, star4):
-        from tweetflow.netmetrics import NonConvergenceError
-
         with pytest.raises(NonConvergenceError):
             eigenvector_centrality(star4, max_iters=0)
 
+    def test_exhausted_budget_raises_like_the_oracle(self):
+        # neither run of the bipartite path converges in 3 iterations
+        path = {"a": ["b"], "b": ["a", "c"], "c": ["b"]}
+        for eigenvector in (eigenvector_centrality, oracles.eigenvector_centrality):
+            with pytest.raises(NonConvergenceError, match="did not converge in 3 iterations"):
+                eigenvector(path, max_iters=3)
+
+
+def assert_same_eigenvector(graph, **budget):
+    """eigenvector_centrality and its oracle give repr-equal values and
+    diagnostics, or both raise the same error; the package's result, if any."""
+    outcomes = []
+    for eigenvector in (eigenvector_centrality, oracles.eigenvector_centrality):
+        try:
+            scores = eigenvector(graph, **budget)
+        except DataError as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append(scores)
+    got, expected = outcomes
+    if isinstance(expected, tuple):
+        assert got == expected
+        return None
+    assert list(got.values) == list(expected.values)
+    assert repr(got.values) == repr(expected.values)
+    assert repr(got.diagnostics) == repr(expected.diagnostics)
+    return got
+
 
 class TestOracleEquivalence:
-    """The integer-indexed kernels against the per-node dict loops in
-    tests/oracles.py: same keys in the same order, same float bits."""
+    """The integer-indexed kernels against the per-node dict loops and the
+    neighbour-list power iteration in tests/oracles.py: same keys in the
+    same order, same float bits."""
 
     @over(KERNEL_GRAPHS + REAL_SIZE_GRAPHS + [("clique-union-disconnected", DISCONNECTED)])
     def test_betweenness_identical(self, graph):
@@ -367,6 +395,46 @@ class TestOracleEquivalence:
         expected = oracles.betweenness_centrality(adj)
         assert repr(betweenness_centrality(adj).values) == repr(expected.values)
         assert expected.values["d"] == 1.5
+
+    @over(KERNEL_GRAPHS + REAL_SIZE_GRAPHS + [("clique-union-disconnected", DISCONNECTED)])
+    def test_eigenvector_identical(self, graph):
+        # the C power iteration against the loop over neighbour lists: the
+        # same values, iterations and damping, or the same error
+        assert_same_eigenvector(graph)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 70),
+        p=st.floats(0.01, 0.3),
+        shuffled=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_eigenvector_identical_on_random_graphs(self, n, p, shuffled, seed):
+        adj = random_graph(n, p, seed)
+        graph = adj
+        if shuffled:
+            order = list(adj)
+            random.Random(seed).shuffle(order)
+            graph = oracles.AdjacencyView({v: adj[v] for v in order})
+        assert_same_eigenvector(graph)
+
+    @pytest.mark.parametrize("adj", [
+        {"a": ["a", "b"], "b": ["a", "c"], "c": ["b", "c", "c"]},
+        {"a": ["b", "b", "c"], "b": ["a", "a", "c"], "c": ["a", "b"], "d": ["d"]},
+        {"a": ["b", "b"], "b": ["a", "a", "b"], "c": ["d"], "d": ["c", "c"]},
+    ], ids=["self-loops", "repeated-neighbours", "both-and-one-sided"])
+    def test_eigenvector_identical_on_self_loops_and_repeated_neighbours(self, adj):
+        assert_same_eigenvector(adj)
+
+    def test_eigenvector_of_a_bipartite_path_converges_damped(self):
+        path = {"a": ["b"], "b": ["a", "c"], "c": ["b"]}
+        got = assert_same_eigenvector(path)
+        assert got.diagnostics == {"iterations": 30, "damped": True}
+
+    @pytest.mark.parametrize("tol, max_iters", [(1e-10, 1), (1e-10, 3), (1e-3, 50), (0.0, 40)])
+    def test_eigenvector_identical_under_other_budgets(self, tol, max_iters):
+        for _, graph in KERNEL_GRAPHS[::5] + REAL_SIZE_GRAPHS:
+            assert_same_eigenvector(graph, tol=tol, max_iters=max_iters)
 
     @over(KERNEL_GRAPHS + REAL_SIZE_GRAPHS + [("clique-union-disconnected", DISCONNECTED)])
     def test_closeness_identical(self, graph):
