@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import logging
+from itertools import chain
+from json.encoder import encode_basestring
 
 from .categorize import Place
 from .storage import _json_text
@@ -104,17 +106,36 @@ def place_graph_to_graphml(graph: PlaceGraph) -> str:
     )
 
 
+def _json_block(open_: str, items: list[str], close: str) -> str:
+    """A JSON array or object at indent level 1 whose members are `items`,
+    laid out as json.dumps(indent=2) lays them out."""
+    if not items:
+        return open_ + close
+    return f"{open_}\n" + ",\n".join(items) + f"\n  {close}"
+
+
 def word_graph_to_json(graph: WordGraph) -> str:
-    doc = {
-        "directed": False,
-        "split": {
-            "language": graph.split[0] if graph.split else None,
-            "polarity": graph.split[1] if graph.split else None,
-        },
-        "nodes": {node: freq for node, freq in sorted(graph.nodes.items())},
-        "edges": [[u, v, w] for (u, v), w in sorted(graph.edges.items())],
-    }
-    return _json_text(doc)
+    """The graph's JSON document in the text storage._json_text gives it
+    (keys sorted, two-space indent, UTF-8 kept), written directly: json's
+    indenting encoder is pure Python and was most of the export's time."""
+    quote = encode_basestring
+    language, polarity = (
+        "null" if value is None else quote(value) for value in graph.split or (None, None)
+    )
+    edges = _json_block("[", [
+        f"    [\n      {quote(u)},\n      {quote(v)},\n      {w}\n    ]"
+        for (u, v), w in sorted(graph.edges.items())
+    ], "]")
+    nodes = _json_block("{", [
+        f"    {quote(node)}: {freq}" for node, freq in sorted(graph.nodes.items())
+    ], "}")
+    return (
+        '{\n  "directed": false,\n'
+        f'  "edges": {edges},\n'
+        f'  "nodes": {nodes},\n'
+        f'  "split": {{\n    "language": {language},\n    "polarity": {polarity}\n  }}\n'
+        "}\n"
+    )
 
 
 def _place_fields(node: PlaceNode) -> dict:
@@ -145,13 +166,24 @@ def place_graph_to_json(graph: PlaceGraph) -> str:
     return _json_text(doc)
 
 
+def _edges_between(doc: dict, nodes) -> dict[tuple[str, str], int]:
+    """The document's edges; one naming a node the document does not list
+    is a ValueError."""
+    edges = {(u, v): int(w) for u, v, w in doc["edges"]}
+    missing = set(chain.from_iterable(edges)).difference(nodes)
+    if missing:
+        raise ValueError(f"an edge names {min(missing, key=repr)!r}, which is not a node")
+    return edges
+
+
 def word_graph_from_json(text: str) -> WordGraph:
     """Inverse of word_graph_to_json; capped_tweets is not stored and reads 0."""
     doc = json.loads(text)
     lang, polarity = doc["split"]["language"], doc["split"]["polarity"]
+    nodes = {str(k): int(v) for k, v in doc["nodes"].items()}
     return WordGraph(
-        nodes={str(k): int(v) for k, v in doc["nodes"].items()},
-        edges={(u, v): int(w) for u, v, w in doc["edges"]},
+        nodes=nodes,
+        edges=_edges_between(doc, nodes),
         split=None if lang is None and polarity is None else (lang, polarity),
     )
 
@@ -159,10 +191,8 @@ def word_graph_from_json(text: str) -> WordGraph:
 def place_graph_from_json(text: str) -> PlaceGraph:
     """Inverse of place_graph_to_json, up to its rounding of the node metrics."""
     doc = json.loads(text)
-    return PlaceGraph(
-        nodes={name: PlaceNode(name=name, **attrs) for name, attrs in doc["nodes"].items()},
-        edges={(u, v): int(w) for u, v, w in doc["edges"]},
-    )
+    nodes = {name: PlaceNode(name=name, **attrs) for name, attrs in doc["nodes"].items()}
+    return PlaceGraph(nodes=nodes, edges=_edges_between(doc, nodes))
 
 
 def export_geojson(place_graph: PlaceGraph, gazetteer: tuple[Place, ...]) -> dict:

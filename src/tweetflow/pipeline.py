@@ -29,6 +29,7 @@ import resource
 import time
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 from typing import TypeVar
@@ -81,6 +82,13 @@ WORDGRAPH = "graph/wordgraph_{lang}_{polarity}.json"
 PLACEGRAPH = "graph/placegraph_{lang}.json"
 CATEGORIES_HEADER = ("tweet_id", "category")
 SCORES_HEADER = ("tweet_id", "compound", "label")
+
+# (language, text) -> the doc of its first tweet: each distinct text is
+# tokenized once per run_all, or per run_stage called on its own. A run's
+# config, and so its lemma and stopword files, is fixed, so the language
+# decides the doc. None outside a run: nothing outlives the call that
+# opened the map (_docs_scope).
+_docs: dict[tuple[str, str], preprocess.TokenizedDoc] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +150,15 @@ def _lang_docs(
     corpus = _read_corpus(config, template.format(lang=lang))
     lemmas = resources.load_lemma_table(config.resource(f"lemmas_{lang}"))
     stopwords = resources.load_stopwords(config.resource(f"stopwords_{lang}"))
-    docs = [
-        preprocess.pipeline_doc(record.id, record.text, lemmas, stopwords)
-        for record in corpus
-    ]
+    docs = []
+    for record in corpus:
+        doc = _docs.get((lang, record.text))
+        if doc is None:
+            doc = preprocess.pipeline_doc(record.id, record.text, lemmas, stopwords)
+            _docs[lang, record.text] = doc
+        elif doc.tweet_id != record.id:
+            doc = preprocess.TokenizedDoc(record.id, doc.lemmas)
+        docs.append(doc)
     return corpus, docs
 
 
@@ -678,6 +691,21 @@ def stage_report(config: PipelineConfig, out: Out) -> dict:
 _STAGE_FUNCS = {name: globals()[f"stage_{name}"] for name in STAGES}
 
 
+@contextmanager
+def _docs_scope() -> Iterator[None]:
+    """Open the run's map of tokenized docs unless a caller has, and drop
+    it when the block that opened it ends."""
+    global _docs
+    if _docs is not None:
+        yield
+        return
+    _docs = {}
+    try:
+        yield
+    finally:
+        _docs = None
+
+
 def run_stage(name: str, config: PipelineConfig) -> dict:
     """Execute one stage, updating the run manifest; returns its counts.
     Any failure that is not a TweetflowError becomes a StageError naming the stage."""
@@ -696,7 +724,8 @@ def run_stage(name: str, config: PipelineConfig) -> dict:
     started = time.perf_counter()
     try:
         config.out.mkdir(parents=True, exist_ok=True)
-        counts = _STAGE_FUNCS[name](config, out)
+        with _docs_scope():
+            counts = _STAGE_FUNCS[name](config, out)
         elapsed = time.perf_counter() - started
         _record_stage(config, name, counts, outputs, elapsed)
     except TweetflowError:
@@ -708,8 +737,7 @@ def run_stage(name: str, config: PipelineConfig) -> dict:
 
 
 def run_all(config: PipelineConfig) -> dict:
-    """Run every stage in order; returns per-stage counts."""
-    results = {}
-    for name in STAGES:
-        results[name] = run_stage(name, config)
-    return results
+    """Run every stage in order; returns per-stage counts. The stages share
+    one map of tokenized docs."""
+    with _docs_scope():
+        return {name: run_stage(name, config) for name in STAGES}

@@ -1,14 +1,18 @@
 """Text normalization, tokenization, lemmatization, and TF-IDF vectors.
 
-All operations are pure functions. Lemmatization is table-driven (bundled
-two-column TSV files per language), which keeps the whole pipeline
-deterministic and dependency-free.
+All operations are pure functions. One token rule serves every caller: a
+token is a maximal run of word characters in the case-folded text with
+URLs, mentions and the '#' of hashtags removed. Lemmatization is
+table-driven (bundled two-column TSV files per language), which keeps the
+whole pipeline deterministic and dependency-free. `pipeline_doc` makes one
+regex pass per text; the pipeline calls it once per distinct text of a run.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -16,12 +20,12 @@ from .errors import DataError
 
 URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 MENTION_RE = re.compile(r"@\w+")
-# Anything that is not a word character or whitespace becomes a space:
-# punctuation, emoji, symbols. Accented letters are word characters and
-# survive; apostrophes split ("dell'orso" -> "dell orso").
-NON_WORD_RE = re.compile(r"[^\w\s]")
-WS_RE = re.compile(r"\s+")
-NUMERIC_RE = re.compile(r"^\d+$")
+# Everything between tokens is dropped: punctuation, emoji, symbols and
+# whitespace. Accented letters are word characters and survive;
+# apostrophes split ("dell'orso" -> "dell orso").
+WORD_RE = re.compile(r"\w+")
+# The tokens that tokenize keeps are at least two characters long.
+TOKEN_RE = re.compile(r"\w{2,}")
 HASHTAG_RE = re.compile(r"#(\w+)")
 
 
@@ -36,27 +40,17 @@ def _strip_markup(text: str) -> str:
 def normalize(text: str) -> str:
     """Case-fold and strip URLs, mentions, emoji, and punctuation.
 
-    '#tag' keeps its tag token; whitespace collapses to single spaces.
+    '#tag' keeps its tag token; tokens are joined by single spaces.
     Idempotent: normalize(normalize(t)) == normalize(t).
     """
-    t = NON_WORD_RE.sub(" ", _strip_markup(text))
-    return WS_RE.sub(" ", t).strip()
+    return " ".join(WORD_RE.findall(_strip_markup(text)))
 
 
 def tokenize(text: str) -> list[str]:
-    """Split normalized text on whitespace, dropping short and numeric-only tokens."""
-    if not text:
-        return []
-    return [
-        tok
-        for tok in text.split(" ")
-        if len(tok) >= 2 and not NUMERIC_RE.match(tok)
-    ]
-
-
-def lemmatize(tokens: Sequence[str], lemma_table: Mapping[str, str]) -> list[str]:
-    """Map each token through the lemma table; unknown tokens pass through."""
-    return [lemma_table.get(tok, tok) for tok in tokens]
+    """The word-character runs of `text` that are at least two characters
+    long and not all digits (str.isdecimal is exactly the regex class \\d).
+    On normalized text these are its space-separated tokens."""
+    return [tok for tok in TOKEN_RE.findall(text) if not tok.isdecimal()]
 
 
 def extract_hashtags(text: str) -> list[str]:
@@ -83,12 +77,19 @@ def pipeline_doc(
     lemma_table: Mapping[str, str],
     stoplist: frozenset[str] | set[str],
 ) -> TokenizedDoc:
-    """Run the full normalize -> tokenize -> lemmatize -> stopword chain.
+    """The tweet's tokens, each mapped through the lemma table (unknown
+    tokens pass through), with the lemmas in the stoplist dropped.
 
-    Filtering keys on the lemma form.
+    The tokens are tokenize(normalize(text)), found in one regex pass;
+    filtering keys on the lemma form. The lemmas are interned: a run keeps
+    every tweet's doc, and most lemmas recur across tweets.
     """
-    lemmas = lemmatize(tokenize(normalize(text)), lemma_table)
-    return TokenizedDoc(tweet_id, tuple(lem for lem in lemmas if lem not in stoplist))
+    lemmas = []
+    for tok in tokenize(_strip_markup(text)):
+        lemma = lemma_table.get(tok, tok)
+        if lemma not in stoplist:
+            lemmas.append(sys.intern(lemma))
+    return TokenizedDoc(tweet_id, tuple(lemmas))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,10 @@ rescan on every merge, greedy modularity's row-best merge loop over dict
 rows and a heapq heap, eigenvector power iteration over neighbour lists,
 label propagation over node names, the collapsed
 Gibbs LDA sampler over int topic-major tables that decrements and
-re-increments every token, and the GraphML writers as an
-xml.etree.ElementTree tree.
+re-increments every token, the GraphML writers as an
+xml.etree.ElementTree tree, the word-graph JSON writer through
+json.dumps, and the tokenizer as the regex substitute, collapse and split
+chain that normalize -> tokenize -> lemmatize -> stopword filter ran.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import re
 from collections import Counter, deque
 from collections.abc import Sequence
 from fractions import Fraction
@@ -37,6 +40,7 @@ from tweetflow.netmetrics import (
     _int_adjacency,
 )
 from tweetflow.preprocess import TfIdfMatrix, TokenizedDoc
+from tweetflow.storage import _json_text
 from tweetflow.topics import LdaConfig, LdaModel
 from tweetflow.wordgraph import PlaceGraph, WordGraph
 
@@ -1014,3 +1018,47 @@ def place_graph_to_graphml(graph: PlaceGraph) -> str:
         el = ET.SubElement(g, "edge", {"id": f"e{i}", "source": u, "target": v})
         _data(el, "d_w", w)
     return _serialize(root)
+
+
+def word_graph_to_json(graph: WordGraph) -> str:
+    doc = {
+        "directed": False,
+        "split": {
+            "language": graph.split[0] if graph.split else None,
+            "polarity": graph.split[1] if graph.split else None,
+        },
+        "nodes": {node: freq for node, freq in sorted(graph.nodes.items())},
+        "edges": [[u, v, w] for (u, v), w in sorted(graph.edges.items())],
+    }
+    return _json_text(doc)
+
+
+# ---------------------------------------------------------------------------
+# The tokenizer as a chain of regex substitutions and a split on spaces
+
+URL_RE = re.compile(r"(?:https?://|www\.)\S+")
+MENTION_RE = re.compile(r"@\w+")
+NON_WORD_RE = re.compile(r"[^\w\s]")
+WS_RE = re.compile(r"\s+")
+NUMERIC_RE = re.compile(r"^\d+$")
+
+
+def normalize(text: str) -> str:
+    t = MENTION_RE.sub(" ", URL_RE.sub(" ", text.casefold())).replace("#", "")
+    t = NON_WORD_RE.sub(" ", t)
+    return WS_RE.sub(" ", t).strip()
+
+
+def tokenize(text: str) -> list[str]:
+    if not text:
+        return []
+    return [tok for tok in text.split(" ") if len(tok) >= 2 and not NUMERIC_RE.match(tok)]
+
+
+def lemmatize(tokens: Sequence[str], lemma_table) -> list[str]:
+    return [lemma_table.get(tok, tok) for tok in tokens]
+
+
+def pipeline_doc(tweet_id: str, text: str, lemma_table, stoplist) -> TokenizedDoc:
+    lemmas = lemmatize(tokenize(normalize(text)), lemma_table)
+    return TokenizedDoc(tweet_id, tuple(lem for lem in lemmas if lem not in stoplist))

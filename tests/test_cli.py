@@ -14,10 +14,10 @@ import pytest
 import yaml
 
 import tweetflow
-from tweetflow import exports, wordgraph
+from tweetflow import exports, pipeline, preprocess, wordgraph
 from tweetflow.cli import main
 from tweetflow.config import STAGES, PipelineConfig, load_config
-from tweetflow.errors import ConfigError
+from tweetflow.errors import ConfigError, StageError
 from tweetflow.pipeline import REPORT_COPIES, run_all, run_stage
 from tweetflow.resources import default_path
 
@@ -268,8 +268,6 @@ class TestExitCodes:
     def test_unexpected_failure_is_stage_error_3(
         self, tmp_path, fixture_corpus_path, monkeypatch, caplog
     ):
-        from tweetflow import pipeline
-
         def broken(config, out):
             raise RuntimeError("boom")
 
@@ -281,8 +279,6 @@ class TestExitCodes:
     def test_write_outside_the_stage_directory_is_stage_error_3(
         self, tmp_path, fixture_corpus_path, monkeypatch, caplog
     ):
-        from tweetflow import pipeline
-
         def misplaced(config, out):
             out("ingest/corpus_en.jsonl")
             return {}
@@ -325,6 +321,13 @@ def _edit_csv_row(edit):
     return corrupt
 
 
+def _dangling_edge(text: str) -> str:
+    """The graph file with one more edge, to a node it does not list."""
+    doc = json.loads(text)
+    doc["edges"].append([next(iter(doc["nodes"])), "zzzz", 1])
+    return json.dumps(doc)
+
+
 class TestCorruptUpstream:
     """Malformed upstream files stop the reading stage with exit 2, naming the file."""
 
@@ -338,6 +341,9 @@ class TestCorruptUpstream:
                 "communities",
             ),
             ("graph/placegraph_en.json", lambda t: t[: len(t) // 2], "report"),
+            ("graph/wordgraph_en_positive.json", _dangling_edge, "metrics"),
+            ("graph/wordgraph_it_negative.json", _dangling_edge, "communities"),
+            ("graph/placegraph_en.json", _dangling_edge, "report"),
             ("categorize/entities_en.jsonl", _cut_first_line, "graph"),
             ("sentiment/scores_en.csv", _edit_csv_row(lambda r: [r[0], "abc", r[2]]), "graph"),
             ("sentiment/scores_en.csv", _edit_csv_row(lambda r: [r[0], r[1], "neutral"]), "graph"),
@@ -467,8 +473,6 @@ class TestStageFiles:
     def test_every_read_is_an_earlier_stage_output(
         self, tmp_path, fixture_corpus_path, monkeypatch
     ):
-        from tweetflow import pipeline
-
         reads: list[tuple[str, str]] = []
         read = pipeline._read
 
@@ -796,8 +800,6 @@ class TestStages:
 
 class TestRunStage:
     def test_unknown_stage_is_stage_error(self, tmp_path, fixture_corpus_path):
-        from tweetflow.errors import StageError
-
         config = load_config(make_config(tmp_path, fixture_corpus_path))
         with pytest.raises(StageError, match="unknown stage"):
             run_stage("transmogrify", config)
@@ -809,6 +811,74 @@ class TestRunStage:
         summaries = [TopicSummary(0, (("sea", 0.5),)), TopicSummary(1, (("mud", 0.5),))]
         monkeypatch.setattr("builtins.input", lambda prompt: "0, 1")
         assert _interactive_selector(summaries) == {0, 1}
+
+
+def _file_bytes(out: Path) -> dict[str, bytes]:
+    """Every output file but the manifest, by run-relative path."""
+    return {
+        path.relative_to(out).as_posix(): path.read_bytes()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path.name != "manifest.json"
+    }
+
+
+def _manifest_counts(out: Path) -> dict:
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    return {stage: entry["counts"] for stage, entry in manifest["stages"].items()}
+
+
+class TestTokenizedOnce:
+    """Each distinct text is tokenized once per run_all or lone run_stage call,
+    and the map of tokenized docs never outlives that call."""
+
+    def test_second_run_in_the_process_repeats_bytes_and_counts(
+        self, tmp_path, fixture_corpus_path, pipeline_out
+    ):
+        config = load_config(make_config(tmp_path, fixture_corpus_path))
+        run_all(config)
+        assert _file_bytes(config.out) == _file_bytes(pipeline_out.out)
+        assert _manifest_counts(config.out) == _manifest_counts(pipeline_out.out)
+        assert pipeline._docs is None
+
+    def test_each_distinct_text_is_tokenized_once(
+        self, tmp_path, fixture_corpus_path, monkeypatch
+    ):
+        tokenized = []
+        original = preprocess.pipeline_doc
+
+        def counting(tweet_id, text, lemma_table, stoplist):
+            tokenized.append(text)
+            return original(tweet_id, text, lemma_table, stoplist)
+
+        monkeypatch.setattr(preprocess, "pipeline_doc", counting)
+        config = load_config(make_config(tmp_path, fixture_corpus_path))
+        counts = run_all(config)
+        assert len(tokenized) == len(set(tokenized))
+        assert 0 < len(tokenized) <= counts["ingest"]["after_dedup"]
+
+    def test_failed_run_leaves_no_map(self, tmp_path, fixture_corpus_path, monkeypatch):
+        open_maps = []
+
+        def failing_stage(config, out):
+            open_maps.append(dict(pipeline._docs))
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, "graph", failing_stage)
+        config = load_config(make_config(tmp_path, fixture_corpus_path))
+        with pytest.raises(StageError, match="stage graph failed: RuntimeError: boom"):
+            run_all(config)
+        assert len(open_maps) == 1 and open_maps[0]  # the earlier stages had filled it
+        assert pipeline._docs is None
+
+    def test_stage_by_stage_repeats_run_all_bytes(
+        self, tmp_path, fixture_corpus_path, pipeline_out
+    ):
+        config = load_config(make_config(tmp_path, fixture_corpus_path))
+        for stage in STAGES:
+            run_stage(stage, config)
+            assert pipeline._docs is None
+        assert _file_bytes(config.out) == _file_bytes(pipeline_out.out)
+        assert _manifest_counts(config.out) == _manifest_counts(pipeline_out.out)
 
 
 class TestEmptyPolaritySplit:

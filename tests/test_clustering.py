@@ -123,11 +123,12 @@ def fixture_matrices(tmp_path_factory, fixture_config_path):
     config = load_config(fixture_config_path,
                          out_override=str(tmp_path_factory.mktemp("run") / "out"))
     pipeline.run_stage("ingest", config)
-    return {
-        lang: (build_tfidf(pipeline._lang_docs(config, lang, pipeline.CORPUS)[1]),
-               config.stage_seed(f"cluster:{lang}"))
-        for lang in config.languages
-    }
+    with pipeline._docs_scope():
+        return {
+            lang: (build_tfidf(pipeline._lang_docs(config, lang, pipeline.CORPUS)[1]),
+                   config.stage_seed(f"cluster:{lang}"))
+            for lang in config.languages
+        }
 
 
 @st.composite

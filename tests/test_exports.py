@@ -4,6 +4,7 @@ import json
 from xml.etree import ElementTree as ET
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tweetflow.categorize import EntityMentions, Place
 from tweetflow.exports import (
@@ -238,3 +239,60 @@ class TestGraphmlByteOracle:
         # an element with empty text is closed as " />", like a childless one
         adj = _path(["a", "b"])
         self._assert_same_bytes(_word_graph(adj), _place_graph(adj, kinds=("",)))
+
+
+# names with what a JSON writer must escape: quotes, backslashes, control
+# characters, U+2028 (which json leaves unescaped) and non-BMP characters
+ESCAPED = ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "😀", "𝄞"]
+json_names = st.text(st.one_of(st.characters(), st.sampled_from(ESCAPED)), max_size=6)
+
+
+@st.composite
+def word_graphs(draw) -> WordGraph:
+    names = sorted(draw(st.sets(json_names, max_size=6)))
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    split = draw(st.none() | st.tuples(json_names, json_names))
+    return WordGraph(
+        nodes={name: draw(st.integers(0, 10**12)) for name in names},
+        edges={pair: draw(st.integers(1, 10**12)) for pair in edges},
+        split=split,
+    )
+
+
+class TestWordGraphJsonOracle:
+    """The direct word-graph writer against json.dumps of the same document."""
+
+    @given(word_graphs())
+    def test_same_text_and_reads_back_equal(self, graph):
+        text = word_graph_to_json(graph)
+        assert text == oracles.word_graph_to_json(graph)
+        assert word_graph_from_json(text) == graph
+
+    @pytest.mark.parametrize("split", [None, ("en", "positive")])
+    def test_empty_graph(self, split):
+        graph = WordGraph({}, {}, split)
+        assert word_graph_to_json(graph) == oracles.word_graph_to_json(graph)
+        assert word_graph_from_json(word_graph_to_json(graph)) == graph
+
+    def test_nodes_without_edges(self):
+        graph = WordGraph({"a": 1, "b": 2}, {}, ("it", "negative"))
+        assert word_graph_to_json(graph) == oracles.word_graph_to_json(graph)
+
+
+class TestDanglingEdges:
+    """An edge naming a node the file does not list is a ValueError."""
+
+    def test_word_graph(self):
+        text = word_graph_to_json(WordGraph({"a": 1, "b": 1}, {("a", "b"): 1}, ("en", "positive")))
+        doc = json.loads(text)
+        doc["edges"].append(["a", "zzzz", 2])
+        with pytest.raises(ValueError, match="'zzzz', which is not a node"):
+            word_graph_from_json(json.dumps(doc))
+
+    def test_place_graph(self):
+        graph = build_place_graph([mention("1", ["bari"], ["castello_svevo"])], KINDS)
+        doc = json.loads(place_graph_to_json(graph))
+        doc["edges"].append(["atlantis", "bari", 1])
+        with pytest.raises(ValueError, match="'atlantis', which is not a node"):
+            place_graph_from_json(json.dumps(doc))

@@ -11,11 +11,27 @@ from tweetflow.preprocess import (
     TokenizedDoc,
     build_tfidf,
     extract_hashtags,
-    lemmatize,
     normalize,
     pipeline_doc,
     tokenize,
 )
+
+import oracles
+
+# Characters where a token rule could slip: other scripts' decimal digits,
+# digits that are not decimal, combining marks, separators that are
+# whitespace to the regex engine and to str.isspace alike (\x1c-\x1f,
+# U+2028, U+3000) and one that is neither (U+200B), case folds that grow,
+# and the markup the strip removes.
+AWKWARD = (
+    list("09٣५৩၉²½Ⅷ\u0301\u0308\u20dd\x1c\x1d\x1e\x1f\u200b\u3000\u00a0\u2028\x85")
+    + list("ßİﬁǅΣς _'.,:/#@-\t\n\r😀")
+    + ["http://t.co/x", "www.x.it", "@user", "#tag", "rt "]
+)
+RUNS = ["ab", "a1", "12", "٣٣", "²²", "ⅧⅧ"]
+texts = st.lists(
+    st.one_of(st.characters(), st.sampled_from(AWKWARD), st.sampled_from(RUNS)), max_size=40
+).map("".join)
 
 
 def doc(tweet_id, lemmas):
@@ -66,19 +82,21 @@ class TestTokenize:
 
 
 class TestLemmatize:
+    """Lemmatizing, as the step of `pipeline_doc` before the stopword filter."""
+
     def test_table_lookup(self):
-        assert lemmatize(["beaches"], {"beaches": "beach"}) == ["beach"]
+        assert pipeline_doc("1", "beaches", {"beaches": "beach"}, set()).lemmas == ("beach",)
 
     def test_unknown_passes_through(self):
-        assert lemmatize(["xqzw"], {"beaches": "beach"}) == ["xqzw"]
+        assert pipeline_doc("1", "xqzw", {"beaches": "beach"}, set()).lemmas == ("xqzw",)
 
     def test_italian_table(self):
         table = {"spiagge": "spiaggia", "belle": "bello"}
-        assert lemmatize(["spiagge", "belle"], table) == ["spiaggia", "bello"]
+        assert pipeline_doc("1", "spiagge belle", table, set()).lemmas == ("spiaggia", "bello")
 
     def test_parallel_length(self):
-        tokens = ["beaches", "sun", "beaches"]
-        assert len(lemmatize(tokens, {"beaches": "beach"})) == len(tokens)
+        doc = pipeline_doc("1", "beaches sun beaches", {"beaches": "beach"}, set())
+        assert doc.lemmas == ("beach", "sun", "beach")
 
 
 class TestRemoveStopwords:
@@ -122,6 +140,39 @@ class TestPipelineDoc:
             resources.load_stopwords(resources.default_path(f"stopwords_{lang}.txt")),
         )
         assert doc.lemmas == lemmas
+
+
+class TestTokenizerOracle:
+    """normalize, tokenize and pipeline_doc equal the substitute, collapse and
+    split chain of tests/oracles.py on any text."""
+
+    @pytest.mark.parametrize("text", [
+        "", "a", "visit #Puglia!", "٣٣ 12 x٣ ab² ²² a\u0301b", "a\x1cb c\u200bd e\u3000f",
+        "İstanbul STRASSE straße", "RT @user: ok http://t.co/x ok", "__ _a a_ 1_",
+    ])
+    def test_examples(self, text):
+        assert normalize(text) == oracles.normalize(text)
+        assert tokenize(normalize(text)) == oracles.tokenize(oracles.normalize(text))
+        assert pipeline_doc("1", text, {}, set()) == oracles.pipeline_doc("1", text, {}, set())
+
+    @given(texts)
+    def test_normalize(self, text):
+        assert normalize(text) == oracles.normalize(text)
+
+    @given(texts)
+    def test_tokenize_normalized_text(self, text):
+        normalized = oracles.normalize(text)
+        assert tokenize(normalized) == oracles.tokenize(normalized)
+
+    @given(
+        texts,
+        st.dictionaries(st.sampled_from(["ab", "a1", "aa", "٣٣"]), st.sampled_from(["ab", "x"])),
+        st.frozensets(st.sampled_from(["ab", "a1", "x", "zz"])),
+    )
+    def test_pipeline_doc(self, text, table, stoplist):
+        assert pipeline_doc("7", text, table, stoplist) == oracles.pipeline_doc(
+            "7", text, table, stoplist
+        )
 
 
 class TestTfIdf:
