@@ -9,18 +9,19 @@ resources and prints the sha256 of every step's result as JSON. The script
 compares those digests with the running interpreter's, prints one line per
 interpreter and exits 1 naming the first step that differs (or the
 interpreter that failed to run). The steps are dedup, tokenise, dictionary
-filter, fit_lda at k = 3 and 8, sentiment, category assignment, entity
-extraction, the word and place graphs as GraphML and JSON, GeoJSON, label
-propagation, greedy modularity, modularity, closeness, degree and
-eigenvector centrality, and normalized betweenness, per language. They
-import neither numpy nor PyYAML, so the other interpreters need only the
-standard library, src/ and, for the C kernels that fit_lda, greedy
-modularity, eigenvector centrality and betweenness build and load through
-ctypes, the C compiler cc (or the library it built before, in the kernel
-cache).
+filter, fit_lda at k = 3 and 8, the distinct TF-IDF rows, the exact and a
+sampled silhouette of the TF-IDF rows under the assignment i % 3,
+sentiment, category assignment, entity extraction, the word and place
+graphs as GraphML and JSON, GeoJSON, label propagation, greedy modularity,
+modularity, closeness, degree and eigenvector centrality, and normalized
+betweenness, per language. They import neither numpy nor PyYAML, so the
+other interpreters need only the standard library, src/ and, for the C
+kernels that fit_lda, silhouette, greedy modularity, eigenvector
+centrality and betweenness build and load through ctypes, the C compiler
+cc (or the library it built before, in the kernel cache).
 
 Not checked, so unverified on any interpreter but the one that froze the
-goldens: k-means, silhouette and the end-to-end run.
+goldens: k-means, whose centroid norms need numpy, and the end-to-end run.
 """
 
 from __future__ import annotations
@@ -52,9 +53,10 @@ def step_digests() -> dict[str, str]:
     from tweetflow.categorize import (
         assign_category, extract_entities, gazetteer_index, load_category_rules, load_gazetteer,
     )
+    from tweetflow.clustering import distinct_rows, silhouette
     from tweetflow.corpus import dedup, filter_language, in_time_order, load_corpus
     from tweetflow.domainfilter import load_dictionary, match_strings
-    from tweetflow.preprocess import pipeline_doc
+    from tweetflow.preprocess import build_tfidf, pipeline_doc
     from tweetflow.resources import (
         default_path, load_lemma_table, load_sentiment_lexicon, load_stopwords, load_valences,
     )
@@ -83,6 +85,13 @@ def step_digests() -> dict[str, str]:
             digests[f"fit_lda k={k} {lang}"] = _sha(
                 (model.assignments, model.topic_word_counts, log_likelihood(model))
             )
+        matrix = build_tfidf(docs)
+        digests[f"distinct rows {lang}"] = _sha(distinct_rows(matrix))
+        labels = [i % 3 for i in range(len(docs))]
+        digests[f"silhouette {lang}"] = _sha(silhouette(matrix, labels))
+        digests[f"sampled silhouette {lang}"] = _sha(
+            silhouette(matrix, labels, sample_size=len(docs) // 3, seed=SEED)
+        )
         lexicon = load_sentiment_lexicon(
             default_path(f"sentiment_{lang}.tsv"),
             default_path(f"boosters_{lang}.txt"),

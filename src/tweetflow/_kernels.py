@@ -114,19 +114,10 @@ def _library():
     return _load(library)
 
 
-def _address(buffer) -> int:
-    """The address of the data of an array.array or a C-contiguous numpy array."""
-    if hasattr(buffer, "buffer_info"):
-        return buffer.buffer_info()[0]
-    if not buffer.flags.c_contiguous:
-        raise ValueError("a C kernel needs a C-contiguous array")
-    return buffer.ctypes.data
-
-
 def _call(name: str, *args) -> None:
-    """Run kernel `name` on args: each int or float by value, each buffer
-    (see `_address`) by the address of its data. `args` holds every buffer
-    until the kernel returns, so none can be freed while the kernel reads
-    or writes it."""
-    getattr(_library(), name)(*(arg if isinstance(arg, (int, float)) else _address(arg)
+    """Run kernel `name` on args: each int or float by value, each
+    array.array by the address of its data. `args` holds every array until
+    the kernel returns, so none can be freed while the kernel reads or
+    writes it."""
+    getattr(_library(), name)(*(arg if isinstance(arg, (int, float)) else arg.buffer_info()[0]
                                 for arg in args))

@@ -13,7 +13,8 @@ norm. Every dot product adds a row's products in the row's own order and
 every sum over rows is a left fold in row-index order, so fits and scores
 have the bits of the loops over row dicts in tests/oracles.py. The one
 sum in an order that numpy picks, and so the one whose bits can follow
-the CPU, is each centroid's squared norm (np.dot, ROADMAP item 1).
+the CPU, is each centroid's squared norm (`_sq_norms`, ROADMAP item 1),
+the only numpy in the package: the first `kmeans` call imports it.
 Silhouette takes each query row's dot products from postings lists (each
 term's rows and weights), so its working memory is O(nnz + n + V) for
 nnz stored weights and V terms.
@@ -30,8 +31,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from typing import NamedTuple
 
-import numpy as np
-
 from . import _kernels
 from .errors import DataError
 from .floats import _sum_left
@@ -43,7 +42,7 @@ log = logging.getLogger(__name__)
 @dataclass
 class ClusterModel:
     k: int
-    centroids: np.ndarray          # k x V dense
+    centroids: array               # "d": k x V, row-major (centroid c at c*V .. (c+1)*V)
     assignments: list[int]
     n_iters: int
     wcss_history: list[float]      # within-cluster sum of squares per Lloyd iteration
@@ -89,7 +88,7 @@ def distinct_rows(matrix: TfIdfMatrix) -> int:
     return _n_distinct(_normalized_rows(matrix))
 
 
-def _kmeanspp_init(rows: _Rows, k: int, rng: random.Random) -> np.ndarray:
+def _kmeanspp_init(rows: _Rows, k: int, rng: random.Random) -> array:
     n = len(rows.sq)
     dense, dist = array("d", [0.0]) * rows.v_size, array("d", [0.0]) * n
 
@@ -121,12 +120,21 @@ def _kmeanspp_init(rows: _Rows, k: int, rng: random.Random) -> np.ndarray:
                     break
             chosen.append(pick)
         d_sq = list(map(min, d_sq, sq_dists_to(chosen[-1])))
-    centroids = np.zeros((k, rows.v_size))
+    centroids = array("d", [0.0]) * (k * rows.v_size)
     for c, i in enumerate(chosen):
         a, b = rows.starts[i], rows.starts[i + 1]
         for t, w in zip(rows.terms[a:b], rows.weights[a:b]):
-            centroids[c, t] = w
+            centroids[c * rows.v_size + t] = w
     return centroids
+
+
+def _sq_norms(centroids: array, k: int) -> array:
+    """Each of the k centroids' squared norm, by BLAS ddot over its
+    contiguous float64 row: the one sum in an order that numpy picks."""
+    import numpy as np
+
+    rows = np.frombuffer(centroids).reshape(k, -1)
+    return array("d", [float(np.dot(row, row)) for row in rows])
 
 
 def kmeans(
@@ -141,6 +149,8 @@ def kmeans(
     centroids, repeated an earlier iteration's, so the rest of the run
     would only replay the cycle and the fit stops there.
     """
+    if max_iters < 1:
+        raise DataError(f"kmeans max_iters must be at least 1, got {max_iters}")
     rows = _normalized_rows(matrix)
     n = len(rows.sq)
     n_distinct = _n_distinct(rows)
@@ -162,10 +172,9 @@ def kmeans(
     seen: set[tuple[int, ...]] = set()  # post-re-seed assignments of every iteration
     for _ in range(max_iters):
         n_iters += 1
-        c_sq = array("d", [float(np.dot(centroids[c], centroids[c])) for c in range(k)])
         # ties go to the lowest index
-        _kernels._call("tf_assign", n, k, rows.v_size, *csr, rows.sq, centroids, c_sq,
-                       nearest, best)
+        _kernels._call("tf_assign", n, k, rows.v_size, *csr, rows.sq, centroids,
+                       _sq_norms(centroids, k), nearest, best)
         best_d = best.tolist()
         new_assignments = nearest.tolist()
         wcss_history.append(_sum_left(best_d))

@@ -36,6 +36,7 @@ from typing import TypeVar
 
 from . import (
     categorize as categorize_mod,
+    clustering,
     community,
     domainfilter,
     exports,
@@ -146,15 +147,18 @@ def _read_corpus(config: PipelineConfig, rel: str) -> Corpus:
 def _lang_docs(
     config: PipelineConfig, lang: str, template: str
 ) -> tuple[Corpus, list[preprocess.TokenizedDoc]]:
-    """The language's stage corpus at `template` and its tokenized docs, in record order."""
+    """The language's stage corpus at `template` and its tokenized docs, in
+    record order. The lemma table and stoplist are loaded on the first text
+    that the run's map misses."""
     corpus = _read_corpus(config, template.format(lang=lang))
-    lemmas = resources.load_lemma_table(config.resource(f"lemmas_{lang}"))
-    stopwords = resources.load_stopwords(config.resource(f"stopwords_{lang}"))
+    tables = None
     docs = []
     for record in corpus:
         doc = _docs.get((lang, record.text))
         if doc is None:
-            doc = preprocess.pipeline_doc(record.id, record.text, lemmas, stopwords)
+            tables = tables or (resources.load_lemma_table(config.resource(f"lemmas_{lang}")),
+                                resources.load_stopwords(config.resource(f"stopwords_{lang}")))
+            doc = preprocess.pipeline_doc(record.id, record.text, *tables)
             _docs[lang, record.text] = doc
         elif doc.tweet_id != record.id:
             doc = preprocess.TokenizedDoc(record.id, doc.lemmas)
@@ -325,8 +329,6 @@ def stage_topics(config: PipelineConfig, out: Out) -> dict:
 
 
 def stage_cluster(config: PipelineConfig, out: Out) -> dict:
-    from . import clustering  # loads numpy: imported only by the stage that needs it
-
     tourism = domainfilter.load_dictionary(config.resource("dictionary"))
     # a cluster is on-domain by the topic rule, applied to its 10 most frequent lemmas
     select_tourism = topics_mod.dictionary_selector(

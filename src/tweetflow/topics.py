@@ -100,16 +100,12 @@ class TopicSummary:
     top_words: tuple[tuple[str, float], ...]
 
 
-def fit_lda(
-    docs: Sequence[TokenizedDoc],
-    config: LdaConfig,
-    check_invariants: bool = False,
-) -> LdaModel:
+def fit_lda(docs: Sequence[TokenizedDoc], config: LdaConfig) -> LdaModel:
     """Fit an LDA model over the documents' lemma streams.
 
     Empty documents keep their row in the doc-topic table (all zeros) but
-    contribute no tokens. With check_invariants the count tables are
-    validated after every full sweep.
+    contribute no tokens. A fit of i iterations is the state after sweep i
+    of a longer fit with the same seed.
     """
     vocab = sorted({lem for doc in docs for lem in doc.lemmas})
     if not vocab:
@@ -137,29 +133,22 @@ def fit_lda(
             word_topic[words[i] * k + z] += 1.0
             topic_total[z] += 1.0
 
-    def to_model() -> LdaModel:
-        return LdaModel(
-            [[int(c) for c in word_topic[t::k]] for t in range(k)],
-            [[int(c) for c in doc_topic[d * k:(d + 1) * k]] for d in range(len(docs))],
-            [int(n) for n in topic_total],
-            [topic[doc_start[d]:doc_start[d + 1]].tolist() for d in range(len(docs))],
-            vocab,
-            config,
-        )
-
     version, state, gauss_next = rng.getstate()
     mt = array("I", state)
     cumulative = array("d", [0.0]) * k
     beta = config.beta
-    per_call = 1 if check_invariants else config.iterations
-    for _ in range(config.iterations // per_call):
-        _kernels._call("tf_gibbs_sweeps", len(docs), doc_start, words, topic, doc_topic,
-                       word_topic, topic_total, k, config.effective_alpha, beta, v_size * beta,
-                       per_call, mt, cumulative)
-        if check_invariants:
-            to_model().check_invariants()
+    _kernels._call("tf_gibbs_sweeps", len(docs), doc_start, words, topic, doc_topic, word_topic,
+                   topic_total, k, config.effective_alpha, beta, v_size * beta,
+                   config.iterations, mt, cumulative)
     rng.setstate((version, tuple(mt), gauss_next))
-    return to_model()
+    return LdaModel(
+        [[int(c) for c in word_topic[t::k]] for t in range(k)],
+        [[int(c) for c in doc_topic[d * k:(d + 1) * k]] for d in range(len(docs))],
+        [int(n) for n in topic_total],
+        [topic[doc_start[d]:doc_start[d + 1]].tolist() for d in range(len(docs))],
+        vocab,
+        config,
+    )
 
 
 def log_likelihood(model: LdaModel) -> float:

@@ -22,6 +22,7 @@ import heapq
 import math
 import random
 import re
+from array import array
 from collections import Counter, deque
 from collections.abc import Sequence
 from fractions import Fraction
@@ -450,7 +451,7 @@ def kmeans(matrix: TfIdfMatrix, k: int, seed: int, max_iters: int = 100) -> Clus
             if counts[c] > 0:
                 centroids[c] /= counts[c]
 
-    return ClusterModel(k, centroids, assignments, n_iters, wcss_history)
+    return ClusterModel(k, array("d", centroids.ravel()), assignments, n_iters, wcss_history)
 
 
 def silhouette(
@@ -877,16 +878,11 @@ def eigenvector_centrality(
 # ---------------------------------------------------------------------------
 # collapsed Gibbs LDA over int topic-major tables
 
-def fit_lda(
-    docs: Sequence[TokenizedDoc],
-    config: LdaConfig,
-    check_invariants: bool = False,
-) -> LdaModel:
+def fit_lda(docs: Sequence[TokenizedDoc], config: LdaConfig) -> LdaModel:
     """Fit an LDA model over the documents' lemma streams.
 
     Empty documents keep their row in the doc-topic table (all zeros) but
-    contribute no tokens. With check_invariants the count tables are
-    validated after every full sweep.
+    contribute no tokens.
     """
     vocab = sorted({lem for doc in docs for lem in doc.lemmas})
     if not vocab:
@@ -949,8 +945,6 @@ def fit_lda(
                 dt_row[t] += 1
                 topic_word[t][w] += 1
                 topic_total[t] += 1
-        if check_invariants:
-            model.check_invariants()
     return model
 
 

@@ -204,17 +204,15 @@ def test_criterion_3_lda_conservation_and_recovery(fixture_corpus_path):
     with criterion(3, "LDA conservation + recovery"):
         started = time.perf_counter()
 
-        # conservation: invariants checked after every sweep on the fixture
+        # conservation: invariants checked after every sweep on the fixture; a
+        # fit of i sweeps is the state after sweep i of a longer fit
         corpus = filter_language(load_corpus(fixture_corpus_path), "en")
         lemmas = load_lemma_table(default_path("lemmas_en.tsv"))
         stopwords = load_stopwords(default_path("stopwords_en.txt"))
         docs = [pipeline_doc(r.id, r.text, lemmas, stopwords) for r in corpus]
-        model = fit_lda(
-            docs,
-            LdaConfig(k=3, alpha=0.5, iterations=30, seed=42),
-            check_invariants=True,
-        )
-        model.check_invariants()
+        for iterations in range(1, 31):
+            config = LdaConfig(k=3, alpha=0.5, iterations=iterations, seed=42)
+            fit_lda(docs, config).check_invariants()
 
         # recovery: planted 2-vocabulary corpus, 500 sweeps, 10 seeds
         hits = 0

@@ -42,7 +42,8 @@ def test_digests_need_neither_numpy_nor_yaml():
     assert result.returncode == 0, result.stderr
     steps = load_script().step_digests()
     assert result.stdout.strip() == json.dumps(steps)
-    for step in ("dedup", "fit_lda k=8 it", "GeoJSON en", "greedy modularity it",
+    for step in ("dedup", "fit_lda k=8 it", "distinct rows en", "silhouette it",
+                 "sampled silhouette en", "GeoJSON en", "greedy modularity it",
                  "eigenvector centrality en", "betweenness centrality it"):
         assert step in steps
 

@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 import tweetflow
-from tweetflow import exports, pipeline, preprocess, wordgraph
+from tweetflow import exports, pipeline, preprocess, resources, wordgraph
 from tweetflow.cli import main
 from tweetflow.config import STAGES, PipelineConfig, load_config
 from tweetflow.errors import ConfigError, StageError
@@ -855,6 +855,24 @@ class TestTokenizedOnce:
         counts = run_all(config)
         assert len(tokenized) == len(set(tokenized))
         assert 0 < len(tokenized) <= counts["ingest"]["after_dedup"]
+
+    def test_each_lemma_table_and_stoplist_is_loaded_once(
+        self, tmp_path, fixture_corpus_path, monkeypatch
+    ):
+        # only the first text that the run's map misses needs them
+        loaded = Counter()
+        for name in ("load_lemma_table", "load_stopwords"):
+            def counting(path, original=getattr(resources, name)):
+                loaded[Path(path).name] += 1
+                return original(path)
+
+            monkeypatch.setattr(resources, name, counting)
+        config = load_config(make_config(tmp_path, fixture_corpus_path))
+        run_all(config)
+        assert config.languages == ("en", "it")
+        for lang in config.languages:
+            assert loaded[f"lemmas_{lang}.tsv"] == 1
+            assert loaded[f"stopwords_{lang}.txt"] == 1
 
     def test_failed_run_leaves_no_map(self, tmp_path, fixture_corpus_path, monkeypatch):
         open_maps = []

@@ -54,7 +54,7 @@ def assert_same_fit(matrix, k, seed):
     got = kmeans(matrix, k, seed)
     assert got.assignments == expected.assignments
     assert got.n_iters == expected.n_iters
-    assert np.array_equal(got.centroids, expected.centroids)
+    assert got.centroids == expected.centroids
     assert got.wcss_history == expected.wcss_history
 
 
@@ -78,7 +78,7 @@ class TestOracleEquivalence:
         matrix = matrix_from_rows(rows, 2)
         points = np.array([[row.get(0, 0), row.get(1, 0)] for row in rows], dtype=float)
         points /= np.linalg.norm(points, axis=1)[:, None]
-        centroids = kmeans(matrix, 4, seed=0, max_iters=1).centroids
+        centroids = np.frombuffer(kmeans(matrix, 4, seed=0, max_iters=1).centroids).reshape(4, 2)
         nearest = ((points[:, None, :] - centroids[None]) ** 2).sum(axis=2).argmin(axis=1)
         assert len(set(nearest.tolist())) == 3
         assert_same_fit(matrix, 4, seed=0)
@@ -211,7 +211,9 @@ class TestKmeans:
         matrix = blob_matrix(3, 8, seed=2)
         a = kmeans(matrix, 3, seed=9)
         b = kmeans(matrix, 3, seed=9)
-        assert a.assignments == b.assignments
+        assert a == b
+        # one flat row-major array of the k x V centroids
+        assert a.centroids.typecode == "d" and len(a.centroids) == 3 * len(matrix.terms)
 
     def test_wcss_monotone_descent(self):
         matrix = blob_matrix(3, 12, seed=4)
@@ -236,6 +238,12 @@ class TestKmeans:
         matrix = matrix_from_rows([{}, {}], 3)
         with pytest.raises(DataError):
             kmeans(matrix, 2, seed=0)
+
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_max_iters_below_one_rejected(self, max_iters):
+        matrix = blob_matrix(2, 10, seed=0)
+        with pytest.raises(DataError, match=f"max_iters must be at least 1, got {max_iters}"):
+            kmeans(matrix, 2, seed=0, max_iters=max_iters)
 
     @pytest.mark.parametrize(
         "rows, k",
@@ -272,7 +280,7 @@ class TestKmeans:
         # the run so far is the full run's prefix, and the full run only replays it
         prefix = oracles.kmeans(matrix, 4, 0, max_iters=model.n_iters)
         assert model.assignments == prefix.assignments
-        assert np.array_equal(model.centroids, prefix.centroids)
+        assert model.centroids == prefix.centroids
         assert model.wcss_history == prefix.wcss_history
         full = oracles.kmeans(matrix, 4, 0)
         assert full.n_iters == 100
@@ -365,6 +373,14 @@ class TestSelectK:
         matrix = blob_matrix(2, 10, seed=9)
         with pytest.raises(DataError, match=f"sample_size must be at least 1, got {sample_size}"):
             select_k(matrix, (2, 3), seed=0, sample_size=sample_size)
+
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_max_iters_below_one_rejected(self, max_iters):
+        # not "silhouette requires at least 2 clusters" from a fit that
+        # assigned every row to no cluster
+        matrix = blob_matrix(2, 10, seed=9)
+        with pytest.raises(DataError, match=f"max_iters must be at least 1, got {max_iters}"):
+            select_k(matrix, (2, 3), seed=0, max_iters=max_iters)
 
     def test_reproducible(self):
         matrix = blob_matrix(3, 10, seed=11)

@@ -1,6 +1,7 @@
 """Modules that import without numpy or PyYAML, so they can be run and
 compared on interpreters that have neither installed; and the stage
-commands that never load numpy."""
+commands that never load numpy. numpy is imported by the first k-means
+fit only, for its centroid norms."""
 
 from __future__ import annotations
 
@@ -20,9 +21,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 FIXTURES = Path(__file__).parent / "fixtures"
 
 NUMPY_FREE = (
-    "corpus", "preprocess", "resources", "domainfilter", "topics",
+    "corpus", "preprocess", "resources", "domainfilter", "topics", "clustering",
     "sentiment", "categorize", "wordgraph", "exports", "storage", "community", "netmetrics",
 )
+# these read the YAML config: they import with numpy blocked, not with yaml
+NUMPY_FREE_WITH_YAML = ("config", "pipeline", "cli")
 NUMPY_FREE_STAGES = (
     "ingest", "explore", "filter", "topics", "categorize", "sentiment", "graph", "metrics",
     "communities", "report",
@@ -30,47 +33,61 @@ NUMPY_FREE_STAGES = (
 NUMPY_STAGES = ("cluster",)
 
 
-def test_numpy_free_modules_import_with_numpy_and_yaml_blocked():
-    # a None entry in sys.modules makes `import numpy` raise ImportError
+def _with_blocked(blocked: tuple[str, ...], *lines: str) -> subprocess.CompletedProcess:
+    """Run the code lines in a fresh interpreter where importing any of the
+    `blocked` modules fails: a None entry in sys.modules makes `import
+    numpy` raise ImportError."""
     code = "\n".join([
         "import importlib, sys",
         f"sys.path.insert(0, {str(SRC)!r})",
-        'sys.modules["numpy"] = sys.modules["yaml"] = None',
+        *(f"sys.modules[{name!r}] = None" for name in blocked),
+        *lines,
+    ])
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+
+
+def test_numpy_free_modules_import_with_numpy_and_yaml_blocked():
+    result = _with_blocked(
+        ("numpy", "yaml"),
         f"for name in {NUMPY_FREE!r}:",
         '    importlib.import_module("tweetflow." + name)',
-    ])
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_config_readers_import_with_numpy_blocked():
+    result = _with_blocked(
+        ("numpy",),
+        f"for name in {NUMPY_FREE_WITH_YAML!r}:",
+        '    importlib.import_module("tweetflow." + name)',
+        'assert "tweetflow.clustering" in sys.modules, "the pipeline did not import clustering"',
     )
     assert result.returncode == 0, result.stderr
 
 
 def test_blocking_numpy_is_seen():
-    # the check above would pass vacuously if blocking did not stop an import
-    code = "\n".join([
-        "import sys",
-        f"sys.path.insert(0, {str(SRC)!r})",
-        'sys.modules["numpy"] = None',
-        "import tweetflow.clustering",
-    ])
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    # the checks above would pass vacuously if blocking did not stop an
+    # import: a k-means fit imports numpy for its centroid norms
+    result = _with_blocked(
+        ("numpy",),
+        "from tweetflow.clustering import kmeans",
+        "from tweetflow.preprocess import TfIdfMatrix",
+        'kmeans(TfIdfMatrix(({0: 1.0}, {1: 1.0}), ("a", "b")), 2, seed=0)',
     )
     assert result.returncode != 0
-    assert "ImportError" in result.stderr or "ModuleNotFoundError" in result.stderr
+    assert "ModuleNotFoundError: import of numpy" in result.stderr
+    assert "in _sq_norms" in result.stderr
 
 
 def test_graph_kernels_import_without_wordgraph():
     # the centrality and community kernels take any adjacency mapping;
     # wordgraph depends on them, not the other way round
-    code = "\n".join([
-        "import sys",
-        f"sys.path.insert(0, {str(SRC)!r})",
+    result = _with_blocked(
+        (),
         "import tweetflow.netmetrics, tweetflow.community",
         'assert "tweetflow.wordgraph" not in sys.modules, "wordgraph was imported"',
-    ])
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
 

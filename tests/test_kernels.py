@@ -1,5 +1,6 @@
-"""The C kernel library: its cache, its call helper and its sources; and the
-guard that keeps every float sum of src/tweetflow/*.py in a fixed order."""
+"""The C kernel library: its cache, its call helper and its sources; the
+guard that keeps every float sum of src/tweetflow/*.py in a fixed order;
+and the guard that keeps numpy inside the one function that needs it."""
 
 from __future__ import annotations
 
@@ -58,15 +59,16 @@ class TestCache:
         assert second != first
 
 
-def test_call_passes_array_and_numpy_buffers_by_address():
+def test_call_passes_array_buffers_by_address():
     starts = array("q", [0, 2, 2, 3])
-    weights = np.array([3.0, 4.0, 0.0])
+    weights = array("d", [3.0, 4.0, 0.0])
     sq = array("d", [-1.0]) * 3
     _kernels._call("tf_normalize", 3, starts, weights, sq)
     assert weights.tolist() == [0.6, 0.8, 0.0]
     assert sq.tolist() == [0.6 * 0.6 + 0.8 * 0.8, 0.0, 0.0]
-    with pytest.raises(ValueError, match="C-contiguous"):
-        _kernels._call("tf_normalize", 2, starts, np.zeros((3, 2))[:, 0], sq)
+    # every buffer is an array.array: a numpy array is not passed
+    with pytest.raises(AttributeError, match="buffer_info"):
+        _kernels._call("tf_normalize", 3, starts, np.zeros(3), sq)
 
 
 def test_every_kernel_source_is_built_and_packaged():
@@ -110,6 +112,49 @@ def test_no_float_sum_in_an_order_numpy_or_blas_picks():
         "squared norms in clustering.kmeans may still use np.dot, until item 1 retires it; "
         "add other terms in a fixed order (a C kernel or _sum_left)"
     )
+
+
+def _numpy_imports(path: Path) -> list[str]:
+    """Each import of numpy in the file, as "file:scope", the scope being
+    the innermost function or class around it, or <module>."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append(f"{path.name}:{scope}")
+            defines = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, child.name if defines else scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_numpy_is_imported_only_for_the_centroid_norms():
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _numpy_imports(path)]
+    assert found == ["clustering.py:_sq_norms"], (
+        f"{found}: numpy is imported only inside clustering._sq_norms, so that no other "
+        "function, module or stage command needs it"
+    )
+
+
+def test_the_numpy_import_guard_sees_each_form(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "import numpy as np\nfrom numpy.linalg import norm\n"
+        "def f():\n    import os, numpy.random\n"
+        "class C:\n    def g(self):\n        from numpy import dot\n    import numpy\n",
+        encoding="utf-8",
+    )
+    assert _numpy_imports(source) == [
+        "sample.py:<module>", "sample.py:<module>", "sample.py:f", "sample.py:g", "sample.py:C",
+    ]
 
 
 def test_the_guard_sees_each_form(tmp_path):

@@ -78,10 +78,12 @@ class TestLdaConfig:
 
 class TestFitLda:
     def test_count_conservation_single_word_corpus(self):
+        # a fit of i sweeps is the state after sweep i of a longer fit
         docs = [doc(str(i), ["sea"] * 3) for i in range(5)]
-        model = fit_lda(docs, LdaConfig(k=2, iterations=20, seed=1), check_invariants=True)
-        model.check_invariants()
-        assert sum(model.topic_totals) == 15
+        for iterations in range(1, 21):
+            model = fit_lda(docs, LdaConfig(k=2, iterations=iterations, seed=1))
+            model.check_invariants()
+            assert sum(model.topic_totals) == 15
 
     def test_same_seed_bit_identical(self):
         docs = planted_corpus(0, docs_per_side=10)
@@ -186,7 +188,7 @@ class TestOracleEquivalence:
         config = LdaConfig(k=k, alpha=alpha, beta=beta, iterations=25, seed=k)
         model = fit_lda(docs, config)
         assert_same_model(model, oracles.fit_lda(docs, config))
-        assert fit_lda(docs, config, check_invariants=True) == model
+        model.check_invariants()
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_exact_ties_match_oracle(self, monkeypatch, k):
