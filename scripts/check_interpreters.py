@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that other CPython interpreters compute the numpy-free steps of the pipeline to the same bytes.
+"""Check that other CPython interpreters compute the steps of the pipeline to the same bytes.
 
 Usage: python scripts/check_interpreters.py PYTHON [PYTHON ...]
 
@@ -9,19 +9,20 @@ resources and prints the sha256 of every step's result as JSON. The script
 compares those digests with the running interpreter's, prints one line per
 interpreter and exits 1 naming the first step that differs (or the
 interpreter that failed to run). The steps are dedup, tokenise, dictionary
-filter, fit_lda at k = 3 and 8, the distinct TF-IDF rows, the exact and a
-sampled silhouette of the TF-IDF rows under the assignment i % 3,
-sentiment, category assignment, entity extraction, the word and place
-graphs as GraphML and JSON, GeoJSON, label propagation, greedy modularity,
-modularity, closeness, degree and eigenvector centrality, and normalized
-betweenness, per language. They import neither numpy nor PyYAML, so the
+filter, fit_lda at k = 3 and 8, the distinct TF-IDF rows, k-means fits of
+the TF-IDF rows at k = 2, 3 and 4 (assignments, iterations, WCSS history,
+diagnostics and centroid bytes), the exact and a sampled silhouette of the
+TF-IDF rows under the assignment i % 3, sentiment, category assignment,
+entity extraction, the word and place graphs as GraphML and JSON, GeoJSON,
+label propagation, greedy modularity, modularity, closeness, degree and
+eigenvector centrality, and normalized betweenness, per language. They import neither numpy nor PyYAML, so the
 other interpreters need only the standard library, src/ and, for the C
-kernels that fit_lda, silhouette, greedy modularity, eigenvector
+kernels that fit_lda, k-means, silhouette, greedy modularity, eigenvector
 centrality and betweenness build and load through ctypes, the C compiler
 cc (or the library it built before, in the kernel cache).
 
 Not checked, so unverified on any interpreter but the one that froze the
-goldens: k-means, whose centroid norms need numpy, and the end-to-end run.
+goldens: the end-to-end run, whose config reader needs PyYAML.
 """
 
 from __future__ import annotations
@@ -47,13 +48,13 @@ def _sha(value) -> str:
 
 
 def step_digests() -> dict[str, str]:
-    """sha256 of each numpy-free step's result on the fixture, in step order."""
+    """sha256 of each step's result on the fixture, in step order."""
     sys.path.insert(0, str(REPO / "src"))
     from tweetflow import community, exports, netmetrics
     from tweetflow.categorize import (
         assign_category, extract_entities, gazetteer_index, load_category_rules, load_gazetteer,
     )
-    from tweetflow.clustering import distinct_rows, silhouette
+    from tweetflow.clustering import distinct_rows, kmeans, silhouette
     from tweetflow.corpus import dedup, filter_language, in_time_order, load_corpus
     from tweetflow.domainfilter import load_dictionary, match_strings
     from tweetflow.preprocess import build_tfidf, pipeline_doc
@@ -87,6 +88,12 @@ def step_digests() -> dict[str, str]:
             )
         matrix = build_tfidf(docs)
         digests[f"distinct rows {lang}"] = _sha(distinct_rows(matrix))
+        for k in (2, 3, 4):
+            fit = kmeans(matrix, k, SEED)
+            digests[f"kmeans k={k} {lang}"] = _sha((
+                fit.assignments, fit.n_iters, fit.wcss_history, fit.diagnostics,
+                hashlib.sha256(fit.centroids.tobytes()).hexdigest(),
+            ))
         labels = [i % 3 for i in range(len(docs))]
         digests[f"silhouette {lang}"] = _sha(silhouette(matrix, labels))
         digests[f"sampled silhouette {lang}"] = _sha(

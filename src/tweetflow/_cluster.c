@@ -4,7 +4,9 @@
  * of a row with another vector adds the row's products in the row's order,
  * starting from 0.0, and every sum over rows is a left fold in row-index
  * order, so with -ffp-contract=off each result has the bits of the loops
- * over the row dicts in tests/oracles.py. */
+ * over the row dicts in tests/oracles.py. A centroid's squared norm is the
+ * one sum in another fixed order, sq_norm's, which fuses each square into
+ * its sum with libm's correctly rounded fma(). */
 
 #include <math.h>
 #include <stdint.h>
@@ -59,15 +61,49 @@ void tf_row_distances(int64_t n, const int64_t *starts, const int32_t *terms,
         dense[terms[e]] = 0.0;
 }
 
+/* x.x for the n doubles of x, in the order of OpenBLAS 0.3.31's SkylakeX
+ * ddot on one thread, the order the goldens were frozen under: four 8-lane
+ * accumulators over blocks of 32, each folded to 4 lanes; then four 4-lane
+ * accumulators over blocks of 16 up to n & -16, added per lane and the
+ * lanes paired as (s0 + s2) + (s1 + s3); then the tail, one term at a
+ * time. Lane l of accumulator u takes term 8u + l (4u + l) of each block. */
+static double sq_norm(int64_t n, const double *x)
+{
+    int64_t i = 0, n16 = n & -16, u, l;
+    double wide[4][8] = {{0.0}}, narrow[4][4], s[4], acc = 0.0;
+    if (n16 > 0) {
+        for (; i < (n & -32); i += 32)
+            for (u = 0; u < 4; u++)
+                for (l = 0; l < 8; l++)
+                    wide[u][l] = fma(x[i + 8 * u + l], x[i + 8 * u + l], wide[u][l]);
+        for (u = 0; u < 4; u++)
+            for (l = 0; l < 4; l++)
+                narrow[u][l] = wide[u][l] + wide[u][l + 4];
+        for (; i < n16; i += 16)
+            for (u = 0; u < 4; u++)
+                for (l = 0; l < 4; l++)
+                    narrow[u][l] = fma(x[i + 4 * u + l], x[i + 4 * u + l], narrow[u][l]);
+        for (l = 0; l < 4; l++)
+            s[l] = ((narrow[0][l] + narrow[1][l]) + narrow[2][l]) + narrow[3][l];
+        acc = (s[0] + s[2]) + (s[1] + s[3]);
+    }
+    for (; i < n; i++)
+        acc = fma(x[i], x[i], acc);
+    return acc;
+}
+
 /* Each row's nearest of the k centroids (rows of the k x v array), ties to
- * the lowest index, and its squared distance to it. */
+ * the lowest index, and its squared distance to it. c_sq (k entries) is
+ * working space for the centroids' squared norms. */
 void tf_assign(int64_t n, int32_t k, int64_t v, const int64_t *starts, const int32_t *terms,
                const double *weights, const double *sq, const double *centroids,
-               const double *c_sq, int32_t *nearest, double *best)
+               double *c_sq, int32_t *nearest, double *best)
 {
     int64_t i;
     int32_t c;
     double d;
+    for (c = 0; c < k; c++)
+        c_sq[c] = sq_norm(v, centroids + c * v);
     for (i = 0; i < n; i++) {
         for (c = 0; c < k; c++) {
             d = clamped((sq[i] - 2.0 * dot(starts[i], starts[i + 1], terms, weights,

@@ -11,10 +11,10 @@ one CSR of the L2-normalized rows, which each public call builds once:
 int64 row starts, int32 terms, float64 weights and each row's squared
 norm. Every dot product adds a row's products in the row's own order and
 every sum over rows is a left fold in row-index order, so fits and scores
-have the bits of the loops over row dicts in tests/oracles.py. The one
-sum in an order that numpy picks, and so the one whose bits can follow
-the CPU, is each centroid's squared norm (`_sq_norms`, ROADMAP item 1),
-the only numpy in the package: the first `kmeans` call imports it.
+have the bits of the loops over row dicts in tests/oracles.py. Each
+centroid's squared norm is summed in the fixed order of the BLAS `ddot`
+that the goldens were frozen under (`tests/oracles.py::sq_norm_frozen_order`),
+so no result depends on the CPU, and no numpy is needed.
 Silhouette takes each query row's dot products from postings lists (each
 term's rows and weights), so its working memory is O(nnz + n + V) for
 nnz stored weights and V terms.
@@ -128,15 +128,6 @@ def _kmeanspp_init(rows: _Rows, k: int, rng: random.Random) -> array:
     return centroids
 
 
-def _sq_norms(centroids: array, k: int) -> array:
-    """Each of the k centroids' squared norm, by BLAS ddot over its
-    contiguous float64 row: the one sum in an order that numpy picks."""
-    import numpy as np
-
-    rows = np.frombuffer(centroids).reshape(k, -1)
-    return array("d", [float(np.dot(row, row)) for row in rows])
-
-
 def kmeans(
     matrix: TfIdfMatrix, k: int, seed: int, max_iters: int = 100
 ) -> ClusterModel:
@@ -163,7 +154,7 @@ def kmeans(
     csr = rows.starts, rows.terms, rows.weights
     rng = random.Random(seed)
     centroids = _kmeanspp_init(rows, k, rng)
-    nearest, best = array("i", [0]) * n, array("d", [0.0]) * n
+    nearest, best, c_sq = array("i", [0]) * n, array("d", [0.0]) * n, array("d", [0.0]) * k
 
     assignments = [-1] * n
     wcss_history: list[float] = []
@@ -174,7 +165,7 @@ def kmeans(
         n_iters += 1
         # ties go to the lowest index
         _kernels._call("tf_assign", n, k, rows.v_size, *csr, rows.sq, centroids,
-                       _sq_norms(centroids, k), nearest, best)
+                       c_sq, nearest, best)
         best_d = best.tolist()
         new_assignments = nearest.tolist()
         wcss_history.append(_sum_left(best_d))

@@ -4,7 +4,9 @@ Everything here is deliberately naive and kept free of the package's own
 algorithm implementations: betweenness by enumerating all shortest paths,
 modularity by the pairwise double sum, the dominant eigenvector from a
 dense eigendecomposition, exhaustive set-partition search, k-means and
-silhouette as plain loops over sparse dict rows, and Brandes betweenness,
+silhouette as plain loops over sparse dict rows, a centroid's squared norm
+in the order of the BLAS ddot the goldens were frozen under with an exact
+fma from Fractions, and Brandes betweenness,
 closeness and greedy modularity over per-node dicts with an all-pairs
 rescan on every merge, greedy modularity's row-best merge loop over dict
 rows and a heapq heap, eigenvector power iteration over neighbour lists,
@@ -336,6 +338,43 @@ def _sq_norm(row: dict[int, float]) -> float:
     return sum(w * w for w in row.values())
 
 
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once, as C99 fma() rounds it (finite results only)."""
+    return float(Fraction(a) * Fraction(b) + Fraction(c))
+
+
+def sq_norm_frozen_order(x: Sequence[float]) -> float:
+    """x.x in the order of OpenBLAS 0.3.31's SkylakeX ddot on one thread,
+    the BLAS kernel the goldens were frozen under. Below n & -16 the terms
+    go to four 8-lane accumulators over blocks of 32 (lane l of accumulator
+    u takes term 8u + l of the block), each folded to 4 lanes (l + l+4), then
+    to four 4-lane accumulators over blocks of 16 (term 4u + l); the lanes
+    are added per lane as ((a0 + a1) + a2) + a3 and paired as
+    (s0 + s2) + (s1 + s3). The tail is fused into that sum one term at a time."""
+    x = [float(value) for value in x]
+    n32, n16 = len(x) & -32, len(x) & -16
+    acc = 0.0
+    if n16 > 0:
+        wide = [[0.0] * 8 for _ in range(4)]
+        for i in range(0, n32, 32):
+            for u in range(4):
+                for lane in range(8):
+                    value = x[i + 8 * u + lane]
+                    wide[u][lane] = _fma(value, value, wide[u][lane])
+        narrow = [[row[lane] + row[lane + 4] for lane in range(4)] for row in wide]
+        for i in range(n32, n16, 16):
+            for u in range(4):
+                for lane in range(4):
+                    value = x[i + 4 * u + lane]
+                    narrow[u][lane] = _fma(value, value, narrow[u][lane])
+        s = [((narrow[0][lane] + narrow[1][lane]) + narrow[2][lane]) + narrow[3][lane]
+             for lane in range(4)]
+        acc = (s[0] + s[2]) + (s[1] + s[3])
+    for value in x[n16:]:
+        acc = _fma(value, value, acc)
+    return acc
+
+
 def _dist_sq_to_centroid(row: dict[int, float], centroid: np.ndarray, c_sq: float) -> float:
     dot = 0.0
     for i, w in row.items():
@@ -406,7 +445,7 @@ def kmeans(matrix: TfIdfMatrix, k: int, seed: int, max_iters: int = 100) -> Clus
     n_iters = 0
     for _ in range(max_iters):
         n_iters += 1
-        c_sq = [float(np.dot(centroids[c], centroids[c])) for c in range(k)]
+        c_sq = [sq_norm_frozen_order(centroids[c].tolist()) for c in range(k)]
         new_assignments = []
         wcss = 0.0
         for row in rows:

@@ -1,7 +1,7 @@
 """Modules that import without numpy or PyYAML, so they can be run and
 compared on interpreters that have neither installed; and the stage
-commands that never load numpy. numpy is imported by the first k-means
-fit only, for its centroid norms."""
+commands and whole runs, which never load numpy: it is a test dependency
+only."""
 
 from __future__ import annotations
 
@@ -13,12 +13,13 @@ from pathlib import Path
 
 import yaml
 
-from tweetflow.config import load_config
+from tweetflow.config import STAGES, load_config
 from tweetflow.pipeline import run_all
 from tweetflow.storage import sha256_file
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = json.loads((FIXTURES / "golden_checksums.json").read_text(encoding="utf-8"))
 
 NUMPY_FREE = (
     "corpus", "preprocess", "resources", "domainfilter", "topics", "clustering",
@@ -26,11 +27,6 @@ NUMPY_FREE = (
 )
 # these read the YAML config: they import with numpy blocked, not with yaml
 NUMPY_FREE_WITH_YAML = ("config", "pipeline", "cli")
-NUMPY_FREE_STAGES = (
-    "ingest", "explore", "filter", "topics", "categorize", "sentiment", "graph", "metrics",
-    "communities", "report",
-)
-NUMPY_STAGES = ("cluster",)
 
 
 def _with_blocked(blocked: tuple[str, ...], *lines: str) -> subprocess.CompletedProcess:
@@ -68,17 +64,11 @@ def test_config_readers_import_with_numpy_blocked():
 
 
 def test_blocking_numpy_is_seen():
-    # the checks above would pass vacuously if blocking did not stop an
-    # import: a k-means fit imports numpy for its centroid norms
-    result = _with_blocked(
-        ("numpy",),
-        "from tweetflow.clustering import kmeans",
-        "from tweetflow.preprocess import TfIdfMatrix",
-        'kmeans(TfIdfMatrix(({0: 1.0}, {1: 1.0}), ("a", "b")), 2, seed=0)',
-    )
+    # the checks here would pass vacuously if blocking did not stop an
+    # import, as it would not on an interpreter without numpy installed
+    result = _with_blocked(("numpy",), "import numpy")
     assert result.returncode != 0
-    assert "ModuleNotFoundError: import of numpy" in result.stderr
-    assert "in _sq_norms" in result.stderr
+    assert "ModuleNotFoundError: import of numpy halted; None in sys.modules" in result.stderr
 
 
 def test_graph_kernels_import_without_wordgraph():
@@ -116,18 +106,17 @@ def _main_with_numpy_blocked(stages, config_path: Path, after: str = "") -> tupl
 def test_numpy_free_stage_commands_rerun_with_numpy_blocked(tmp_path, fixture_config_path):
     config = load_config(fixture_config_path, out_override=str(tmp_path / "out"))
     run_all(config)
-    golden = json.loads((FIXTURES / "golden_checksums.json").read_text(encoding="utf-8"))
     config_path = tmp_path / "pipeline.yaml"
     payload = yaml.safe_load(fixture_config_path.read_text(encoding="utf-8"))
     payload.update(input=str(FIXTURES / payload["input"]), out=str(config.out))
     config_path.write_text(yaml.safe_dump(payload), encoding="utf-8")
-    # the reruns must write every file of these stages again
-    for stage in NUMPY_FREE_STAGES:
+    # the reruns must write every file of every stage again
+    for stage in STAGES:
         shutil.rmtree(config.out / stage)
 
-    codes, _ = _main_with_numpy_blocked(NUMPY_FREE_STAGES, config_path)
-    assert codes == dict.fromkeys(NUMPY_FREE_STAGES, 0)
-    assert {rel: sha256_file(config.out / rel) for rel in golden} == golden
+    codes, _ = _main_with_numpy_blocked(STAGES, config_path)
+    assert codes == dict.fromkeys(STAGES, 0)
+    assert {rel: sha256_file(config.out / rel) for rel in GOLDEN} == GOLDEN
 
     # the graph command fits no LDA model and computes no betweenness, so it
     # needs no C kernel
@@ -139,7 +128,27 @@ def test_numpy_free_stage_commands_rerun_with_numpy_blocked(tmp_path, fixture_co
     )
     assert codes == {"graph": 0}
 
-    codes, stderr = _main_with_numpy_blocked(NUMPY_STAGES, config_path)
-    assert codes == dict.fromkeys(NUMPY_STAGES, 3)
-    for stage in NUMPY_STAGES:
-        assert f"stage failure: stage {stage} failed: ModuleNotFoundError: import of numpy" in stderr
+
+def _run_all_digests(out: Path, config_path: Path, blocked: tuple[str, ...]) -> dict[str, str]:
+    """One run_all of the config into `out`, in a fresh interpreter where the
+    `blocked` modules cannot be imported and that must load no other numpy
+    module; the sha256 of each golden file it wrote."""
+    result = _with_blocked(
+        blocked,
+        "from tweetflow.config import load_config",
+        "from tweetflow.pipeline import run_all",
+        f"run_all(load_config({str(config_path)!r}, out_override={str(out)!r}))",
+        'loaded = [name for name in sys.modules if name.split(".")[0] == "numpy"]',
+        f"assert loaded == {list(blocked)!r}, loaded",
+    )
+    assert result.returncode == 0, result.stderr
+    return {rel: sha256_file(out / rel) for rel in GOLDEN}
+
+
+def test_run_all_reproduces_the_goldens_with_numpy_blocked(tmp_path, fixture_config_path):
+    assert _run_all_digests(tmp_path / "out", fixture_config_path, ("numpy",)) == GOLDEN
+
+
+def test_run_all_imports_no_numpy(tmp_path, fixture_config_path):
+    # numpy is installed for the tests, and still no stage loads it
+    assert _run_all_digests(tmp_path / "out", fixture_config_path, ()) == GOLDEN

@@ -1,18 +1,27 @@
 """The C kernel library: its cache, its call helper and its sources; the
-guard that keeps every float sum of src/tweetflow/*.py in a fixed order;
-and the guard that keeps numpy inside the one function that needs it."""
+centroid norm's summation order, against its model and against the BLAS
+kernel it was taken from; the guard that keeps every float sum of
+src/tweetflow/*.py in a fixed order; and the guard that keeps numpy out of
+src/tweetflow."""
 
 from __future__ import annotations
 
 import ast
 import fnmatch
+import json
+import os
+import random
+import subprocess
+import sys
 import tomllib
 from array import array
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import sq_norm_frozen_order
 from tweetflow import _kernels
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,6 +90,82 @@ def test_every_kernel_source_is_built_and_packaged():
         assert any(fnmatch.fnmatch(source.name, glob) for glob in globs), source.name
 
 
+def kernel_sq_norm(x: list[float]) -> float:
+    """The squared norm tf_assign computes for the centroid x: with k = 1,
+    one empty row's squared distance to it is (0 - 2 * 0) + |x|^2. An empty
+    x is passed as a one-entry buffer that the kernel does not read."""
+    best = array("d", [-1.0])
+    _kernels._call("tf_assign", 1, 1, len(x), array("q", [0, 0]), array("i", [0]),
+                   array("d", [0.0]), array("d", [0.0]), array("d", x or [0.0]),
+                   array("d", [0.0]), array("i", [-1]), best)
+    return best[0]
+
+
+def _vector(rng: random.Random, n: int) -> list[float]:
+    """n seeded entries, about half of them 0.0, the rest of any magnitude a
+    term weight or a norm test needs: unit-range, tiny, subnormal and large
+    (at most 1e150, so that no sum of squares below 12,000 terms overflows)."""
+    draws = (
+        lambda: 0.0,
+        lambda: rng.random(),
+        lambda: rng.random() * 10 ** rng.uniform(-6, 0),
+        lambda: rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(-160, -140),
+        lambda: rng.uniform(0.0, 2.0 ** -1022),  # subnormal
+        lambda: rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(100, 150),
+    )
+    weights = (12, 6, 3, 1, 1, 1)
+    return [rng.choices(draws, weights)[0]() for _ in range(n)]
+
+
+FINITE = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False, allow_infinity=False)
+
+
+class TestCentroidNorm:
+    """tf_assign's centroid norms against tests/oracles.py::sq_norm_frozen_order,
+    the one-thread order of the BLAS ddot the goldens were frozen under."""
+
+    def test_every_length_to_130_matches_the_model(self):
+        # covers n < 16, n % 32 == 16, n >= 32 and every tail length; the
+        # dense vectors round often enough that an unfused multiply-add in
+        # any block shows
+        rng = random.Random(0)
+        for n in range(131):
+            for x in [*(_vector(rng, n) for _ in range(3)),
+                      *([rng.random() for _ in range(n)] for _ in range(5))]:
+                assert kernel_sq_norm(x) == sq_norm_frozen_order(x), (n, x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(FINITE | st.sampled_from([0.0, 5e-324, -2.0 ** -1022, 1.0]), max_size=130))
+    def test_drawn_vectors_match_the_model(self, x):
+        assert kernel_sq_norm(x) == sq_norm_frozen_order(x)
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.integers(10_001, 12_000), st.integers(0, 2 ** 32))
+    def test_long_vectors_match_the_model(self, n, seed):
+        # above 10,000 terms OpenBLAS may split ddot across threads; the
+        # kernel keeps the one-thread order
+        x = _vector(random.Random(seed), n)
+        assert kernel_sq_norm(x) == sq_norm_frozen_order(x)
+
+    def test_the_model_is_the_blas_order_it_was_taken_from(self):
+        flags = Path("/proc/cpuinfo").read_text() if Path("/proc/cpuinfo").exists() else ""
+        if "avx512f" not in flags.split():
+            pytest.skip("the SkylakeX ddot kernel needs a CPU with AVX-512F")
+        rng = random.Random(1)
+        vectors = [_vector(rng, n) for n in [*range(131), 10_001, 10_016, 11_999]]
+        code = ("import json, sys, numpy as np\n"
+                "vectors = [np.array([float.fromhex(v) for v in x]) for x in json.load(sys.stdin)]\n"
+                "print(json.dumps([float(np.dot(x, x)).hex() for x in vectors]))")
+        env = {**os.environ, "OPENBLAS_CORETYPE": "SkylakeX", "OPENBLAS_NUM_THREADS": "1"}
+        result = subprocess.run(
+            [sys.executable, "-c", code], input=json.dumps([[v.hex() for v in x] for x in vectors]),
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        blas = [float.fromhex(value) for value in json.loads(result.stdout)]
+        assert blas == [sq_norm_frozen_order(x) for x in vectors]
+
+
 # numpy calls that sum in an order the BLAS kernel or the numpy version picks
 UNORDERED = {"reduceat", "matmul", "einsum", "inner", "vdot", "tensordot", "linalg", "dot"}
 
@@ -104,13 +189,10 @@ def _unordered_sums(path: Path) -> list[str]:
 
 def test_no_float_sum_in_an_order_numpy_or_blas_picks():
     found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _unordered_sums(path)]
-    norm = [hit for hit in found if hit.startswith("clustering.py:") and hit.endswith(": np.dot")]
-    rest = [hit for hit in found if hit not in norm]
-    assert len(norm) == 1 and rest == [], (
+    assert found == [], (
         f"{found}: these sum in an order that the BLAS kernel or the numpy version picks, so "
-        "their bits can change with the CPU or numpy (ROADMAP item 1). Only the centroids' "
-        "squared norms in clustering.kmeans may still use np.dot, until item 1 retires it; "
-        "add other terms in a fixed order (a C kernel or _sum_left)"
+        "their bits can change with the CPU or numpy; add terms in a fixed order (a C kernel "
+        "or _sum_left)"
     )
 
 
@@ -136,11 +218,11 @@ def _numpy_imports(path: Path) -> list[str]:
     return found
 
 
-def test_numpy_is_imported_only_for_the_centroid_norms():
+def test_no_module_imports_numpy():
     found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _numpy_imports(path)]
-    assert found == ["clustering.py:_sq_norms"], (
-        f"{found}: numpy is imported only inside clustering._sq_norms, so that no other "
-        "function, module or stage command needs it"
+    assert found == [], (
+        f"{found}: numpy is not a runtime dependency, so no function, module or stage "
+        "command may import it"
     )
 
 
