@@ -17,9 +17,10 @@ entity extraction, the word and place graphs as GraphML and JSON, GeoJSON,
 label propagation, greedy modularity, modularity, closeness, degree and
 eigenvector centrality, and normalized betweenness, per language. They import neither numpy nor PyYAML, so the
 other interpreters need only the standard library, src/ and, for the C
-kernels that fit_lda, k-means, silhouette, greedy modularity, eigenvector
-centrality and betweenness build and load through ctypes, the C compiler
-cc (or the library it built before, in the kernel cache).
+kernels that fit_lda, k-means, silhouette, label propagation, greedy
+modularity, eigenvector centrality and betweenness build and load through
+ctypes, the C compiler cc (or the library it built before, in the kernel
+cache).
 
 Not checked, so unverified on any interpreter but the one that froze the
 goldens: the end-to-end run, whose config reader needs PyYAML.

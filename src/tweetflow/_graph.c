@@ -1,15 +1,20 @@
-/* Eigenvector power iteration of tweetflow.netmetrics and the merge loop of
- * tweetflow.community.greedy_modularity. Both add the same terms in the same
+/* Eigenvector power iteration of tweetflow.netmetrics, and the merge loop of
+ * tweetflow.community.greedy_modularity and the sweeps of its
+ * label_propagation. All three run over the CSR arrays of one prepared
+ * graph, node i's neighbours being heads[arc_start[i] .. arc_start[i + 1]).
+ * The power iteration and the merge loop add the same terms in the same
  * order as the Python loops in tests/oracles.py, so with -ffp-contract=off
- * every value is bit-equal to theirs. */
+ * every value is bit-equal to theirs; label propagation counts integers and
+ * draws the MT19937 words (_mt.h) that the loop there draws. */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-/* Power iteration over CSR arrays, node i's neighbours being
- * heads[arc_start[i] .. arc_start[i + 1]), from the vector of 1 / n ** 0.5.
+#include "_mt.h"
+
+/* Power iteration over the CSR arrays from the vector of 1 / n ** 0.5.
  * Each step sets nxt[i] to damping * x[i] plus x[j] in neighbour order,
  * divides by the norm (a left fold of the squares, ** 0.5 being libm pow)
  * and stops once no entry moved by tol or more. status gets the iterations
@@ -239,20 +244,21 @@ static int by_col(const void *a, const void *b)
     return (x > y) - (x < y);
 }
 
-/* Row r from the upper arcs: each arc (i, j), i < j, listed in i's slice
- * heads[up_start[i] .. up_start[i + 1]), adds a link to rows i and j, so a
- * repeated arc adds to the count. Filled for i ascending, row r gets its
- * columns below r in order, then its own arcs, sorted here. */
-static int build_rows(greedy_t *g, const int64_t *up_start, const int32_t *heads)
+/* Row r from the upper arcs: each arc (i, j) with i < j adds a link to rows
+ * i and j, so a repeated arc adds to the count, and a self-loop or an arc
+ * (j, i) adds none. Filled for i ascending, row r gets its columns below r
+ * in order, then its own arcs, sorted here. */
+static int build_rows(greedy_t *g, const int64_t *arc_start, const int32_t *heads)
 {
     int32_t r, k, len, w;
     int64_t a;
     row_t *row;
     for (r = 0; r < g->n; r++)
-        for (a = up_start[r]; a < up_start[r + 1]; a++) {
-            g->rows[r].len++;
-            g->rows[heads[a]].len++;
-        }
+        for (a = arc_start[r]; a < arc_start[r + 1]; a++)
+            if (heads[a] > r) {
+                g->rows[r].len++;
+                g->rows[heads[a]].len++;
+            }
     for (r = 0; r < g->n; r++) {
         g->rows[r].links = malloc(((size_t)g->rows[r].len + 1) * sizeof(link_t));
         if (!g->rows[r].links)
@@ -262,8 +268,10 @@ static int build_rows(greedy_t *g, const int64_t *up_start, const int32_t *heads
     for (r = 0; r < g->n; r++) {
         row = &g->rows[r];
         len = row->len;
-        for (a = up_start[r]; a < up_start[r + 1]; a++) {
+        for (a = arc_start[r]; a < arc_start[r + 1]; a++) {
             w = heads[a];
+            if (w <= r)
+                continue;
             row->links[row->len++] = (link_t){w, 1};
             g->rows[w].links[g->rows[w].len++] = (link_t){r, 1};
         }
@@ -278,31 +286,34 @@ static int build_rows(greedy_t *g, const int64_t *up_start, const int32_t *heads
     return 0;
 }
 
-/* Runs the merges for n nodes whose links are the upper arcs of build_rows.
- * degree (n entries, changed in place) gives each node's degree and m2 their
- * sum; q is the singletons' modularity. log_u and log_v (n entries each) get
- * the merges in order, each v merged into u; result gets the merges, the
- * merges up to the peak, the heap entries popped and 0, or -1 if memory ran
- * out; peak_q the peak modularity. */
-void tf_greedy_modularity(int32_t n, const int64_t *up_start, const int32_t *heads,
-                          int64_t *degree, int64_t m2, double q, int32_t *log_u,
-                          int32_t *log_v, int64_t *result, double *peak_q)
+/* Runs the merges for the n nodes of the CSR arrays, numbered so that
+ * comparing numbers compares names. A node's degree counts its arcs, and
+ * m2 = arc_start[n] their sum; q is the singletons' modularity. log_u and
+ * log_v (n entries each) get the merges in order, each v merged into u;
+ * result gets the merges, the merges up to the peak, the heap entries popped
+ * and 0, or -1 if memory ran out; peak_q the peak modularity. */
+void tf_greedy_modularity(int32_t n, const int64_t *arc_start, const int32_t *heads, double q,
+                          int32_t *log_u, int32_t *log_v, int64_t *result, double *peak_q)
 {
     greedy_t g = {0};
     entry_t top;
     int32_t r, k, u, v, o;
     int64_t merges = 0, peak = 0, pops = 0;
+    int64_t *degree = malloc((size_t)n * sizeof(int64_t));
     double best_q = q, gain;
     int failed;
 
     g.n = n;
-    g.m2 = (double)m2;
-    g.m = (double)m2 / 2.0;
+    g.m2 = (double)arc_start[n];
+    g.m = (double)arc_start[n] / 2.0;
     g.degree = degree;
     g.rows = calloc((size_t)n, sizeof(row_t));
     g.best_gain = calloc((size_t)n, sizeof(double));
     g.best_to = malloc((size_t)n * sizeof(int32_t));
-    failed = !g.rows || !g.best_gain || !g.best_to || build_rows(&g, up_start, heads);
+    failed = !degree || !g.rows || !g.best_gain || !g.best_to;
+    for (r = 0; r < n && !failed; r++)
+        degree[r] = arc_start[r + 1] - arc_start[r];
+    failed = failed || build_rows(&g, arc_start, heads);
     for (r = 0; r < n && !failed; r++)
         failed = rescan(&g, r);
 
@@ -355,4 +366,89 @@ void tf_greedy_modularity(int32_t n, const int64_t *up_start, const int32_t *hea
     free(g.best_gain);
     free(g.best_to);
     free(g.heap);
+    free(degree);
+}
+
+/* Label propagation (see the docstring of community.label_propagation).
+ * mt_below(n) is random.Random._randbelow(n) for 0 < n < 2 ** 31:
+ * getrandbits(n.bit_length()), one word shifted right by 32 - k, drawn
+ * again while it is n or more. */
+
+static int32_t mt_below(uint32_t *mt, int32_t n)
+{
+    int k = 0;
+    uint32_t r;
+    while ((n >> k) != 0)
+        k++;
+    do
+        r = mt_word(mt) >> (32 - k);
+    while (r >= (uint32_t)n);
+    return (int32_t)r;
+}
+
+static int by_label(const void *a, const void *b)
+{
+    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* Sweeps until one changes no label, at most max_sweeps (at least one).
+ * Each sweep visits the nodes 0 .. n - 1 in the order random.shuffle draws
+ * for them. A node with neighbours keeps its label when that label has the
+ * top count among its neighbours' labels, and otherwise takes the one at
+ * _randbelow(len) of the top-count labels in ascending order. labels
+ * (n entries) holds each node's start label and gets its last; order,
+ * counts (zero) and seen (n entries each) are working space; mt the
+ * generator state, advanced. result gets the sweeps run and 1 when the
+ * last one changed a label. */
+void tf_label_propagation(int32_t n, const int64_t *arc_start, const int32_t *heads,
+                          int64_t max_sweeps, uint32_t *mt, int32_t *labels, int32_t *order,
+                          int64_t *counts, int32_t *seen, int64_t *result)
+{
+    int64_t sweep, a, top;
+    int32_t i, j, k, v, label, n_seen, n_top;
+    int changed;
+    for (sweep = 1;; sweep++) {
+        for (i = 0; i < n; i++)
+            order[i] = i;
+        for (i = n - 1; i > 0; i--) {
+            j = mt_below(mt, i + 1);
+            k = order[i];
+            order[i] = order[j];
+            order[j] = k;
+        }
+        changed = 0;
+        for (i = 0; i < n; i++) {
+            v = order[i];
+            n_seen = 0;
+            top = 0;
+            for (a = arc_start[v]; a < arc_start[v + 1]; a++) {
+                label = labels[heads[a]];
+                if (counts[label]++ == 0)
+                    seen[n_seen++] = label;
+                if (counts[label] > top)
+                    top = counts[label];
+            }
+            if (n_seen == 0)
+                continue;
+            if (counts[labels[v]] == top) {
+                for (k = 0; k < n_seen; k++)
+                    counts[seen[k]] = 0;
+                continue;
+            }
+            for (k = 0, n_top = 0; k < n_seen; k++) {
+                label = seen[k];
+                if (counts[label] == top)
+                    seen[n_top++] = label;
+                counts[label] = 0;
+            }
+            qsort(seen, (size_t)n_top, sizeof(int32_t), by_label);
+            labels[v] = seen[mt_below(mt, n_top)];
+            changed = 1;
+        }
+        if (!changed || sweep >= max_sweeps)
+            break;
+    }
+    result[0] = sweep;
+    result[1] = changed;
 }

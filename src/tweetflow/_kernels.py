@@ -2,10 +2,12 @@
 ``netmetrics.betweenness_centrality``, _cluster.c for ``clustering``'s
 k-means and silhouette, and _graph.c for the power iteration of
 ``netmetrics.eigenvector_centrality`` and the merge loop of
-``community.greedy_modularity``, built into one library with `cc` and loaded
-through ctypes when a kernel first runs in a process; `_call` runs one.
-All names are private: perfbench/layertrace.py wraps public functions
-only, so it times the kernels' work as the calls that run them."""
+``community.greedy_modularity`` and the sweeps of
+``community.label_propagation``, built into one library with `cc` and
+loaded through ctypes when a kernel first runs in a process; `_call` runs
+one. _gibbs.c and _graph.c include _mt.h, CPython's MT19937 generator. All
+names are private: perfbench/layertrace.py wraps public functions only, so
+it times the kernels' work as the calls that run them."""
 
 from __future__ import annotations
 
@@ -21,6 +23,8 @@ _SOURCES = tuple(
     Path(__file__).with_name(name)
     for name in ("_gibbs.c", "_brandes.c", "_cluster.c", "_graph.c")
 )
+# included by the sources, so part of the library's digest
+_HEADERS = (Path(__file__).with_name("_mt.h"),)
 # no -ffast-math or -march, and no contraction into fused multiply-adds:
 # each float operation rounds as the same operation does in Python
 _COMPILE = ("cc", "-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
@@ -59,7 +63,8 @@ def _load(library: Path):
         ("tf_centroids", (i64, i32, i64, *[ptr] * 6)),
         ("tf_silhouette", (i64, i64, *[ptr] * 4, i32, ptr, ptr, i64, *[ptr] * 7)),
         ("tf_power_iteration", (i32, ptr, ptr, f64, f64, i64, ptr, ptr, ptr)),
-        ("tf_greedy_modularity", (i32, *[ptr] * 3, i64, f64, *[ptr] * 4)),
+        ("tf_greedy_modularity", (i32, ptr, ptr, f64, *[ptr] * 4)),
+        ("tf_label_propagation", (i32, ptr, ptr, i64, *[ptr] * 6)),
     ):
         kernel = getattr(lib, name)
         kernel.argtypes, kernel.restype = argtypes, None
@@ -83,13 +88,13 @@ def _library():
     """The kernels' shared library, built at most once per source and command.
 
     It is kept in $XDG_CACHE_HOME/tweetflow (~/.cache/tweetflow by default)
-    under the sha256 of the sources and the compiler command, compiled to a
-    temporary name there and renamed into place, so a process never loads a
-    half-written library; or, when that directory cannot be written, built
-    in a temporary directory of this process. A build into the cache
+    under the sha256 of the sources, their header and the compiler command,
+    compiled to a temporary name there and renamed into place, so a process
+    never loads a half-written library; or, when that directory cannot be
+    written, built in a temporary directory of this process. A build into the cache
     removes the libraries of other digests.
     """
-    digest = hashlib.sha256(b"\0".join([*(source.read_bytes() for source in _SOURCES),
+    digest = hashlib.sha256(b"\0".join([*(path.read_bytes() for path in (*_SOURCES, *_HEADERS)),
                                          " ".join((*_COMPILE, *_LINK)).encode()])).hexdigest()
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "tweetflow"
     library = cache / f"kernels-{digest}.so"

@@ -2,10 +2,13 @@
 
 Two detectors are provided: asynchronous label propagation (seeded) and
 greedy modularity agglomeration (merge the pair with the best modularity
-gain, return the partition at peak modularity), whose merge loop is a C
-kernel built and loaded by `_kernels`. Community ids are always
-canonical: dense 0..C-1, ordered by descending size with ties going to
-the community whose lexicographically smallest member is smaller.
+gain, return the partition at peak modularity). The sweeps of the one and
+the merge loop of the other are C kernels (_graph.c), built and loaded by
+`_kernels`, over the CSR arrays of `netmetrics._prepared`; like the
+centralities, every function here takes a graph object, a mapping or a
+prepared `netmetrics._Graph`. Community ids are always canonical: dense
+0..C-1, ordered by descending size with ties going to the community whose
+lexicographically smallest member is smaller.
 """
 
 from __future__ import annotations
@@ -17,12 +20,12 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import pairwise
 
 from . import _kernels
 from .errors import DataError
 from .floats import _sum_left
-from .netmetrics import _adjacency, _int_adjacency
+from .netmetrics import _adjacency, _Graph, _prepared
 
 log = logging.getLogger(__name__)
 
@@ -58,6 +61,24 @@ def _canonical_partition(
     return Partition(assignment, tuple(len(m) for m in ordered), q, diagnostics)
 
 
+def _propagate(graph: _Graph, rng: random.Random) -> tuple[array, int, bool]:
+    """Label propagation's sweeps, run by tf_label_propagation in C from
+    every node in its own label: each node's last label (a node index), the
+    sweeps run and whether the last of MAX_LPA_SWEEPS still changed a
+    label. The kernel draws the words `rng` would draw for the same
+    shuffles and randrange calls, and `rng` is left in the state they
+    leave it in."""
+    n = len(graph.adj)
+    version, state, gauss_next = rng.getstate()
+    mt = array("I", state)
+    labels = array("i", range(n))
+    result = array("q", [0, 0])
+    _kernels._call("tf_label_propagation", n, graph.arc_start, graph.heads, MAX_LPA_SWEEPS, mt,
+                   labels, array("i", [0]) * n, array("q", [0]) * n, array("i", [0]) * n, result)
+    rng.setstate((version, tuple(mt), gauss_next))
+    return labels, result[0], bool(result[1])
+
+
 def label_propagation(graph, seed: int = 0) -> Partition:
     """Asynchronous majority-label propagation with seeded tie-breaking.
 
@@ -67,43 +88,27 @@ def label_propagation(graph, seed: int = 0) -> Partition:
     a sweep changes nothing, so every label sits in its neighborhood's
     majority set. Isolated nodes keep their own label.
 
+    Nodes and labels are numbered in `_adjacency` order. Each sweep draws
+    the order random.Random(seed).shuffle gives the indices 0..n-1, and a
+    node that changes label takes the tied labels, in ascending order, at
+    randrange(len); the loop over node indices in tests/oracles.py draws
+    the same, so the C kernel gives its labels and sweeps.
+
     The diagnostics give the sweeps run, whether the last of
     MAX_LPA_SWEEPS still changed a label, and the largest community's
     share of the nodes.
     """
-    adj = _adjacency(graph)
-    nodes = list(adj)
-    # nodes by their index in `nodes`; shuffling the indices draws the same
-    # permutation as shuffling the names
-    neighbors = _int_adjacency(adj)
-    ids = list(range(len(nodes)))
-    rng = random.Random(seed)
-    labels = ids[:]
-    for sweep in range(1, MAX_LPA_SWEEPS + 1):
-        order = ids[:]
-        rng.shuffle(order)
-        changed = False
-        for node in order:
-            neigh = neighbors[node]
-            if not neigh:
-                continue
-            counts = Counter(map(labels.__getitem__, neigh))
-            top = max(counts.values())
-            if counts.get(labels[node]) == top:
-                continue
-            candidates = sorted(lab for lab, c in counts.items() if c == top)
-            labels[node] = candidates[rng.randrange(len(candidates))]
-            changed = True
-        if not changed:
-            break
-    else:
+    prepared = _prepared(graph)
+    nodes = list(prepared.adj)
+    labels, sweeps, changed = _propagate(prepared, random.Random(seed))
+    if changed:
         log.warning("label propagation hit the sweep cap without settling")
     groups: dict[int, list[str]] = {}
     for node, lab in zip(nodes, labels):
         groups.setdefault(lab, []).append(node)
-    q = modularity(adj, groups.values()) if any(adj.values()) else None
+    q = modularity(prepared, groups.values()) if prepared.heads else None
     diagnostics = {
-        "sweeps": sweep,
+        "sweeps": sweeps,
         "hit_sweep_cap": changed,
         "largest_share": max(map(len, groups.values())) / len(nodes) if nodes else 0.0,
     }
@@ -159,34 +164,31 @@ def greedy_modularity(graph) -> Partition:
     is the largest gain with the smallest pair, the same merge the
     all-pairs rescan in tests/oracles.py picks.
 
-    Python numbers the nodes, counts their links and the singletons' Q, and
-    replays the merge log to the peak; the merge loop runs in C (_graph.c)
-    over sorted rows of link counts, a merge making row u the union of rows
-    u and v. It does the float operations of the loop over dict rows in
-    tests/oracles.py in the same order, so every gain and Q has its bits.
+    Python sums the singletons' Q and replays the merge log to the peak;
+    the merge loop runs in C (_graph.c) over the prepared graph's CSR
+    arrays, renumbered by name when a graph object lists its nodes in
+    another order, and over sorted rows of link counts, a merge making row
+    u the union of rows u and v. It does the float operations of the loop
+    over dict rows in tests/oracles.py in the same order, so every gain and
+    Q has its bits.
 
     The diagnostics count the merges, the merges up to the peak, the peak Q
     and the heap entries popped, live or stale.
     """
-    adj = _adjacency(graph)
-    m2 = sum(len(neigh) for neigh in adj.values())
+    prepared = _prepared(graph)
+    m2 = len(prepared.heads)
     if m2 == 0:
         raise DataError("greedy modularity needs at least one edge")
-
-    names = sorted(adj)
-    index = {node: i for i, node in enumerate(names)}
-    # each listing of w by v < w links them once more; a self-loop never
-    upper = [[index[w] for w in adj[v] if v < w] for v in names]
-    n = len(names)
     # singletons: no intra edges; summed in the graph's node order
-    q = _sum_left(0.0 - (len(neigh) / m2) ** 2 for neigh in adj.values())
+    q = _sum_left(0.0 - ((end - start) / m2) ** 2 for start, end in pairwise(prepared.arc_start))
+    names = sorted(prepared.adj)
+    if names != list(prepared.adj):
+        prepared = _prepared({node: prepared.adj[node] for node in names})
+    n = len(names)
     log_u, log_v = array("i", [0]) * n, array("i", [0]) * n
     result, peak_q = array("q", [0]) * 4, array("d", [0.0])
-    _kernels._call(
-        "tf_greedy_modularity", n, array("q", accumulate(map(len, upper), initial=0)),
-        array("i", chain.from_iterable(upper)), array("q", (len(adj[v]) for v in names)),
-        m2, q, log_u, log_v, result, peak_q,
-    )
+    _kernels._call("tf_greedy_modularity", n, prepared.arc_start, prepared.heads, q,
+                   log_u, log_v, result, peak_q)
     merges, best_merges, pops, failed = result
     if failed:
         raise MemoryError("greedy modularity: the merge loop ran out of memory")

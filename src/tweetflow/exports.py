@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from itertools import chain
 from json.encoder import encode_basestring
 
@@ -168,8 +169,10 @@ def place_graph_to_json(graph: PlaceGraph) -> str:
 
 def _edges_between(doc: dict, nodes) -> dict[tuple[str, str], int]:
     """The document's edges; one naming a node the document does not list
-    is a ValueError."""
-    edges = {(u, v): int(w) for u, v, w in doc["edges"]}
+    is a ValueError. Their ends are interned: json gives each mention of a
+    name its own string, and an adjacency built from the edges would keep
+    every one."""
+    edges = {(sys.intern(u), sys.intern(v)): int(w) for u, v, w in doc["edges"]}
     missing = set(chain.from_iterable(edges)).difference(nodes)
     if missing:
         raise ValueError(f"an edge names {min(missing, key=repr)!r}, which is not a node")

@@ -1,9 +1,12 @@
 """The four node-importance measures over undirected, unweighted graphs.
 
 All functions accept either a graph object exposing adjacency() or a
-plain node -> neighbors mapping. Shortest paths are unweighted (BFS);
-the word networks are disconnected in practice, so closeness uses the
-reach-scaled form
+plain node -> neighbors mapping, and prepare it for the kernels with
+`_prepared`: the node numbering and CSR arrays they share. A caller that
+runs several measures (and the communities of `community`) on one graph
+passes its `_Graph` to each, and each uses it as it is. Shortest paths
+are unweighted (BFS); the word networks are disconnected in practice, so
+closeness uses the reach-scaled form
 
     C(v) = ((r - 1) / (N - 1)) * ((r - 1) / sum of distances from v)
 
@@ -11,11 +14,10 @@ where r is the number of nodes v can reach (itself included), which
 degrades gracefully to 0 for isolated nodes. Betweenness follows
 Brandes' dependency accumulation. Both BFS-based measures number the
 nodes in adjacency order: closeness runs every source's BFS at once over
-bit sets, betweenness runs Brandes' queue loop over CSR arrays in C
-(_brandes.c, built and loaded by `_kernels`).
-Eigenvector centrality is power iteration with a self-damping fallback
-for bipartite oscillation, each iteration run over the same CSR arrays
-in C (_graph.c).
+bit sets, betweenness runs Brandes' queue loop over the CSR arrays in C
+(_brandes.c, built and loaded by `_kernels`). Eigenvector centrality is
+power iteration with a self-damping fallback for bipartite oscillation,
+each iteration run over the same CSR arrays in C (_graph.c).
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from __future__ import annotations
 import logging
 from array import array
 from collections import Counter
-from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, pairwise
 
 from . import _kernels
 from .errors import DataError
@@ -55,18 +56,40 @@ def _adjacency(graph) -> dict[str, list[str]]:
     return adj
 
 
-def _int_adjacency(adj: Mapping[str, Sequence[str]]) -> list[list[int]]:
-    """Neighbour lists as node indices, numbering nodes in `adj` order."""
+@dataclass(frozen=True, eq=False)
+class _Graph:
+    """A graph prepared once for every kernel that runs on it. `adj` is its
+    `_adjacency`, whose order numbers the nodes (sorted by name for a
+    mapping or a WordGraph); node i's neighbours are
+    heads[arc_start[i] .. arc_start[i + 1]), and pred_start holds the
+    in-degree prefix sums, where Brandes' loop files each node's
+    predecessors. adjacency() answers as a graph object does, so anything
+    that reads a graph through `_adjacency` reads this one too."""
+
+    adj: dict[str, list[str]]
+    arc_start: array
+    heads: array
+    pred_start: array
+
+    def adjacency(self) -> dict[str, list[str]]:
+        return self.adj
+
+
+def _prepared(graph) -> _Graph:
+    """`graph` numbered in `_adjacency` order, as CSR arrays; a `_Graph` is
+    returned as it is. DataError as `_adjacency` raises it."""
+    if isinstance(graph, _Graph):
+        return graph
+    adj = _adjacency(graph)
     index = {node: i for i, node in enumerate(adj)}
-    return [[index[w] for w in neigh] for neigh in adj.values()]
-
-
-def _csr(adj: Mapping[str, Sequence[str]]) -> tuple[array, array]:
-    """The arc starts and heads of `adj` numbered as by `_int_adjacency`:
-    node i's neighbours are heads[arc_start[i] .. arc_start[i + 1])."""
-    neighbors = _int_adjacency(adj)
-    return (array("q", accumulate(map(len, neighbors), initial=0)),
-            array("i", chain.from_iterable(neighbors)))
+    heads = array("i", map(index.__getitem__, chain.from_iterable(adj.values())))
+    in_degree = Counter(heads)
+    return _Graph(
+        adj,
+        array("q", accumulate(map(len, adj.values()), initial=0)),
+        heads,
+        array("q", accumulate((in_degree[v] for v in range(len(adj))), initial=0)),
+    )
 
 
 def degree_centrality(graph) -> CentralityScores:
@@ -92,11 +115,12 @@ def closeness_centrality(graph) -> CentralityScores:
     so the float expression gets the same bits. Each level costs one OR
     per arc over n-bit ints; the three int lists take about 3 n^2 / 8 bytes.
     """
-    adj = _adjacency(graph)
-    n = len(adj)
+    prepared = _prepared(graph)
+    n = len(prepared.adj)
     if n < 2:
         raise DataError("closeness centrality needs at least 2 nodes")
-    neighbors = _int_adjacency(adj)
+    heads = prepared.heads.tolist()
+    neighbors = [heads[start:end] for start, end in pairwise(prepared.arc_start)]
     reached = [1 << v for v in range(n)]
     grew = reached[:]
     reach, total = [1] * n, [0] * n
@@ -119,7 +143,7 @@ def closeness_centrality(graph) -> CentralityScores:
             break
         grew = nxt
     values = {}
-    for node, r, t in zip(adj, reach, total):
+    for node, r, t in zip(prepared.adj, reach, total):
         values[node] = ((r - 1) / (n - 1)) * ((r - 1) / t) if r > 1 and t > 0 else 0.0
     return CentralityScores(values)
 
@@ -132,18 +156,18 @@ def betweenness_centrality(graph, normalized: bool = False) -> CentralityScores:
     _brandes.c over CSR arrays, with the float bits of the loop over
     per-node dicts in tests/oracles.py.
     """
-    adj = _adjacency(graph)
-    n = len(adj)
-    arc_start, heads = _csr(adj)
-    in_degree = Counter(heads)
-    pred_start = array("q", accumulate((in_degree[v] for v in range(n)), initial=0))
+    prepared = _prepared(graph)
+    n = len(prepared.adj)
     totals = array("d", [0.0]) * n
-    _kernels._call("tf_brandes", n, arc_start, heads, pred_start, array("i", [0]) * n,
-                   array("i", [0]) * n, array("q", [0]) * n, array("i", [0]) * len(heads),
-                   array("d", [0.0]) * n, array("d", [0.0]) * n, totals)
+    _kernels._call("tf_brandes", n, prepared.arc_start, prepared.heads, prepared.pred_start,
+                   array("i", [0]) * n, array("i", [0]) * n, array("q", [0]) * n,
+                   array("i", [0]) * len(prepared.heads), array("d", [0.0]) * n,
+                   array("d", [0.0]) * n, totals)
     # each unordered pair was accumulated from both endpoints; x * 1.0 is x
     scale = 2.0 / ((n - 1) * (n - 2)) if normalized and n > 2 else 1.0
-    return CentralityScores(dict(sorted(zip(adj, (total / 2.0 * scale for total in totals)))))
+    return CentralityScores(
+        dict(sorted(zip(prepared.adj, (total / 2.0 * scale for total in totals))))
+    )
 
 
 class NonConvergenceError(DataError):
@@ -162,16 +186,15 @@ def eigenvector_centrality(
     loop over neighbour lists in tests/oracles.py. The diagnostics give the
     iterations of the run that converged and whether it was the damped one.
     """
-    adj = _adjacency(graph)
-    if not any(adj.values()):
+    prepared = _prepared(graph)
+    if not prepared.heads:
         raise DataError("eigenvector centrality needs at least one edge")
-    n = len(adj)
-    arc_start, heads = _csr(adj)
+    n = len(prepared.adj)
     vector, scratch = array("d", [0.0]) * n, array("d", [0.0]) * n
     status = array("q", [0, 0])  # iterations run, converged
     for damping in (0.0, 0.5):
-        _kernels._call("tf_power_iteration", n, arc_start, heads, damping, tol, max_iters,
-                       vector, scratch, status)
+        _kernels._call("tf_power_iteration", n, prepared.arc_start, prepared.heads, damping,
+                       tol, max_iters, vector, scratch, status)
         if status[1]:
             break
         log.debug("eigenvector: power iteration with damping %s did not converge", damping)
@@ -180,5 +203,6 @@ def eigenvector_centrality(
             f"power iteration did not converge in {max_iters} iterations"
         )
     return CentralityScores(
-        dict(zip(adj, vector)), diagnostics={"iterations": status[0], "damped": damping > 0.0}
+        dict(zip(prepared.adj, vector)),
+        diagnostics={"iterations": status[0], "damped": damping > 0.0},
     )

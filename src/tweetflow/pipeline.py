@@ -23,6 +23,7 @@ Stage map:
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import logging
 import resource
@@ -61,7 +62,7 @@ from .storage import (
     write_json,
     write_jsonl,
 )
-from .wordgraph import WordGraph, build_place_graph, build_word_graph, graph_stats
+from .wordgraph import build_place_graph, build_word_graph, graph_stats
 
 log = logging.getLogger(__name__)
 
@@ -90,10 +91,20 @@ SCORES_HEADER = ("tweet_id", "compound", "label")
 # decides the doc. None outside a run: nothing outlives the call that
 # opened the map (_docs_scope).
 _docs: dict[tuple[str, str], preprocess.TokenizedDoc] | None = None
+# (run-relative path, sha256 of its bytes) -> the word graph read from them,
+# prepared for the graph kernels: metrics and communities read each graph
+# file once per run_all, and a file rewritten in between is read again.
+# Opened and dropped with _docs.
+_graphs: dict[tuple[str, bytes], netmetrics._Graph] | None = None
 
 
 # ---------------------------------------------------------------------------
 # manifest
+
+def _peak_rss_mb() -> float:
+    """The process's peak resident set so far (ru_maxrss, KiB on Linux), in MB."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2)
+
 
 def _record_stage(
     config: PipelineConfig,
@@ -101,19 +112,24 @@ def _record_stage(
     counts: dict,
     outputs: Sequence[Path],
     elapsed: float,
+    peak_before: float,
 ) -> None:
     """Write the stage's entry into the run manifest. Its peak_rss_mb is the
-    process's peak resident set so far (ru_maxrss, KiB on Linux), not the
-    stage's own: a stage that allocates less than an earlier one repeats
-    the earlier peak."""
+    process's peak resident set so far, not the stage's own: a stage that
+    allocates less than an earlier one repeats the earlier peak.
+    rss_growth_mb is how far the stage raised that peak above
+    `peak_before`, the peak when it started: 0 when an earlier stage set
+    it."""
     path = config.out / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8")) if path.is_file() else {"stages": {}}
     manifest["config"] = config.snapshot()
+    peak = _peak_rss_mb()
     manifest["stages"][stage] = {
         "counts": counts,
         "elapsed_s": round(elapsed, 3),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
+        "peak_rss_mb": peak,
         "peak_rss_scope": "process peak so far",
+        "rss_growth_mb": round(peak - peak_before, 2),
         "outputs": {
             str(output.relative_to(config.out)): {
                 "rows": count_rows(output),
@@ -166,15 +182,26 @@ def _lang_docs(
     return corpus, docs
 
 
-def _word_graphs(config: PipelineConfig) -> Iterator[tuple[str, str, str, WordGraph]]:
+def _prepared_word_graph(rel: str, path: Path) -> netmetrics._Graph:
+    """The word graph in `path`, the run's file `rel`, prepared for the graph
+    kernels; parsed only when the run's map does not hold its bytes."""
+    data = path.read_bytes()
+    key = (rel, hashlib.sha256(data).digest())
+    graph = _graphs.get(key)
+    if graph is None:
+        graph = netmetrics._prepared(exports.word_graph_from_json(data.decode("utf-8")))
+        _graphs[key] = graph
+    return graph
+
+
+def _word_graphs(
+    config: PipelineConfig,
+) -> Iterator[tuple[str, str, str, netmetrics._Graph]]:
     """(lang, polarity, network, graph) for every word graph of the run."""
     for lang in config.languages:
         for polarity in POLARITIES:
-            graph = _read(
-                config,
-                WORDGRAPH.format(lang=lang, polarity=polarity),
-                lambda path: exports.word_graph_from_json(path.read_text(encoding="utf-8")),
-            )
+            rel = WORDGRAPH.format(lang=lang, polarity=polarity)
+            graph = _read(config, rel, lambda path: _prepared_word_graph(rel, path))
             yield lang, polarity, f"{lang}_{polarity}", graph
 
 
@@ -568,18 +595,18 @@ def stage_metrics(config: PipelineConfig, out: Out) -> dict:
     counts = {}
     rows: dict[str, list[list]] = {measure: [] for measure in MEASURES}
     for lang, polarity, network, graph in _word_graphs(config):
-        if len(graph.nodes) < 2:
+        n = len(graph.adj)
+        if n < 2:
             log.warning("metrics: %s has fewer than 2 nodes, skipping", network)
             counts[f"skipped_{network}"] = 1
             continue
-        adj = graph.adjacency()  # built once, shared by every measure
         scores = {
-            "betweenness": netmetrics.betweenness_centrality(adj, normalized=True),
-            "closeness": netmetrics.closeness_centrality(adj),
-            "degree": netmetrics.degree_centrality(adj),
+            "betweenness": netmetrics.betweenness_centrality(graph, normalized=True),
+            "closeness": netmetrics.closeness_centrality(graph),
+            "degree": netmetrics.degree_centrality(graph),
         }
-        if graph.edges:
-            scores["eigenvector"] = netmetrics.eigenvector_centrality(adj)
+        if graph.heads:
+            scores["eigenvector"] = netmetrics.eigenvector_centrality(graph)
             counts[f"eigenvector_{network}"] = scores["eigenvector"].diagnostics
         else:
             log.warning("metrics: %s has no edges, skipping eigenvector", network)
@@ -589,7 +616,7 @@ def stage_metrics(config: PipelineConfig, out: Out) -> dict:
                 rows[measure].append(
                     [network, polarity, lang, rank, word, f"{value:.2f}"]
                 )
-        counts[f"ranked_{network}"] = min(config.metrics_top_k, len(graph.nodes))
+        counts[f"ranked_{network}"] = min(config.metrics_top_k, n)
     for measure in MEASURES:
         write_csv(
             out(f"metrics/centrality_{measure}.csv"),
@@ -604,14 +631,13 @@ def stage_communities(config: PipelineConfig, out: Out) -> dict:
     community_rows = []
     hub_rows = []
     for lang, polarity, network, graph in _word_graphs(config):
-        if not graph.edges:
+        if not graph.heads:
             log.warning("communities: %s has no edges, skipping", network)
             counts[f"skipped_{network}"] = 1
             continue
         seed = config.stage_seed(f"communities:{network}")
-        adj = graph.adjacency()  # built once, shared by both detectors and the hubs
-        lpa = community.label_propagation(adj, seed)
-        greedy = community.greedy_modularity(adj)
+        lpa = community.label_propagation(graph, seed)
+        greedy = community.greedy_modularity(graph)
         membership = {}
         for algorithm, partition in (
             ("label_propagation", lpa),
@@ -633,7 +659,7 @@ def stage_communities(config: PipelineConfig, out: Out) -> dict:
         # hubs of the greedy partition's chosen communities
         greedy_choice = membership["greedy_modularity"]
         for group_no, cid in enumerate(greedy_choice["chosen"], start=1):
-            hub = community.hub_dominant(adj, greedy_choice["communities"][cid])
+            hub = community.hub_dominant(graph, greedy_choice["communities"][cid])
             hub_rows.append([network, f"Group-{group_no}", hub])
         write_json(out(f"communities/membership_{lang}_{polarity}.json"), membership)
     write_csv(
@@ -695,17 +721,17 @@ _STAGE_FUNCS = {name: globals()[f"stage_{name}"] for name in STAGES}
 
 @contextmanager
 def _docs_scope() -> Iterator[None]:
-    """Open the run's map of tokenized docs unless a caller has, and drop
-    it when the block that opened it ends."""
-    global _docs
+    """Open the run's maps of tokenized docs and prepared word graphs unless
+    a caller has, and drop them when the block that opened them ends."""
+    global _docs, _graphs
     if _docs is not None:
         yield
         return
-    _docs = {}
+    _docs, _graphs = {}, {}
     try:
         yield
     finally:
-        _docs = None
+        _docs = _graphs = None
 
 
 def run_stage(name: str, config: PipelineConfig) -> dict:
@@ -723,13 +749,13 @@ def run_stage(name: str, config: PipelineConfig) -> dict:
         return path
 
     log.info("stage %s starting", name)
-    started = time.perf_counter()
+    started, peak_before = time.perf_counter(), _peak_rss_mb()
     try:
         config.out.mkdir(parents=True, exist_ok=True)
         with _docs_scope():
             counts = _STAGE_FUNCS[name](config, out)
         elapsed = time.perf_counter() - started
-        _record_stage(config, name, counts, outputs, elapsed)
+        _record_stage(config, name, counts, outputs, elapsed, peak_before)
     except TweetflowError:
         raise
     except Exception as exc:
@@ -740,6 +766,6 @@ def run_stage(name: str, config: PipelineConfig) -> dict:
 
 def run_all(config: PipelineConfig) -> dict:
     """Run every stage in order; returns per-stage counts. The stages share
-    one map of tokenized docs."""
+    one map of tokenized docs and one of prepared word graphs."""
     with _docs_scope():
         return {name: run_stage(name, config) for name in STAGES}

@@ -13,7 +13,8 @@ import logging
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, compress, starmap
+from operator import lt, not_
 
 from .categorize import EntityMentions
 from .errors import DataError
@@ -187,15 +188,27 @@ def _attach_place_metrics(graph: PlaceGraph) -> None:
 
 
 def graph_stats(graph: WordGraph | PlaceGraph) -> GraphStats:
-    """Node/edge counts, density 2E/(N(N-1)), and degree aggregates."""
-    adj = graph.adjacency()
-    n = len(adj)
+    """Node/edge counts, density 2E/(N(N-1)), and degree aggregates.
+
+    A node's degree is its number of distinct neighbours, as in adjacency(),
+    counted from the edges without building it: a self-loop counts once,
+    and so does a pair that a reader's edges list both ways round.
+    """
+    n = len(graph.nodes)
     e = len(graph.edges)
-    degrees = [len(neigh) for neigh in adj.values()]
+    degrees = Counter(chain.from_iterable(graph.edges))
+    # only an edge not in u < v order can repeat a neighbour counted above:
+    # a self-loop, or (v, u) beside (u, v)
+    for u, v in compress(graph.edges, map(not_, starmap(lt, graph.edges))):
+        if u == v:
+            degrees[u] -= 1
+        elif (v, u) in graph.edges:
+            degrees[u] -= 1
+            degrees[v] -= 1
     return GraphStats(
         nodes=n,
         edges=e,
         density=(2.0 * e / (n * (n - 1))) if n >= 2 else 0.0,
-        max_degree=max(degrees, default=0),
+        max_degree=max(degrees.values(), default=0),
         avg_degree=(2.0 * e / n) if n else 0.0,
     )

@@ -36,16 +36,11 @@ import numpy as np
 from tweetflow.clustering import ClusterModel
 from tweetflow.community import MAX_LPA_SWEEPS, Partition, _canonical_partition, modularity
 from tweetflow.errors import DataError
-from tweetflow.netmetrics import (
-    CentralityScores,
-    NonConvergenceError,
-    _adjacency,
-    _int_adjacency,
-)
+from tweetflow.netmetrics import CentralityScores, NonConvergenceError, _adjacency
 from tweetflow.preprocess import TfIdfMatrix, TokenizedDoc
 from tweetflow.storage import _json_text
 from tweetflow.topics import LdaConfig, LdaModel
-from tweetflow.wordgraph import PlaceGraph, WordGraph
+from tweetflow.wordgraph import GraphStats, PlaceGraph, WordGraph
 
 
 def random_graph(n: int, p: float, seed: int) -> dict[str, list[str]]:
@@ -826,6 +821,36 @@ def greedy_modularity_row_best(graph) -> Partition:
     return _canonical_partition(groups.values(), best_q, diagnostics)
 
 
+def propagate_labels(
+    neighbors: list[list[int]], rng: random.Random
+) -> tuple[list[int], int, bool]:
+    """Label propagation's sweeps over node indices, the loop that
+    community._propagate runs in C: each node's last label, the sweeps run
+    and whether the last of MAX_LPA_SWEEPS still changed a label; `rng` is
+    advanced by the draws. Shuffling the indices draws the same permutation
+    as shuffling the names."""
+    ids = list(range(len(neighbors)))
+    labels = ids[:]
+    for sweep in range(1, MAX_LPA_SWEEPS + 1):
+        order = ids[:]
+        rng.shuffle(order)
+        changed = False
+        for node in order:
+            neigh = neighbors[node]
+            if not neigh:
+                continue
+            counts = Counter(map(labels.__getitem__, neigh))
+            top = max(counts.values())
+            if counts.get(labels[node]) == top:
+                continue
+            candidates = sorted(lab for lab, c in counts.items() if c == top)
+            labels[node] = candidates[rng.randrange(len(candidates))]
+            changed = True
+        if not changed:
+            break
+    return labels, sweep, changed
+
+
 def label_propagation(graph, seed: int = 0) -> Partition:
     """Seeded asynchronous label propagation over node names and a label dict."""
     adj = _adjacency(graph)
@@ -864,6 +889,12 @@ def label_propagation(graph, seed: int = 0) -> Partition:
 # ---------------------------------------------------------------------------
 # eigenvector power iteration over neighbour lists
 
+def int_adjacency(adj: dict[str, list[str]]) -> list[list[int]]:
+    """Neighbour lists as node indices, numbering nodes in `adj` order."""
+    index = {node: i for i, node in enumerate(adj)}
+    return [[index[w] for w in neigh] for neigh in adj.values()]
+
+
 def power_iteration(
     neighbor_ids: list[list[int]],
     tol: float,
@@ -899,7 +930,7 @@ def eigenvector_centrality(
     adj = _adjacency(graph)
     if not any(adj.values()):
         raise DataError("eigenvector centrality needs at least one edge")
-    neighbor_ids = _int_adjacency(adj)
+    neighbor_ids = int_adjacency(adj)
     damped = False
     vector, iterations = power_iteration(neighbor_ids, tol, max_iters, damping=0.0)
     if vector is None:
@@ -985,6 +1016,24 @@ def fit_lda(docs: Sequence[TokenizedDoc], config: LdaConfig) -> LdaModel:
                 topic_word[t][w] += 1
                 topic_total[t] += 1
     return model
+
+
+# ---------------------------------------------------------------------------
+# graph statistics from the full sorted adjacency
+
+def graph_stats(graph: WordGraph | PlaceGraph) -> GraphStats:
+    """Node/edge counts, density 2E/(N(N-1)), and degrees read from adjacency()."""
+    adj = graph.adjacency()
+    n = len(adj)
+    e = len(graph.edges)
+    degrees = [len(neigh) for neigh in adj.values()]
+    return GraphStats(
+        nodes=n,
+        edges=e,
+        density=(2.0 * e / (n * (n - 1))) if n >= 2 else 0.0,
+        max_degree=max(degrees, default=0),
+        avg_degree=(2.0 * e / n) if n else 0.0,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from tweetflow.errors import ConfigError, StageError
 from tweetflow.pipeline import REPORT_COPIES, run_all, run_stage
 from tweetflow.resources import default_path
 
+import oracles
+
 
 def make_config(tmp_path, corpus_path, **overrides) -> Path:
     payload = {
@@ -694,6 +696,23 @@ class TestStages:
             built.clear()
             run_stage(stage, config)
             assert built == every_graph, stage
+        # in one run communities takes the graphs that metrics prepared, and
+        # the graph stage builds the adjacency of each place graph only
+        built.clear()
+        with pipeline._docs_scope():
+            for stage in ("graph", "metrics", "communities"):
+                run_stage(stage, config)
+        assert Counter({key: built[key] for key in every_graph}) == every_graph
+        assert sum(built.values()) == len(graphs) + len(config.languages)
+        assert _file_bytes(config.out) == _file_bytes(pipeline_out.out)
+
+    def test_word_graph_stats_match_the_adjacency(self, pipeline_out):
+        for path in sorted((pipeline_out.out / "graph").glob("wordgraph_*.json")):
+            graph = exports.word_graph_from_json(path.read_text(encoding="utf-8"))
+            assert wordgraph.graph_stats(graph) == oracles.graph_stats(graph), path.name
+        for path in sorted((pipeline_out.out / "graph").glob("placegraph_*.json")):
+            graph = exports.place_graph_from_json(path.read_text(encoding="utf-8"))
+            assert wordgraph.graph_stats(graph) == oracles.graph_stats(graph), path.name
 
     def test_eigenvector_diagnostics_in_manifest(self, pipeline_out):
         manifest = json.loads((pipeline_out.out / "manifest.json").read_text())
@@ -779,6 +798,30 @@ class TestStages:
         assert all(isinstance(peak, float) and peak > 0 for peak in peaks)
         assert peaks == sorted(peaks)
 
+    def test_manifest_records_each_stage_rss_growth(self, pipeline_out):
+        manifest = json.loads((pipeline_out.out / "manifest.json").read_text())
+        entries = [manifest["stages"][stage] for stage in STAGES]
+        assert all(isinstance(e["rss_growth_mb"], float) and e["rss_growth_mb"] >= 0
+                   for e in entries)
+        for before, entry in zip(entries, entries[1:]):
+            # the peak when a stage starts is at least the last stage's peak
+            assert entry["rss_growth_mb"] <= round(entry["peak_rss_mb"] - before["peak_rss_mb"], 2)
+            if entry["peak_rss_mb"] == before["peak_rss_mb"]:
+                assert entry["rss_growth_mb"] == 0.0
+
+    def test_a_stage_below_the_peak_so_far_grows_zero(
+        self, tmp_path, fixture_corpus_path, monkeypatch
+    ):
+        # the peak at each stage's start and end: ingest raises it, explore does not
+        peaks = iter([20.0, 22.5, 22.5, 22.5])
+        monkeypatch.setattr(pipeline, "_peak_rss_mb", lambda: next(peaks))
+        config = load_config(make_config(tmp_path, fixture_corpus_path))
+        for stage in ("ingest", "explore"):
+            run_stage(stage, config)
+        entries = json.loads((config.out / "manifest.json").read_text())["stages"]
+        assert [(entries[stage]["peak_rss_mb"], entries[stage]["rss_growth_mb"])
+                for stage in ("ingest", "explore")] == [(22.5, 2.5), (22.5, 0.0)]
+
     def test_manifest_lists_exactly_each_stage_directory(self, pipeline_out):
         manifest = json.loads((pipeline_out.out / "manifest.json").read_text())
         assert set(manifest["stages"]) == set(STAGES)
@@ -838,7 +881,7 @@ class TestTokenizedOnce:
         run_all(config)
         assert _file_bytes(config.out) == _file_bytes(pipeline_out.out)
         assert _manifest_counts(config.out) == _manifest_counts(pipeline_out.out)
-        assert pipeline._docs is None
+        assert pipeline._docs is None and pipeline._graphs is None
 
     def test_each_distinct_text_is_tokenized_once(
         self, tmp_path, fixture_corpus_path, monkeypatch
@@ -886,7 +929,7 @@ class TestTokenizedOnce:
         with pytest.raises(StageError, match="stage graph failed: RuntimeError: boom"):
             run_all(config)
         assert len(open_maps) == 1 and open_maps[0]  # the earlier stages had filled it
-        assert pipeline._docs is None
+        assert pipeline._docs is None and pipeline._graphs is None
 
     def test_stage_by_stage_repeats_run_all_bytes(
         self, tmp_path, fixture_corpus_path, pipeline_out
@@ -894,9 +937,64 @@ class TestTokenizedOnce:
         config = load_config(make_config(tmp_path, fixture_corpus_path))
         for stage in STAGES:
             run_stage(stage, config)
-            assert pipeline._docs is None
+            assert pipeline._docs is None and pipeline._graphs is None
         assert _file_bytes(config.out) == _file_bytes(pipeline_out.out)
         assert _manifest_counts(config.out) == _manifest_counts(pipeline_out.out)
+
+
+class TestWordGraphMap:
+    """metrics and communities share each word graph, prepared, through a map
+    keyed by the file's path and bytes that lives as long as the docs map."""
+
+    @staticmethod
+    def count_parses(monkeypatch) -> Counter:
+        parsed: Counter = Counter()
+        original = exports.word_graph_from_json
+
+        def counting(text):
+            parsed[text] += 1
+            return original(text)
+
+        monkeypatch.setattr(exports, "word_graph_from_json", counting)
+        return parsed
+
+    def test_each_graph_file_is_parsed_once_per_run(
+        self, tmp_path, fixture_corpus_path, pipeline_out, monkeypatch
+    ):
+        parsed = self.count_parses(monkeypatch)
+        config = load_config(make_config(tmp_path, fixture_corpus_path))
+        run_all(config)
+        assert sorted(parsed.values()) == [1, 1, 1, 1]
+        assert pipeline._graphs is None
+        # a stage run on its own parses its own files
+        parsed.clear()
+        run_stage("communities", config)
+        assert sorted(parsed.values()) == [1, 1, 1, 1]
+        assert _file_bytes(config.out) == _file_bytes(pipeline_out.out)
+
+    def test_a_graph_rewritten_between_stages_is_read_again(
+        self, tmp_path, fixture_corpus_path, pipeline_out, monkeypatch
+    ):
+        shutil.copytree(pipeline_out.out, tmp_path / "out")
+        config = load_config(make_config(tmp_path, fixture_corpus_path))
+        graph_file = config.out / "graph" / "wordgraph_en_positive.json"
+        triangle = wordgraph.WordGraph(
+            {"x": 1, "y": 1, "z": 1}, {("x", "y"): 1, ("x", "z"): 1, ("y", "z"): 1},
+            ("en", "positive"),
+        )
+        parsed = self.count_parses(monkeypatch)
+        with pipeline._docs_scope():
+            run_stage("metrics", config)
+            graph_file.write_text(exports.word_graph_to_json(triangle), encoding="utf-8")
+            run_stage("communities", config)
+            assert len(pipeline._graphs) == 5
+        assert sorted(parsed.values()) == [1, 1, 1, 1, 1]
+        membership = json.loads(
+            (config.out / "communities" / "membership_en_positive.json").read_text()
+        )
+        for algorithm in ("label_propagation", "greedy_modularity"):
+            assert membership[algorithm]["communities"] == [["x", "y", "z"]]
+        assert pipeline._graphs is None
 
 
 class TestEmptyPolaritySplit:

@@ -16,7 +16,7 @@ from tweetflow.community import (
     modularity,
 )
 from tweetflow.errors import DataError
-from tweetflow.netmetrics import _adjacency
+from tweetflow.netmetrics import _adjacency, _prepared
 
 import oracles
 from oracles import (
@@ -401,6 +401,72 @@ class TestOracleEquivalence:
             assert list(got.assignment.items()) == list(expected.assignment.items())
             assert repr(got.modularity) == repr(expected.modularity)
             assert repr(got.diagnostics) == repr(expected.diagnostics)
+
+
+def assert_same_sweeps(graph, seed: int) -> None:
+    """tf_label_propagation against the loop over node indices in
+    tests/oracles.py: every label, the sweeps, the sweep-cap flag and the
+    generator state after the call."""
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    labels, sweeps, changed = community._propagate(_prepared(graph), rng)
+    expected = oracles.propagate_labels(oracles.int_adjacency(_adjacency(graph)), oracle_rng)
+    assert (list(labels), sweeps, changed) == expected
+    assert rng.getstate() == oracle_rng.getstate()
+
+
+# n nodes linked by up to 2n node pairs that may repeat or be self-loops:
+# isolated nodes, repeated neighbours, self-loops and one-neighbour nodes,
+# whose tie has one candidate
+sparse_mappings = st.integers(1, 40).flatmap(lambda n: st.lists(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n,
+).map(lambda pairs: _mapping(n, pairs)))
+
+
+def _mapping(n: int, pairs: list[tuple[int, int]]) -> dict[str, list[str]]:
+    adj: dict[str, list[str]] = {f"v{i:02d}": [] for i in range(n)}
+    for i, j in pairs:
+        adj[f"v{i:02d}"].append(f"v{j:02d}")
+        if i != j:
+            adj[f"v{j:02d}"].append(f"v{i:02d}")
+    return adj
+
+
+class TestLabelPropagationKernel:
+    """The C sweeps draw the words the Python loop draws, so both end in the
+    same labels and the same generator state."""
+
+    @over(KERNEL_GRAPHS + REAL_SIZE_GRAPHS + DISCONNECTED)
+    def test_identical_to_the_loop(self, graph):
+        for seed in (0, 7, 12345):
+            assert_same_sweeps(graph, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(adj=sparse_mappings, seed=st.integers(0, 2**32 - 1))
+    def test_identical_on_sparse_mappings(self, adj, seed):
+        assert_same_sweeps(adj, seed)
+
+    def test_a_one_candidate_tie_still_draws(self):
+        # the leaf's only neighbour has another label: randrange(1) consumes
+        # words, so the generator ends past the shuffles' draws
+        rng = random.Random(3)
+        labels, sweeps, changed = community._propagate(_prepared({"a": ["b"], "b": []}), rng)
+        assert (list(labels), sweeps, changed) == ([1, 1], 2, False)
+        shuffles_only = random.Random(3)
+        for _ in range(sweeps):
+            shuffles_only.shuffle([0, 1])
+        assert rng.getstate() != shuffles_only.getstate()
+        assert_same_sweeps({"a": ["b"], "b": []}, 3)
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_the_sweep_cap_is_read_at_call_time(self, cap, monkeypatch):
+        graph = dict(REAL_SIZE_GRAPHS)["clique-union"]
+        settled = community._propagate(_prepared(graph), random.Random(0))[1]
+        assert settled > cap
+        monkeypatch.setattr(community, "MAX_LPA_SWEEPS", cap)
+        monkeypatch.setattr(oracles, "MAX_LPA_SWEEPS", cap)
+        _, sweeps, changed = community._propagate(_prepared(graph), random.Random(0))
+        assert (sweeps, changed) == (cap, True)
+        assert_same_sweeps(graph, 0)
 
 
 class TestNetworkxCrossCheck:

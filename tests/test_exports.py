@@ -279,6 +279,15 @@ class TestWordGraphJsonOracle:
         graph = WordGraph({"a": 1, "b": 2}, {}, ("it", "negative"))
         assert word_graph_to_json(graph) == oracles.word_graph_to_json(graph)
 
+    def test_each_name_is_one_string_in_the_edges(self):
+        # json.loads gives each mention its own string; the reader interns them
+        names = ("alpha", "beta", "gamma")
+        graph = WordGraph(dict.fromkeys(names, 1), {("alpha", "beta"): 1, ("alpha", "gamma"): 1,
+                                                    ("beta", "gamma"): 1}, ("en", "positive"))
+        edges = word_graph_from_json(word_graph_to_json(graph)).edges
+        ends = [end for edge in edges for end in edge]
+        assert len(ends) == 6 and len({id(end) for end in ends}) == 3
+
 
 class TestDanglingEdges:
     """An edge naming a node the file does not list is a ValueError."""

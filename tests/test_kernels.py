@@ -67,6 +67,17 @@ class TestCache:
         (second,) = cache.iterdir()
         assert second != first
 
+    def test_the_digest_covers_the_header(self, cache, monkeypatch, tmp_path):
+        _kernels._library()
+        (first,) = cache.iterdir()
+        header = tmp_path / "_mt.h"
+        header.write_bytes(_kernels._HEADERS[0].read_bytes() + b"\n/* changed */\n")
+        monkeypatch.setattr(_kernels, "_HEADERS", (header,))
+        _kernels._library.cache_clear()
+        _kernels._library()
+        (second,) = cache.iterdir()
+        assert second != first
+
 
 def test_call_passes_array_buffers_by_address():
     starts = array("q", [0, 2, 2, 3])
@@ -84,10 +95,12 @@ def test_every_kernel_source_is_built_and_packaged():
     sources = sorted(PACKAGE.glob("*.c"))
     assert sources, "no C sources found"
     assert sorted(source.resolve() for source in _kernels._SOURCES) == sources
+    headers = sorted(PACKAGE.glob("*.h"))
+    assert sorted(header.resolve() for header in _kernels._HEADERS) == headers
     pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     globs = pyproject["tool"]["setuptools"]["package-data"]["tweetflow"]
-    for source in sources:
-        assert any(fnmatch.fnmatch(source.name, glob) for glob in globs), source.name
+    for path in sources + headers:
+        assert any(fnmatch.fnmatch(path.name, glob) for glob in globs), path.name
 
 
 def kernel_sq_norm(x: list[float]) -> float:

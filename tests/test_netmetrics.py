@@ -6,10 +6,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tweetflow import community
 from tweetflow.errors import DataError
 from tweetflow.netmetrics import (
     NonConvergenceError,
     _adjacency,
+    _prepared,
     betweenness_centrality,
     closeness_centrality,
     degree_centrality,
@@ -467,6 +469,68 @@ class TestOracleEquivalence:
         # sigma passes 2**53 and rounds: the case where the order of its float sums matters
         adj = dict(REAL_SIZE_GRAPHS)["diamond-chain"]
         assert path_counts(adj, "c00")["t"] == 2**53 + 2
+
+
+def _word_graph(adj: dict[str, list[str]]) -> WordGraph:
+    return WordGraph({v: 1 for v in adj}, {(v, w): 1 for v, neigh in adj.items() for w in neigh
+                                          if v < w})
+
+
+def _graph_functions(adj: dict[str, list[str]]):
+    """(name, function of a graph) for every public graph function that the
+    word graphs of a run go through."""
+    nodes = sorted(adj)
+    halves = [nodes[::2], nodes[1::2]]
+    return [
+        ("degree", degree_centrality),
+        ("closeness", closeness_centrality),
+        ("betweenness", betweenness_centrality),
+        ("betweenness-normalized", lambda graph: betweenness_centrality(graph, normalized=True)),
+        ("eigenvector", eigenvector_centrality),
+        ("label_propagation", lambda graph: community.label_propagation(graph, 11)),
+        ("greedy_modularity", community.greedy_modularity),
+        ("modularity", lambda graph: community.modularity(graph, [h for h in halves if h])),
+        ("hub_dominant", lambda graph: community.hub_dominant(graph, nodes[::3])),
+    ]
+
+
+def _outcome(function, graph) -> str:
+    """repr of the result, diagnostics included, or of the error raised."""
+    try:
+        result = function(graph)
+    except DataError as exc:
+        return f"DataError({exc})"
+    return repr((result, getattr(result, "diagnostics", None)))
+
+
+class TestPreparedGraph:
+    """A prepared graph gives every public function the result of the graph
+    it was prepared from, and passes through `_prepared` as it is."""
+
+    @over(REAL_SIZE_GRAPHS[:1] + [("disconnected", DISCONNECTED)] + KERNEL_GRAPHS[::4])
+    def test_each_function_gives_the_result_of_the_unprepared_graph(self, graph):
+        adj = _adjacency(graph)
+        order = list(adj)
+        random.Random(len(order)).shuffle(order)
+        forms = {
+            "mapping": dict(adj),
+            "word-graph": _word_graph(adj),
+            "shuffled-view": oracles.AdjacencyView({v: adj[v] for v in order}),
+        }
+        for name, function in _graph_functions(adj):
+            by_form = {}
+            for form, unprepared in forms.items():
+                expected = _outcome(function, unprepared)
+                assert _outcome(function, _prepared(unprepared)) == expected, (name, form)
+                by_form[form] = expected
+            # a sorted mapping and a WordGraph number the nodes alike
+            assert by_form["mapping"] == by_form["word-graph"], name
+
+    def test_a_prepared_graph_passes_through(self):
+        prepared = _prepared(dict(REAL_SIZE_GRAPHS)["clique-union"])
+        assert _prepared(prepared) is prepared
+        # what the perfbench tracer reads from a public call's first argument
+        assert _adjacency(prepared) is prepared.adj
 
 
 class TestNetworkxCrossCheck:

@@ -4,16 +4,21 @@ import logging
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tweetflow.categorize import EntityMentions
 from tweetflow.preprocess import TokenizedDoc
 from tweetflow.wordgraph import (
     GraphStats,
+    PlaceGraph,
+    PlaceNode,
     WordGraph,
     build_place_graph,
     build_word_graph,
     graph_stats,
 )
+
+import oracles
 
 
 def doc(tweet_id, lemmas):
@@ -186,3 +191,16 @@ class TestGraphStats:
             if n >= 2:
                 assert stats.density == pytest.approx(2 * e / (n * (n - 1)))
             assert stats.avg_degree == pytest.approx(2 * e / n if n else 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 12),
+        pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40),
+    )
+    def test_degrees_from_edges_match_the_adjacency(self, n, pairs):
+        # a reader's edges may name a pair both ways or a self-loop
+        nodes = {f"w{i:02d}": 1 for i in range(n)}
+        edges = {(f"w{i:02d}", f"w{j:02d}"): 1 for i, j in pairs if i < n and j < n}
+        assert graph_stats(WordGraph(nodes, edges)) == oracles.graph_stats(WordGraph(nodes, edges))
+        places = PlaceGraph({name: PlaceNode(name, "city", 1) for name in nodes}, edges)
+        assert graph_stats(places) == oracles.graph_stats(places)
