@@ -55,7 +55,7 @@ def step_digests() -> dict[str, str]:
     from tweetflow.categorize import (
         assign_category, extract_entities, gazetteer_index, load_category_rules, load_gazetteer,
     )
-    from tweetflow.clustering import distinct_rows, kmeans, silhouette
+    from tweetflow.clustering import _prepared, kmeans, silhouette
     from tweetflow.corpus import dedup, filter_language, in_time_order, load_corpus
     from tweetflow.domainfilter import load_dictionary, match_strings
     from tweetflow.preprocess import build_tfidf, pipeline_doc
@@ -87,8 +87,8 @@ def step_digests() -> dict[str, str]:
             digests[f"fit_lda k={k} {lang}"] = _sha(
                 (model.assignments, model.topic_word_counts, log_likelihood(model))
             )
-        matrix = build_tfidf(docs)
-        digests[f"distinct rows {lang}"] = _sha(distinct_rows(matrix))
+        matrix = _prepared(build_tfidf(docs))
+        digests[f"distinct rows {lang}"] = _sha(matrix.n_distinct)
         for k in (2, 3, 4):
             fit = kmeans(matrix, k, SEED)
             digests[f"kmeans k={k} {lang}"] = _sha((

@@ -7,7 +7,8 @@ empty cluster to the farthest point. All tie-breaks are by lowest index,
 making a fit a pure function of (matrix, k, seed).
 
 Both kernels run in C (_cluster.c, built and loaded by `_kernels`) over
-one CSR of the L2-normalized rows, which each public call builds once:
+one CSR of the L2-normalized rows, which `_prepared` builds once per
+matrix (every public function takes the `_Rows` it returns as it is):
 int64 row starts, int32 terms, float64 weights and each row's squared
 norm. Every dot product adds a row's products in the row's own order and
 every sum over rows is a left fold in row-index order, so fits and scores
@@ -29,7 +30,6 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from typing import NamedTuple
 
 from . import _kernels
 from .errors import DataError
@@ -50,42 +50,41 @@ class ClusterModel:
     diagnostics: dict | None = field(default=None, compare=False)
 
 
-class _Rows(NamedTuple):
-    """A matrix's L2-normalized rows as CSR. Row i's terms and weights are
-    terms and weights[starts[i]:starts[i + 1]], in the row's own order, and
-    sq[i] is its squared norm. A row whose norm is 0 keeps its terms, with
-    weights 0.0 and sq 0.0: it adds nothing to any product or sum."""
+@dataclass(frozen=True, eq=False)
+class _Rows(TfIdfMatrix):
+    """A matrix with its L2-normalized rows as CSR, so it answers as the
+    matrix does. Row i's term indices and weights are term_ids and
+    weights[starts[i]:starts[i + 1]], in the row's own order, and sq[i] is
+    its squared norm. A row whose norm is 0 keeps its terms, with weights
+    0.0 and sq 0.0: it adds nothing to any product or sum. n_distinct
+    counts the distinct non-empty normalized rows: the most clusters
+    k-means can keep apart. With more, a tied centroid empties a cluster on
+    every iteration and the fit never settles."""
 
     starts: array
-    terms: array
+    term_ids: array
     weights: array
     sq: array
     v_size: int
+    n_distinct: int
 
 
-def _normalized_rows(matrix: TfIdfMatrix) -> _Rows:
+def _prepared(matrix: TfIdfMatrix) -> _Rows:
+    """`matrix` normalized as CSR, with its distinct rows counted; a `_Rows`
+    is returned as it is. DataError for a term index outside the terms."""
+    if isinstance(matrix, _Rows):
+        return matrix
     rows, v_size = matrix.rows, len(matrix.terms)
-    terms = array("i", chain.from_iterable(rows))
-    if terms and not 0 <= min(terms) <= max(terms) < v_size:
+    term_ids = array("i", chain.from_iterable(rows))
+    if term_ids and not 0 <= min(term_ids) <= max(term_ids) < v_size:
         raise DataError(f"a row holds a term index outside 0..{v_size - 1}")
     starts = array("q", accumulate(map(len, rows), initial=0))
     weights = array("d", chain.from_iterable(row.values() for row in rows))
     sq = array("d", [0.0]) * len(rows)
     _kernels._call("tf_normalize", len(rows), starts, weights, sq)
-    return _Rows(starts, terms, weights, sq, v_size)
-
-
-def _n_distinct(rows: _Rows) -> int:
-    starts, terms, weights = rows.starts, rows.terms, rows.weights
-    return len({frozenset(zip(terms[a:b], weights[a:b]))
-                for a, b, sq in zip(starts, starts[1:], rows.sq) if sq > 0.0})
-
-
-def distinct_rows(matrix: TfIdfMatrix) -> int:
-    """Distinct non-empty rows once L2-normalized: the most clusters k-means
-    can keep apart. With more, a tied centroid empties a cluster on every
-    iteration and the fit never settles."""
-    return _n_distinct(_normalized_rows(matrix))
+    n_distinct = len({frozenset(zip(term_ids[a:b], weights[a:b]))
+                      for a, b, norm in zip(starts, starts[1:], sq) if norm > 0.0})
+    return _Rows(rows, matrix.terms, starts, term_ids, weights, sq, v_size, n_distinct)
 
 
 def _kmeanspp_init(rows: _Rows, k: int, rng: random.Random) -> array:
@@ -93,7 +92,7 @@ def _kmeanspp_init(rows: _Rows, k: int, rng: random.Random) -> array:
     dense, dist = array("d", [0.0]) * rows.v_size, array("d", [0.0]) * n
 
     def sq_dists_to(j: int) -> list[float]:
-        _kernels._call("tf_row_distances", n, rows.starts, rows.terms, rows.weights, rows.sq,
+        _kernels._call("tf_row_distances", n, rows.starts, rows.term_ids, rows.weights, rows.sq,
                        j, dense, dist)
         return [d ** 2 for d in dist]
 
@@ -123,7 +122,7 @@ def _kmeanspp_init(rows: _Rows, k: int, rng: random.Random) -> array:
     centroids = array("d", [0.0]) * (k * rows.v_size)
     for c, i in enumerate(chosen):
         a, b = rows.starts[i], rows.starts[i + 1]
-        for t, w in zip(rows.terms[a:b], rows.weights[a:b]):
+        for t, w in zip(rows.term_ids[a:b], rows.weights[a:b]):
             centroids[c * rows.v_size + t] = w
     return centroids
 
@@ -133,7 +132,7 @@ def kmeans(
 ) -> ClusterModel:
     """Cluster the matrix rows into k groups; deterministic given the seed.
 
-    k may not exceed the distinct non-empty rows (`distinct_rows`). The
+    k may not exceed the distinct non-empty rows (`_Rows.n_distinct`). The
     diagnostics say whether the fit converged, i.e. stopped on unchanged
     assignments rather than at max_iters, and whether it cycled: the
     assignments after an empty-cluster re-seed, which alone fix the next
@@ -142,16 +141,15 @@ def kmeans(
     """
     if max_iters < 1:
         raise DataError(f"kmeans max_iters must be at least 1, got {max_iters}")
-    rows = _normalized_rows(matrix)
-    n = len(rows.sq)
-    n_distinct = _n_distinct(rows)
+    rows = _prepared(matrix)
+    n, n_distinct = len(rows.sq), rows.n_distinct
     if n_distinct == 0:
         raise DataError("cannot cluster an all-zero matrix")
     if k < 2:
         raise DataError(f"k={k} out of range 2..{n_distinct}")
     if k > n_distinct:
         raise DataError(f"k={k} exceeds the {n_distinct} distinct non-empty rows")
-    csr = rows.starts, rows.terms, rows.weights
+    csr = rows.starts, rows.term_ids, rows.weights
     rng = random.Random(seed)
     centroids = _kmeanspp_init(rows, k, rng)
     nearest, best, c_sq = array("i", [0]) * n, array("d", [0.0]) * n, array("d", [0.0]) * k
@@ -231,7 +229,7 @@ def silhouette(
     clusters = sorted(set(assignments))
     if len(clusters) < 2:
         raise DataError("silhouette requires at least 2 clusters")
-    rows = _normalized_rows(matrix)
+    rows = _prepared(matrix)
     label = array("i", map({c: i for i, c in enumerate(clusters)}.__getitem__, assignments))
     sizes = Counter(label)
 
@@ -240,10 +238,10 @@ def silhouette(
         rng = random.Random(seed)
         indices = sorted(rng.sample(indices, sample_size))
 
-    nnz, n_labels = len(rows.terms), len(clusters)
+    nnz, n_labels = len(rows.term_ids), len(clusters)
     scores = array("d", [0.0]) * len(indices)
     _kernels._call(
-        "tf_silhouette", n, rows.v_size, rows.starts, rows.terms, rows.weights, rows.sq,
+        "tf_silhouette", n, rows.v_size, rows.starts, rows.term_ids, rows.weights, rows.sq,
         n_labels, label, array("q", map(sizes.__getitem__, range(n_labels))), len(indices),
         array("q", indices), array("q", [0]) * (rows.v_size + 1), array("i", [0]) * nnz,
         array("d", [0.0]) * nnz, array("d", [0.0]) * n, array("d", [0.0]) * n_labels, scores,
@@ -275,15 +273,15 @@ def select_k(
     lo, hi = k_range
     if lo > hi:
         raise DataError(f"empty k range {lo}..{hi}")
-    n_distinct = distinct_rows(matrix)
+    matrix = _prepared(matrix)
+    n_distinct = matrix.n_distinct
     if lo > n_distinct:
         raise DataError(
             f"k range {lo}..{hi} starts above the {n_distinct} distinct non-empty rows"
         )
-    hi = min(hi, n_distinct)
     fits = []
     best, best_score = None, -math.inf
-    for k in range(lo, hi + 1):
+    for k in range(lo, min(hi, n_distinct) + 1):
         model = kmeans(matrix, k, seed, max_iters)
         score = silhouette(matrix, model.assignments, sample_size=sample_size, seed=seed)
         log.info("select_k: k=%d silhouette=%.4f", k, score)

@@ -365,20 +365,20 @@ def stage_cluster(config: PipelineConfig, out: Out) -> dict:
     for lang in config.languages:
         corpus, docs = _lang_docs(config, lang, CORPUS)
         route_a = _read_corpus(config, REFINED.format(lang=lang))
-        matrix = preprocess.build_tfidf(docs)
-        # select_k caps k at the distinct rows: k-means cannot keep more apart
-        n_distinct = clustering.distinct_rows(matrix)
+        # prepared once for every fit and score; select_k caps k at its
+        # distinct rows, since k-means cannot keep more apart
+        matrix = clustering._prepared(preprocess.build_tfidf(docs))
 
         report_rows: list[list] = []
         selected: set[int] = set()
         route_b: Corpus = ()
         route_b_docs: list[preprocess.TokenizedDoc] = []
-        if n_distinct < config.cluster_k_min:
+        if matrix.n_distinct < config.cluster_k_min:
             # degenerate corpus: too few rows with any distinguishing terms
             log.warning(
                 "cluster %s: only %d distinct non-empty TF-IDF rows, skipping this route",
                 lang,
-                n_distinct,
+                matrix.n_distinct,
             )
             counts[f"best_k_{lang}"] = 0
         else:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from tweetflow import pipeline
-from tweetflow.clustering import distinct_rows, kmeans, select_k, silhouette
+from tweetflow import _kernels, pipeline
+from tweetflow.clustering import _prepared, kmeans, select_k, silhouette
 from tweetflow.config import load_config
 from tweetflow.errors import DataError
 from tweetflow.preprocess import TfIdfMatrix, build_tfidf
@@ -64,9 +64,13 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("seed", range(12))
     def test_kmeans_fits_identical(self, seed):
         matrix = random_sparse_matrix(seed, 20 + 7 * seed, 12 + seed)
+        prepared = _prepared(matrix)
+        assert _prepared(prepared) is prepared
+        assert prepared.rows is matrix.rows and prepared.terms is matrix.terms
         for k in (2, 3, 5, 8):
-            if k <= distinct_rows(matrix):
-                assert_same_fit(matrix, k, seed)
+            if k <= prepared.n_distinct:
+                for given in (matrix, prepared):
+                    assert_same_fit(given, k, seed)
 
     def test_kmeans_empty_cluster_reseed_identical(self):
         # 4 clusters over 6 distinct rows ({0: 6, 1: 6} and {0: 3, 1: 3}
@@ -129,6 +133,25 @@ def fixture_matrices(tmp_path_factory, fixture_config_path):
                    config.stage_seed(f"cluster:{lang}"))
             for lang in config.languages
         }
+
+
+def test_cluster_stage_prepares_each_language_once(tmp_path, fixture_config_path, monkeypatch):
+    # one normalized CSR per language serves the distinct-row check, every
+    # fit and every score of the stage
+    config = load_config(fixture_config_path, out_override=str(tmp_path / "out"))
+    for stage in ("ingest", "filter", "topics"):
+        pipeline.run_stage(stage, config)
+    kernels = []
+    call = _kernels._call
+
+    def counting(name, *args):
+        kernels.append(name)
+        return call(name, *args)
+
+    monkeypatch.setattr(_kernels, "_call", counting)
+    counts = pipeline.run_stage("cluster", config)
+    assert all(counts[f"fits_{lang}"] for lang in config.languages)
+    assert kernels.count("tf_normalize") == len(config.languages)
 
 
 @st.composite
@@ -256,7 +279,7 @@ class TestKmeans:
     )
     def test_k_above_distinct_rows_rejected(self, rows, k):
         matrix = matrix_from_rows(rows, 3)
-        n_distinct = distinct_rows(matrix)
+        n_distinct = _prepared(matrix).n_distinct
         assert n_distinct < k
         with pytest.raises(DataError, match=f"{n_distinct} distinct non-empty rows"):
             kmeans(matrix, k, seed=0)
@@ -264,7 +287,7 @@ class TestKmeans:
 
     def test_distinct_rows_counts_normalized_rows(self):
         rows = [{0: 1.0}, {0: 2.0}, {}, {0: 1.0, 1: 1.0}, {1: 2.0, 0: 2.0}, {1: 1.0}]
-        assert distinct_rows(matrix_from_rows(rows, 2)) == 3
+        assert _prepared(matrix_from_rows(rows, 2)).n_distinct == 3
 
     def test_reseed_cycle_stops_early(self):
         # the three diagonal rows normalize alike only to the last bits, so
@@ -273,7 +296,7 @@ class TestKmeans:
         rows = [{0: 0.7, 1: 1.0}, {1: 1.1}, {0: 0.6, 1: 0.6},
                 {0: 1.1, 1: 1.1}, {0: 0.6, 1: 0.6}, {0: 0.2, 1: 0.2}]
         matrix = matrix_from_rows(rows, 2)
-        assert distinct_rows(matrix) == 4
+        assert _prepared(matrix).n_distinct == 4
         model = kmeans(matrix, 4, seed=0)
         assert model.diagnostics == {"converged": False, "cycled": True}
         assert model.n_iters < 100
@@ -390,11 +413,14 @@ class TestSelectK:
 
     def test_every_fit_kept_with_its_score(self):
         matrix = blob_matrix(3, 10, seed=12)
+        prepared = _prepared(matrix)
         selection = select_k(matrix, (2, 5), seed=4, sample_size=20)
+        assert select_k(prepared, (2, 5), seed=4, sample_size=20) == selection
         assert [model.k for model, _ in selection.fits] == [2, 3, 4, 5]
         for model, score in selection.fits:
-            assert model.assignments == kmeans(matrix, model.k, seed=4).assignments
-            assert score == silhouette(matrix, model.assignments, sample_size=20, seed=4)
+            for given in (matrix, prepared):
+                assert kmeans(given, model.k, seed=4) == model
+                assert score == silhouette(given, model.assignments, sample_size=20, seed=4)
         best_score = max(score for _, score in selection.fits)
         first_best = next(m for m, score in selection.fits if score == best_score)
         assert selection.best is first_best
