@@ -71,16 +71,29 @@ def _load(library: Path):
     return lib
 
 
+# libraries of other digests a build keeps, the most recently built first,
+# so switching between a few checkouts does not rebuild on every switch
+_KEEP_OTHERS = 3
+
+
 def _prune(cache: Path, library: Path) -> None:
-    """Remove the libraries of other sources or commands from the cache,
-    and those of the loaders before this one; a library another process
-    has mapped outlives its name."""
-    for stale in [*cache.glob("kernels-*.so"), *cache.glob("gibbs-*.so")]:
-        if stale != library:
-            try:
-                stale.unlink()
-            except OSError:
-                pass
+    """Remove from the cache all but the _KEEP_OTHERS most recently built
+    libraries of other sources or commands, and those of the loaders before
+    this one; a library another process has mapped outlives its name."""
+
+    def built(path: Path) -> tuple[int, str]:
+        try:
+            return path.stat().st_mtime_ns, path.name
+        except OSError:  # removed by another process since the glob
+            return -1, path.name
+
+    others = sorted((path for path in cache.glob("kernels-*.so") if path != library),
+                    key=built, reverse=True)
+    for stale in [*others[_KEEP_OTHERS:], *cache.glob("gibbs-*.so")]:
+        try:
+            stale.unlink()
+        except OSError:
+            pass
 
 
 @functools.lru_cache(maxsize=None)
@@ -92,14 +105,17 @@ def _library():
     compiled to a temporary name there and renamed into place, so a process
     never loads a half-written library; or, when that directory cannot be
     written, built in a temporary directory of this process. A build into the cache
-    removes the libraries of other digests.
+    keeps at most _KEEP_OTHERS libraries of other digests.
     """
     digest = hashlib.sha256(b"\0".join([*(path.read_bytes() for path in (*_SOURCES, *_HEADERS)),
                                          " ".join((*_COMPILE, *_LINK)).encode()])).hexdigest()
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "tweetflow"
     library = cache / f"kernels-{digest}.so"
     if library.exists():
-        return _load(library)
+        try:
+            return _load(library)
+        except OSError:  # pruned by another process since exists(), or unloadable: rebuild
+            pass
     try:
         cache.mkdir(mode=0o700, parents=True, exist_ok=True)
         fd, partial = tempfile.mkstemp(dir=cache, prefix=".kernels-", suffix=".so")

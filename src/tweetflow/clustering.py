@@ -7,15 +7,16 @@ empty cluster to the farthest point. All tie-breaks are by lowest index,
 making a fit a pure function of (matrix, k, seed).
 
 Both kernels run in C (_cluster.c, built and loaded by `_kernels`) over
-one CSR of the L2-normalized rows, which `_prepared` builds once per
-matrix (every public function takes the `_Rows` it returns as it is):
-int64 row starts, int32 terms, float64 weights and each row's squared
-norm. Every dot product adds a row's products in the row's own order and
-every sum over rows is a left fold in row-index order, so fits and scores
-have the bits of the loops over row dicts in tests/oracles.py. Each
-centroid's squared norm is summed in the fixed order of the BLAS `ddot`
-that the goldens were frozen under (`tests/oracles.py::sq_norm_frozen_order`),
-so no result depends on the CPU, and no numpy is needed.
+the matrix's own CSR, as `build_tfidf` writes it (int64 row starts, int32
+term indices), with an L2-normalized copy of its float64 weights and each
+row's squared norm, which `_prepared` makes once per matrix (every public
+function takes the `_Rows` it returns as it is). Every dot product adds
+a row's products in the row's own order and every sum over rows is a
+left fold in row-index order, so fits and scores have the bits of the
+loops over row dicts in tests/oracles.py. Each centroid's squared norm
+is summed in the fixed order of the BLAS `ddot` that the goldens were
+frozen under (`tests/oracles.py::sq_norm_frozen_order`), so no result
+depends on the CPU, and no numpy is needed.
 Silhouette takes each query row's dot products from postings lists (each
 term's rows and weights), so its working memory is O(nnz + n + V) for
 nnz stored weights and V terms.
@@ -29,7 +30,6 @@ import random
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
 
 from . import _kernels
 from .errors import DataError
@@ -52,47 +52,52 @@ class ClusterModel:
 
 @dataclass(frozen=True, eq=False)
 class _Rows(TfIdfMatrix):
-    """A matrix with its L2-normalized rows as CSR, so it answers as the
-    matrix does. Row i's term indices and weights are term_ids and
-    weights[starts[i]:starts[i + 1]], in the row's own order, and sq[i] is
-    its squared norm. A row whose norm is 0 keeps its terms, with weights
-    0.0 and sq 0.0: it adds nothing to any product or sum. n_distinct
-    counts the distinct non-empty normalized rows: the most clusters
-    k-means can keep apart. With more, a tied centroid empties a cluster on
-    every iteration and the fit never settles."""
+    """A matrix with its rows L2-normalized, so it answers as the matrix
+    does: it shares the matrix's terms, starts, term_ids and raw weights.
+    Row i's normalized weights are unit[starts[i]:starts[i + 1]], and sq[i] is
+    its squared norm. A row whose norm is 0 keeps its terms, with unit
+    weights 0.0 and sq 0.0: it adds nothing to any product or sum.
+    n_distinct counts the distinct non-empty normalized rows: the most
+    clusters k-means can keep apart. With more, a tied centroid empties a
+    cluster on every iteration and the fit never settles."""
 
-    starts: array
-    term_ids: array
-    weights: array
+    unit: array
     sq: array
-    v_size: int
     n_distinct: int
 
 
 def _prepared(matrix: TfIdfMatrix) -> _Rows:
-    """`matrix` normalized as CSR, with its distinct rows counted; a `_Rows`
-    is returned as it is. DataError for a term index outside the terms."""
+    """`matrix` with its rows normalized and its distinct rows counted; a
+    `_Rows` is returned as it is. DataError for arrays the kernels cannot
+    read: a wrong typecode, row starts that do not rise from 0 to the
+    number of weights, or a term index outside the terms."""
     if isinstance(matrix, _Rows):
         return matrix
-    rows, v_size = matrix.rows, len(matrix.terms)
-    term_ids = array("i", chain.from_iterable(rows))
+    starts, term_ids, weights = matrix.starts, matrix.term_ids, matrix.weights
+    if [getattr(a, "typecode", None) for a in (starts, term_ids, weights)] != ["q", "i", "d"]:
+        raise DataError("TF-IDF starts, term_ids and weights must be arrays of typecodes q, i, d")
+    if len(weights) != len(term_ids):
+        raise DataError(f"{len(weights)} TF-IDF weights for {len(term_ids)} term indices")
+    if not (starts and starts[0] == 0 and starts[-1] == len(term_ids)
+            and all(map(int.__le__, starts, starts[1:]))):
+        raise DataError(f"TF-IDF row starts must rise from 0 to {len(term_ids)}")
+    v_size = len(matrix.terms)
     if term_ids and not 0 <= min(term_ids) <= max(term_ids) < v_size:
         raise DataError(f"a row holds a term index outside 0..{v_size - 1}")
-    starts = array("q", accumulate(map(len, rows), initial=0))
-    weights = array("d", chain.from_iterable(row.values() for row in rows))
-    sq = array("d", [0.0]) * len(rows)
-    _kernels._call("tf_normalize", len(rows), starts, weights, sq)
-    n_distinct = len({frozenset(zip(term_ids[a:b], weights[a:b]))
+    n = len(starts) - 1
+    unit, sq = array("d", weights), array("d", [0.0]) * n
+    _kernels._call("tf_normalize", n, starts, unit, sq)
+    n_distinct = len({frozenset(zip(term_ids[a:b], unit[a:b]))
                       for a, b, norm in zip(starts, starts[1:], sq) if norm > 0.0})
-    return _Rows(rows, matrix.terms, starts, term_ids, weights, sq, v_size, n_distinct)
+    return _Rows(matrix.terms, starts, term_ids, weights, unit, sq, n_distinct)
 
 
 def _kmeanspp_init(rows: _Rows, k: int, rng: random.Random) -> array:
-    n = len(rows.sq)
-    dense, dist = array("d", [0.0]) * rows.v_size, array("d", [0.0]) * n
+    n, v_size = len(rows.sq), len(rows.terms)
+    dense, dist = array("d", [0.0]) * v_size, array("d", [0.0]) * n
 
     def sq_dists_to(j: int) -> list[float]:
-        _kernels._call("tf_row_distances", n, rows.starts, rows.term_ids, rows.weights, rows.sq,
+        _kernels._call("tf_row_distances", n, rows.starts, rows.term_ids, rows.unit, rows.sq,
                        j, dense, dist)
         return [d ** 2 for d in dist]
 
@@ -119,11 +124,11 @@ def _kmeanspp_init(rows: _Rows, k: int, rng: random.Random) -> array:
                     break
             chosen.append(pick)
         d_sq = list(map(min, d_sq, sq_dists_to(chosen[-1])))
-    centroids = array("d", [0.0]) * (k * rows.v_size)
+    centroids = array("d", [0.0]) * (k * v_size)
     for c, i in enumerate(chosen):
         a, b = rows.starts[i], rows.starts[i + 1]
-        for t, w in zip(rows.term_ids[a:b], rows.weights[a:b]):
-            centroids[c * rows.v_size + t] = w
+        for t, w in zip(rows.term_ids[a:b], rows.unit[a:b]):
+            centroids[c * v_size + t] = w
     return centroids
 
 
@@ -149,7 +154,7 @@ def kmeans(
         raise DataError(f"k={k} out of range 2..{n_distinct}")
     if k > n_distinct:
         raise DataError(f"k={k} exceeds the {n_distinct} distinct non-empty rows")
-    csr = rows.starts, rows.term_ids, rows.weights
+    v_size, csr = len(rows.terms), (rows.starts, rows.term_ids, rows.unit)
     rng = random.Random(seed)
     centroids = _kmeanspp_init(rows, k, rng)
     nearest, best, c_sq = array("i", [0]) * n, array("d", [0.0]) * n, array("d", [0.0]) * k
@@ -162,7 +167,7 @@ def kmeans(
     for _ in range(max_iters):
         n_iters += 1
         # ties go to the lowest index
-        _kernels._call("tf_assign", n, k, rows.v_size, *csr, rows.sq, centroids,
+        _kernels._call("tf_assign", n, k, v_size, *csr, rows.sq, centroids,
                        c_sq, nearest, best)
         best_d = best.tolist()
         new_assignments = nearest.tolist()
@@ -193,7 +198,7 @@ def kmeans(
             assignments[far_i] = c
             counts[c] += 1
 
-        _kernels._call("tf_centroids", n, k, rows.v_size, *csr, array("i", assignments),
+        _kernels._call("tf_centroids", n, k, v_size, *csr, array("i", assignments),
                        array("q", counts), centroids)
         state = tuple(assignments)
         if state in seen:
@@ -221,7 +226,8 @@ def silhouette(
     sqrt(|x|^2 + |y|^2 - 2 x.y), and each cluster's distances are summed
     in row order.
     """
-    n = len(matrix.rows)
+    rows = _prepared(matrix)
+    n = len(rows.starts) - 1
     if n != len(assignments):
         raise DataError("assignments must be parallel to matrix rows")
     if sample_size is not None and sample_size < 1:
@@ -229,7 +235,6 @@ def silhouette(
     clusters = sorted(set(assignments))
     if len(clusters) < 2:
         raise DataError("silhouette requires at least 2 clusters")
-    rows = _prepared(matrix)
     label = array("i", map({c: i for i, c in enumerate(clusters)}.__getitem__, assignments))
     sizes = Counter(label)
 
@@ -238,12 +243,12 @@ def silhouette(
         rng = random.Random(seed)
         indices = sorted(rng.sample(indices, sample_size))
 
-    nnz, n_labels = len(rows.term_ids), len(clusters)
+    nnz, v_size, n_labels = len(rows.term_ids), len(rows.terms), len(clusters)
     scores = array("d", [0.0]) * len(indices)
     _kernels._call(
-        "tf_silhouette", n, rows.v_size, rows.starts, rows.term_ids, rows.weights, rows.sq,
+        "tf_silhouette", n, v_size, rows.starts, rows.term_ids, rows.unit, rows.sq,
         n_labels, label, array("q", map(sizes.__getitem__, range(n_labels))), len(indices),
-        array("q", indices), array("q", [0]) * (rows.v_size + 1), array("i", [0]) * nnz,
+        array("q", indices), array("q", [0]) * (v_size + 1), array("i", [0]) * nnz,
         array("d", [0.0]) * nnz, array("d", [0.0]) * n, array("d", [0.0]) * n_labels, scores,
     )
     return _sum_left(scores) / len(indices)

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import re
 import sys
+from array import array
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -94,13 +96,22 @@ def pipeline_doc(
 
 @dataclass(frozen=True)
 class TfIdfMatrix:
-    """One sparse row per document; entries index into the sorted terms.
+    """One sparse row per document as CSR over the sorted terms: row i's
+    term indices and weights are term_ids and weights[starts[i]:starts[i + 1]],
+    in the order the terms first occur in document i. Zero weights are never
+    stored."""
 
-    Zero weights are never materialized.
-    """
-
-    rows: tuple[dict[int, float], ...]
     terms: tuple[str, ...]
+    starts: array    # "q": n + 1 row starts, from 0 to len(term_ids)
+    term_ids: array  # "i"
+    weights: array   # "d"
+
+    @property
+    def rows(self) -> tuple[dict[int, float], ...]:
+        """Each row as a {term index: weight} dict in the row's order, built
+        on every access: a view for tests and tracing, not for the package."""
+        ids, weights, starts = self.term_ids, self.weights, self.starts
+        return tuple(dict(zip(ids[a:b], weights[a:b])) for a, b in zip(starts, starts[1:]))
 
 
 def build_tfidf(docs: Sequence[TokenizedDoc]) -> TfIdfMatrix:
@@ -119,16 +130,13 @@ def build_tfidf(docs: Sequence[TokenizedDoc]) -> TfIdfMatrix:
     index = {t: i for i, t in enumerate(terms)}
     n_docs = len(docs)
     idf = [math.log(n_docs / doc_freq[t]) for t in terms]
-    rows = []
+    starts, term_ids, weights = array("q", [0]), array("i"), array("d")
     for doc in docs:
-        counts: dict[int, int] = {}
-        for lem in doc.lemmas:
-            i = index[lem]
-            counts[i] = counts.get(i, 0) + 1
-        row = {}
-        for i, c in counts.items():
+        for lemma, c in Counter(doc.lemmas).items():
+            i = index[lemma]
             w = c * idf[i]
             if w > 0.0:
-                row[i] = w
-        rows.append(row)
-    return TfIdfMatrix(tuple(rows), terms)
+                term_ids.append(i)
+                weights.append(w)
+        starts.append(len(term_ids))
+    return TfIdfMatrix(terms, starts, term_ids, weights)

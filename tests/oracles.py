@@ -3,8 +3,9 @@
 Everything here is deliberately naive and kept free of the package's own
 algorithm implementations: betweenness by enumerating all shortest paths,
 modularity by the pairwise double sum, the dominant eigenvector from a
-dense eigendecomposition, exhaustive set-partition search, k-means and
-silhouette as plain loops over sparse dict rows, a centroid's squared norm
+dense eigendecomposition, exhaustive set-partition search, TF-IDF as
+{term: weight} dict rows, k-means and silhouette as plain loops over
+sparse dict rows, a centroid's squared norm
 in the order of the BLAS ddot the goldens were frozen under with an exact
 fma from Fractions, and Brandes betweenness,
 closeness and greedy modularity over per-node dicts with an all-pairs
@@ -313,6 +314,51 @@ def best_partition_exhaustive(adj: dict[str, list[str]]) -> tuple[float, list[li
             best_q, best_groups = q, [sorted(g) for g in groups]
     assert best_groups is not None
     return best_q, best_groups
+
+
+# ---------------------------------------------------------------------------
+# TF-IDF as dict rows
+
+def build_tfidf(
+    docs: Sequence[TokenizedDoc],
+) -> tuple[tuple[dict[int, float], ...], tuple[str, ...]]:
+    """(rows, terms): one {term index: weight} dict per doc, its terms in the
+    order they first occur in the doc, each weight count * ln(N / df) and
+    stored only when positive, over the sorted terms."""
+    if not docs:
+        raise DataError("cannot build TF-IDF over an empty corpus")
+    doc_freq: dict[str, int] = {}
+    for doc in docs:
+        for term in set(doc.lemmas):
+            doc_freq[term] = doc_freq.get(term, 0) + 1
+    terms = tuple(sorted(doc_freq))
+    index = {t: i for i, t in enumerate(terms)}
+    idf = [math.log(len(docs) / doc_freq[t]) for t in terms]
+    rows = []
+    for doc in docs:
+        counts: dict[int, int] = {}
+        for lem in doc.lemmas:
+            i = index[lem]
+            counts[i] = counts.get(i, 0) + 1
+        row = {}
+        for i, c in counts.items():
+            w = c * idf[i]
+            if w > 0.0:
+                row[i] = w
+        rows.append(row)
+    return tuple(rows), terms
+
+
+def tfidf_matrix(rows: Sequence[dict[int, float]], terms: Sequence[str]) -> TfIdfMatrix:
+    """The TfIdfMatrix whose row i holds rows[i]'s (term index, weight)
+    pairs in the dict's order; nothing is checked, so a test can pass rows
+    the package must refuse."""
+    starts, term_ids, weights = array("q", [0]), array("i"), array("d")
+    for row in rows:
+        term_ids.extend(row)
+        weights.extend(row.values())
+        starts.append(len(term_ids))
+    return TfIdfMatrix(tuple(terms), starts, term_ids, weights)
 
 
 # ---------------------------------------------------------------------------

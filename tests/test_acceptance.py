@@ -25,6 +25,7 @@ from oracles import (
     dense_dominant_eigenvector,
     is_connected,
     random_graph,
+    tfidf_matrix,
 )
 
 from tweetflow.clustering import kmeans, select_k
@@ -44,7 +45,7 @@ from tweetflow.netmetrics import (
     eigenvector_centrality,
 )
 from tweetflow.pipeline import run_all
-from tweetflow.preprocess import TfIdfMatrix, TokenizedDoc, pipeline_doc
+from tweetflow.preprocess import TokenizedDoc, pipeline_doc
 from tweetflow.resources import default_path, load_lemma_table, load_stopwords
 from tweetflow.sentiment import SentimentLexicon, score
 from tweetflow.storage import sha256_file
@@ -242,7 +243,7 @@ def _blob_matrix(n_blobs, per_blob, seed, spread=0.08):
         for _ in range(per_blob):
             row = {base + j: 1.0 + rng.random() * spread for j in range(dims)}
             rows.append(row)
-    return TfIdfMatrix(tuple(rows), tuple(f"w{i}" for i in range(v_size)))
+    return tfidf_matrix(rows, [f"w{i}" for i in range(v_size)])
 
 
 def test_criterion_4_clustering_recovery():

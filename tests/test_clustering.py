@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -11,11 +13,11 @@ from tweetflow import _kernels, pipeline
 from tweetflow.clustering import _prepared, kmeans, select_k, silhouette
 from tweetflow.config import load_config
 from tweetflow.errors import DataError
-from tweetflow.preprocess import TfIdfMatrix, build_tfidf
+from tweetflow.preprocess import build_tfidf
 
 
-def matrix_from_rows(rows, v_size):
-    return TfIdfMatrix(tuple(dict(r) for r in rows), tuple(f"w{i}" for i in range(v_size)))
+def words(n):
+    return tuple(f"w{i}" for i in range(n))
 
 
 def blob_matrix(n_blobs, per_blob, seed, spread=0.08, dims_per_blob=3):
@@ -31,7 +33,7 @@ def blob_matrix(n_blobs, per_blob, seed, spread=0.08, dims_per_blob=3):
             other = (base + dims_per_blob) % v_size
             row[other] = spread * rng.random() + 1e-6
             rows.append(row)
-    return matrix_from_rows(rows, v_size)
+    return oracles.tfidf_matrix(rows, words(v_size))
 
 
 def random_sparse_matrix(seed, n, v_size, p_empty=0.1, p_duplicate=0.15):
@@ -46,7 +48,7 @@ def random_sparse_matrix(seed, n, v_size, p_empty=0.1, p_duplicate=0.15):
         else:
             terms = rng.sample(range(v_size), rng.randint(1, max(1, v_size // 4)))
             rows.append({t: 0.05 + 3.0 * rng.random() for t in terms})
-    return matrix_from_rows(rows, v_size)
+    return oracles.tfidf_matrix(rows, words(v_size))
 
 
 def assert_same_fit(matrix, k, seed):
@@ -66,7 +68,10 @@ class TestOracleEquivalence:
         matrix = random_sparse_matrix(seed, 20 + 7 * seed, 12 + seed)
         prepared = _prepared(matrix)
         assert _prepared(prepared) is prepared
-        assert prepared.rows is matrix.rows and prepared.terms is matrix.terms
+        for name in ("terms", "starts", "term_ids", "weights"):
+            assert getattr(prepared, name) is getattr(matrix, name)
+        # the raw weights, so an oracle given the prepared matrix normalizes once
+        assert prepared.rows == matrix.rows
         for k in (2, 3, 5, 8):
             if k <= prepared.n_distinct:
                 for given in (matrix, prepared):
@@ -79,7 +84,7 @@ class TestOracleEquivalence:
         # and the fit still converges
         rows = [{0: 2, 1: 5}, {0: 2, 1: 9}, {0: 6, 1: 6}, {0: 8, 1: 9},
                 {0: 3, 1: 3}, {0: 6, 1: 3}, {0: 6}]
-        matrix = matrix_from_rows(rows, 2)
+        matrix = oracles.tfidf_matrix(rows, words(2))
         points = np.array([[row.get(0, 0), row.get(1, 0)] for row in rows], dtype=float)
         points /= np.linalg.norm(points, axis=1)[:, None]
         centroids = np.frombuffer(kmeans(matrix, 4, seed=0, max_iters=1).centroids).reshape(4, 2)
@@ -112,11 +117,11 @@ class TestOracleEquivalence:
 
     def test_silhouette_empty_and_duplicate_rows(self):
         rows = [{}, {}, {0: 1.0, 1: 2.0, 2: 0.5}, {0: 1.0, 1: 2.0, 2: 0.5}, {2: 1.0}, {}]
-        matrix = matrix_from_rows(rows, 3)
+        matrix = oracles.tfidf_matrix(rows, words(3))
         for assignments in ([0, 0, 1, 1, 1, 0], [0, 1, 0, 1, 2, 2], [1, 0, 0, 0, 0, 0]):
             expected = oracles.silhouette(matrix, assignments)
             assert silhouette(matrix, assignments) == pytest.approx(expected, rel=0, abs=1e-12)
-        all_empty = matrix_from_rows([{}, {}, {}], 2)
+        all_empty = oracles.tfidf_matrix([{}, {}, {}], words(2))
         assert silhouette(all_empty, [0, 1, 1]) == oracles.silhouette(all_empty, [0, 1, 1])
 
 
@@ -172,7 +177,7 @@ def labelled_matrices(draw):
     labels = draw(st.lists(st.sampled_from([7, 3, 9, 0, 12]), min_size=len(rows),
                            max_size=len(rows)).filter(lambda ls: len(set(ls)) >= 2))
     sample_size = draw(st.one_of(st.none(), st.integers(1, len(rows) + 2)))
-    return matrix_from_rows(rows, v_size), labels, sample_size
+    return oracles.tfidf_matrix(rows, words(v_size)), labels, sample_size
 
 
 class TestExactOrderOracle:
@@ -200,7 +205,7 @@ class TestExactOrderOracle:
 
     def test_non_contiguous_labels_singletons_duplicates_and_empty_rows(self):
         rows = [{2: 1.0, 0: 2.0}, {0: 2.0, 2: 1.0}, {}, {1: 0.5, 2: 3.0}, {1: 1.0}, {}]
-        matrix = matrix_from_rows(rows, 3)
+        matrix = oracles.tfidf_matrix(rows, words(3))
         for labels in ([7, 3, 7, 9, 3, 7], [7, 7, 3, 7, 7, 7], [9, 3, 3, 3, 12, 12]):
             expected = oracles.silhouette_exact_order(matrix, labels)
             assert repr(silhouette(matrix, labels)) == repr(expected)
@@ -208,11 +213,58 @@ class TestExactOrderOracle:
                 oracles.silhouette(matrix, labels), rel=0, abs=1e-12)
 
     def test_term_index_outside_the_vocabulary_rejected(self):
-        matrix = matrix_from_rows([{0: 1.0}, {3: 1.0}], 2)
+        matrix = oracles.tfidf_matrix([{0: 1.0}, {3: 1.0}], words(2))
         with pytest.raises(DataError, match=r"term index outside 0\.\.1"):
             silhouette(matrix, [0, 1])
         with pytest.raises(DataError, match=r"term index outside 0\.\.1"):
             kmeans(matrix, 2, seed=0)
+
+
+def well_formed():
+    """4 rows, 5 weights over 3 terms: each case below breaks one part of it."""
+    return oracles.tfidf_matrix([{0: 1.0}, {1: 2.0, 0: 0.5}, {2: 1.0}, {1: 1.0}], words(3))
+
+
+RISE, TYPECODE = "row starts must rise", "must be arrays of typecodes q, i, d"
+MALFORMED = {
+    "starts from 1": ("starts", array("q", [1, 1, 3, 4, 5]), RISE),
+    "starts fall": ("starts", array("q", [0, 3, 1, 4, 5]), RISE),
+    "starts end short of nnz": ("starts", array("q", [0, 1, 3, 4, 4]), RISE),
+    "starts end past nnz": ("starts", array("q", [0, 1, 3, 4, 6]), RISE),
+    "no starts": ("starts", array("q"), RISE),
+    "more weights": ("weights", array("d", [1.0, 2.0, 0.5, 1.0, 1.0, 3.0]), "6 TF-IDF weights"),
+    "fewer weights": ("weights", array("d", [1.0, 2.0, 0.5, 1.0]), "4 TF-IDF weights"),
+    "term id past the terms": ("term_ids", array("i", [0, 1, 0, 3, 1]), r"outside 0\.\.2"),
+    "negative term id": ("term_ids", array("i", [0, 1, 0, -1, 1]), r"outside 0\.\.2"),
+    "int32 starts": ("starts", array("i", [0, 1, 3, 4, 5]), TYPECODE),
+    "int64 term ids": ("term_ids", array("q", [0, 1, 0, 2, 1]), TYPECODE),
+    "float32 weights": ("weights", array("f", [1.0, 2.0, 0.5, 1.0, 1.0]), TYPECODE),
+    "list of starts": ("starts", [0, 1, 3, 4, 5], TYPECODE),
+}
+CALLS = {
+    "kmeans": lambda matrix: kmeans(matrix, 2, seed=0),
+    "silhouette": lambda matrix: silhouette(matrix, [0, 1, 0, 1]),
+    "select_k": lambda matrix: select_k(matrix, (2, 3), seed=0),
+}
+
+
+class TestMalformedCsr:
+    """Arrays the kernels cannot read are a DataError before any kernel runs."""
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_well_formed_runs(self, call):
+        CALLS[call](well_formed())
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_rejected(self, case, call, monkeypatch):
+        field, value, message = MALFORMED[case]
+        matrix = dataclasses.replace(well_formed(), **{field: value})
+        kernels = []
+        monkeypatch.setattr(_kernels, "_call", lambda name, *args: kernels.append(name))
+        with pytest.raises(DataError, match=message):
+            CALLS[call](matrix)
+        assert kernels == []
 
 
 class TestKmeans:
@@ -225,7 +277,7 @@ class TestKmeans:
 
     def test_k_equals_n_each_point_own_cluster(self):
         rows = [{i: 1.0} for i in range(5)]
-        matrix = matrix_from_rows(rows, 5)
+        matrix = oracles.tfidf_matrix(rows, words(5))
         model = kmeans(matrix, 5, seed=1)
         assert sorted(model.assignments) == list(range(5))
         assert model.wcss_history[-1] == pytest.approx(0.0, abs=1e-12)
@@ -258,7 +310,7 @@ class TestKmeans:
             kmeans(matrix, 7, seed=0)
 
     def test_all_zero_matrix_rejected(self):
-        matrix = matrix_from_rows([{}, {}], 3)
+        matrix = oracles.tfidf_matrix([{}, {}], words(3))
         with pytest.raises(DataError):
             kmeans(matrix, 2, seed=0)
 
@@ -278,7 +330,7 @@ class TestKmeans:
         ],
     )
     def test_k_above_distinct_rows_rejected(self, rows, k):
-        matrix = matrix_from_rows(rows, 3)
+        matrix = oracles.tfidf_matrix(rows, words(3))
         n_distinct = _prepared(matrix).n_distinct
         assert n_distinct < k
         with pytest.raises(DataError, match=f"{n_distinct} distinct non-empty rows"):
@@ -287,7 +339,7 @@ class TestKmeans:
 
     def test_distinct_rows_counts_normalized_rows(self):
         rows = [{0: 1.0}, {0: 2.0}, {}, {0: 1.0, 1: 1.0}, {1: 2.0, 0: 2.0}, {1: 1.0}]
-        assert _prepared(matrix_from_rows(rows, 2)).n_distinct == 3
+        assert _prepared(oracles.tfidf_matrix(rows, words(2))).n_distinct == 3
 
     def test_reseed_cycle_stops_early(self):
         # the three diagonal rows normalize alike only to the last bits, so
@@ -295,7 +347,7 @@ class TestKmeans:
         # empties every iteration and its re-seed replays the same states
         rows = [{0: 0.7, 1: 1.0}, {1: 1.1}, {0: 0.6, 1: 0.6},
                 {0: 1.1, 1: 1.1}, {0: 0.6, 1: 0.6}, {0: 0.2, 1: 0.2}]
-        matrix = matrix_from_rows(rows, 2)
+        matrix = oracles.tfidf_matrix(rows, words(2))
         assert _prepared(matrix).n_distinct == 4
         model = kmeans(matrix, 4, seed=0)
         assert model.diagnostics == {"converged": False, "cycled": True}
@@ -330,13 +382,13 @@ class TestSilhouette:
 
     def test_all_singletons_zero(self):
         rows = [{i: 1.0} for i in range(4)]
-        matrix = matrix_from_rows(rows, 4)
+        matrix = oracles.tfidf_matrix(rows, words(4))
         assert silhouette(matrix, [0, 1, 2, 3]) == 0.0
 
     def test_bounds(self):
         rng = random.Random(3)
         rows = [{rng.randrange(6): 1.0 + rng.random()} for _ in range(30)]
-        matrix = matrix_from_rows(rows, 6)
+        matrix = oracles.tfidf_matrix(rows, words(6))
         score = silhouette(matrix, [rng.randrange(3) for _ in range(30)])
         assert -1.0 <= score <= 1.0
 
@@ -354,7 +406,7 @@ class TestSilhouette:
 
     @pytest.mark.parametrize("sample_size", [0, -1])
     def test_sample_size_below_one_rejected(self, sample_size):
-        matrix = matrix_from_rows([{0: 1.0}, {1: 1.0}, {0: 0.5, 1: 0.1}], 2)
+        matrix = oracles.tfidf_matrix([{0: 1.0}, {1: 1.0}, {0: 0.5, 1: 0.1}], words(2))
         with pytest.raises(DataError, match=f"sample_size must be at least 1, got {sample_size}"):
             silhouette(matrix, [0, 1, 0], sample_size=sample_size)
 
@@ -385,7 +437,7 @@ class TestSelectK:
             select_k(matrix, (4, 2), seed=0)
 
     def test_range_capped_at_distinct_rows(self):
-        matrix = matrix_from_rows([{0: 1.0}] * 4 + [{1: 1.0}, {2: 1.0}, {}], 3)
+        matrix = oracles.tfidf_matrix([{0: 1.0}] * 4 + [{1: 1.0}, {2: 1.0}, {}], words(3))
         selection = select_k(matrix, (2, 6), seed=0)
         assert [model.k for model, _ in selection.fits] == [2, 3]
         with pytest.raises(DataError, match="3 distinct non-empty rows"):

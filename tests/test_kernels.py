@@ -13,6 +13,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tomllib
 from array import array
 from pathlib import Path
@@ -39,16 +40,26 @@ def cache(monkeypatch, tmp_path):
 
 
 class TestCache:
-    def test_a_build_removes_the_libraries_of_other_digests(self, cache):
+    def test_a_build_keeps_the_newest_libraries_of_other_digests(self, cache):
         cache.mkdir(mode=0o700)
         kept = ("notes.txt", "kernels-3333.so.bak")
-        for name in ("kernels-0000.so", "gibbs-1111.so", "gibbs-2222.so", *kept):
+        for name in ("gibbs-1111.so", "gibbs-2222.so", *kept):
             (cache / name).write_bytes(b"stale")
+        # built oldest first, each a minute after the one before, up to an hour ago
+        others = ["kernels-0000.so", "kernels-0001.so", "kernels-0002.so", "kernels-0003.so"]
         (cache / "kernels-4444.so").mkdir()  # cannot be unlinked: the OSError is ignored
+        for age, name in enumerate(["kernels-4444.so", *others][::-1]):
+            if not (cache / name).exists():
+                (cache / name).write_bytes(b"stale")
+            stamp = time.time_ns() - (3600 + 60 * age) * 10**9
+            os.utime(cache / name, ns=(stamp, stamp))
         library = _kernels._library()
-        built = [p.name for p in cache.glob("kernels-*.so") if p.is_file()]
+        built = [p.name for p in cache.glob("kernels-*.so")
+                 if p.name not in (*others, "kernels-4444.so")]
         assert len(built) == 1 and library._name.endswith(built[0])
-        assert sorted(p.name for p in cache.iterdir()) == sorted([*built, *kept, "kernels-4444.so"])
+        newest = others[-_kernels._KEEP_OTHERS:]
+        assert sorted(p.name for p in cache.iterdir()) == sorted(
+            [*built, *kept, *newest, "kernels-4444.so"])
 
     def test_a_cached_library_is_loaded_and_nothing_removed(self, cache):
         _kernels._library()
@@ -64,8 +75,7 @@ class TestCache:
         monkeypatch.setattr(_kernels, "_LINK", ("-lm", "-lc"))
         _kernels._library.cache_clear()
         _kernels._library()
-        (second,) = cache.iterdir()
-        assert second != first
+        assert sorted(cache.iterdir()) == sorted([first, *rebuilt(cache, first)])
 
     def test_the_digest_covers_the_header(self, cache, monkeypatch, tmp_path):
         _kernels._library()
@@ -75,8 +85,46 @@ class TestCache:
         monkeypatch.setattr(_kernels, "_HEADERS", (header,))
         _kernels._library.cache_clear()
         _kernels._library()
-        (second,) = cache.iterdir()
-        assert second != first
+        assert sorted(cache.iterdir()) == sorted([first, *rebuilt(cache, first)])
+
+    def test_switching_back_to_a_kept_digest_does_not_rebuild(self, cache, monkeypatch):
+        link = _kernels._LINK
+        _kernels._library()
+        monkeypatch.setattr(_kernels, "_LINK", ("-lm", "-lc"))
+        _kernels._library.cache_clear()
+        _kernels._library()
+        monkeypatch.setattr(_kernels, "_LINK", link)
+        compiled = []
+        monkeypatch.setattr(_kernels, "_compile", compiled.append)
+        _kernels._library.cache_clear()
+        _kernels._library()
+        assert compiled == [] and len(list(cache.iterdir())) == 2
+
+    def test_a_library_removed_before_it_loads_is_rebuilt(self, cache, monkeypatch):
+        _kernels._library()
+        (library,) = cache.iterdir()
+        load = _kernels._load
+        loads = []
+
+        def pruned_first(path):
+            loads.append(path)
+            if len(loads) == 1:
+                # another process's prune, after exists() saw it; this process
+                # has the library mapped, so CDLL would still find it here
+                path.unlink()
+                raise OSError(f"{path}: cannot open shared object file")
+            return load(path)
+
+        monkeypatch.setattr(_kernels, "_load", pruned_first)
+        _kernels._library.cache_clear()
+        _kernels._library()
+        assert loads == [library, library] and list(cache.iterdir()) == [library]
+
+
+def rebuilt(cache, first):
+    """The one library in `cache` besides `first`."""
+    (second,) = [path for path in cache.iterdir() if path != first]
+    return [second]
 
 
 def test_call_passes_array_buffers_by_address():

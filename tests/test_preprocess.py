@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tweetflow import resources
+from tweetflow.corpus import filter_language, load_corpus
 from tweetflow.errors import DataError
 from tweetflow.preprocess import (
     TokenizedDoc,
@@ -225,6 +226,41 @@ class TestTfIdf:
                 df = sum(term in other.lemmas for other in docs)
                 stored = i in matrix.rows[d_i]
                 assert stored == (term in document.lemmas and df < n)
+
+
+def tfidf_entries(rows):
+    """Each row's (term index, weight) pairs in the row's order. Every
+    weight is a positive finite float, so == holds only for equal bits."""
+    return [list(row.items()) for row in rows]
+
+
+class TestTfIdfOracle:
+    """build_tfidf's CSR against the dict rows of tests/oracles.py: the
+    same terms, and every row's pairs in the same order with the same bits."""
+
+    @pytest.mark.parametrize("lang", ["en", "it"])
+    def test_fixture_rows_equal(self, fixture_corpus_path, lang):
+        table = resources.load_lemma_table(resources.default_path(f"lemmas_{lang}.tsv"))
+        stoplist = resources.load_stopwords(resources.default_path(f"stopwords_{lang}.txt"))
+        docs = [pipeline_doc(r.id, r.text, table, stoplist)
+                for r in filter_language(load_corpus(fixture_corpus_path), lang)]
+        rows, terms = oracles.build_tfidf(docs)
+        matrix = build_tfidf(docs)
+        assert len(docs) > 50 and matrix.terms == terms
+        assert tfidf_entries(matrix.rows) == tfidf_entries(rows)
+        assert (matrix.starts.typecode, matrix.term_ids.typecode, matrix.weights.typecode) == (
+            "q", "i", "d")
+
+    @given(st.lists(st.lists(st.sampled_from(["sea", "sun", "sand", "dune", "è", "a"]),
+                             max_size=12), min_size=1, max_size=10))
+    def test_generated_docs_rows_equal(self, lemma_lists):
+        docs = [doc(str(i), lemmas) for i, lemmas in enumerate(lemma_lists)]
+        rows, terms = oracles.build_tfidf(docs)
+        matrix = build_tfidf(docs)
+        assert matrix.terms == terms
+        assert tfidf_entries(matrix.rows) == tfidf_entries(rows)
+        assert matrix.starts[0] == 0 and matrix.starts[-1] == len(matrix.term_ids)
+        assert len(matrix.starts) == len(docs) + 1 and len(matrix.weights) == len(matrix.term_ids)
 
 
 class TestVocabulary:
